@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all build test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare throughput serve cluster
+.PHONY: all build bench-build test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare serve cluster
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# The socket benchmark is a nested module (benchmark/go.mod, replace
+# qirana => ../) that `go build ./...` does not reach. Compile and vet it
+# so a refactor that breaks a symbol listed in benchmark/probes.go fails
+# here, not at the benchmark gate. TestBenchmarkModuleBuilds runs the
+# same commands under `go test ./...`.
+bench-build:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test: vet
 	$(GO) test ./...
@@ -27,22 +35,9 @@ lint-dup:
 	@if grep -rn 'func lower(' internal/disagree internal/sqlengine/exec internal/sqlengine/plan --include='*.go'; then \
 		echo 'duplicate lower() helper: use ast.LowerName'; exit 1; fi
 
-# Deprecated-wrapper gate. The context-free Quote*/Ask* convenience
-# wrappers on Broker are frozen for compatibility (their replacements are
-# Price and Purchase, which carry contexts, provenance and the
-# approximate-pricing controls); fail if any non-test code outside their
-# definitions in qirana.go still calls one. staticcheck — whose SA1019
-# catches the same thing module-wide plus its full suite — runs when
-# installed; locally without it the target degrades to the grep gate
-# (CI installs and runs it).
+# staticcheck runs when installed; locally without it the target degrades
+# to lint-dup (CI installs and runs it).
 lint: lint-dup
-	@bad=$$(grep -rnE '\.(QuoteBatchWith|QuoteBatch|QuoteBundle|QuoteWith|Quote|AskWithRefund|Ask)\(' \
-		--include='*.go' --exclude='*_test.go' cmd examples internal *.go \
-		| grep -v '^qirana\.go:' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "$$bad"; \
-		echo 'deprecated wrapper call: use Broker.Price / Broker.Purchase (see qirana.go Deprecated notes)'; \
-		exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -99,11 +94,6 @@ chaos:
 bench-compare:
 	$(GO) run ./cmd/bench -support 250 -min-time 300ms -reps 9 \
 		-out /tmp/BENCH_new.json -compare BENCH_pricing.json
-
-# Broker-frontend quote throughput only (repeated vs unique traffic mixes,
-# 1 and NumCPU concurrent clients); prints the warm/cold speedup.
-throughput:
-	$(GO) run ./cmd/bench -groups quote -out /tmp/BENCH_quote.json
 
 # Start the HTTP pricing daemon on localhost:8080 (world dataset, $$100).
 # See README "Running qiranad" for the endpoint surface and curl examples.

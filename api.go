@@ -10,11 +10,9 @@ import (
 	"qirana/internal/sqlengine/exec"
 )
 
-// This file is the broker's consolidated serving API. Price and Purchase
-// are the two real entry points — context-aware, request/response shaped,
-// and instrumented — and every legacy method (Quote, QuoteWith,
-// QuoteBundle, QuoteBatch, QuoteBatchWith, Ask, AskWithRefund) is a thin
-// wrapper that delegates to them, so existing callers compile unchanged.
+// This file is the broker's serving API. Price and Purchase are the two
+// entry points — context-aware, request/response shaped, and
+// instrumented.
 //
 // Cancellation contract (holds for Price and Purchase alike):
 //
@@ -144,7 +142,8 @@ func (b *Broker) countOutcome(err error) {
 
 // Price is the broker's quoting entry point: it prices req.SQLs under
 // req's pricing function and mode, honoring ctx end-to-end (see the
-// cancellation contract above). All legacy Quote* methods delegate here.
+// cancellation contract above). With up-front pricing the quote can be
+// disclosed before purchase (paper §2.2, price leakage discussion).
 func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceResponse, err error) {
 	b.obs.Add("broker_price_requests", 1)
 	defer b.obs.Timer("broker_price")()
@@ -222,7 +221,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 			resp.Prices[j] = info.Price
 			resp.Total += info.Price
 			resp.PerQuery[j] = info
-			addStats(&resp.Stats, info.Stats)
+			resp.Stats.Add(info.Stats)
 		}
 		return resp, nil
 	}
@@ -244,7 +243,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 			resp.Prices[j] = info.Price
 			resp.Total += info.Price
 			resp.PerQuery[j] = info
-			addStats(&resp.Stats, info.Stats)
+			resp.Stats.Add(info.Stats)
 		}
 		return resp, nil
 	}
@@ -252,16 +251,24 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	for j := range qs {
 		resp.Total += prices[j]
 		resp.PerQuery[j] = QuoteInfo{Price: prices[j], Stats: stats[j], Cached: cached[j]}
-		addStats(&resp.Stats, stats[j])
+		resp.Stats.Add(stats[j])
 	}
 	return resp, nil
 }
 
-// Purchase runs the query for the buyer and applies the history-aware
-// charge, honoring ctx end-to-end. The charge is applied only after the
-// pricing sweep has fully completed and ctx has been re-checked, so a
-// cancelled purchase never moves TotalPaid. All legacy Ask* methods
-// delegate here.
+// Purchase runs the query for the buyer and applies the incremental
+// history-aware charge (weighted coverage; Algorithm 3), honoring ctx
+// end-to-end: the buyer never pays twice for the same information, and
+// once they have paid the full dataset price every further query is free.
+// The charge is applied only after the pricing sweep has fully completed
+// and ctx has been re-checked, so a cancelled purchase never moves
+// TotalPaid.
+//
+// The charge folds the bundle's cached (history-oblivious) disagreement
+// bitmap into the buyer's history: an element's disagreement bit does not
+// depend on who is asking, so one cached bitmap serves every buyer, and
+// the masked cold computation decides every element identically — the
+// charge is bit-identical to pricing against the history directly.
 func (b *Broker) Purchase(ctx context.Context, req PurchaseRequest) (rec *Receipt, err error) {
 	b.obs.Add("broker_purchase_requests", 1)
 	defer b.obs.Timer("broker_purchase")()
@@ -380,7 +387,7 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 				} else {
 					b.engineMu.Lock()
 					b.refreshEngineLocked()
-					res, stats, err = b.engine.DisagreementsMultiCtx(ctx, miss)
+					res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, nil)
 					b.engineMu.Unlock()
 				}
 				if err != nil {
@@ -405,7 +412,7 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 			}
 			prices[j] = p
 			stats[j] = entries[j].stats
-			addStats(&sum, entries[j].stats)
+			sum.Add(entries[j].stats)
 		}
 		b.setLastStats(sum)
 		return prices, stats, cached, nil
@@ -431,7 +438,7 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 				}
 				b.engineMu.Lock()
 				b.refreshEngineLocked()
-				elems, bases, err := b.engine.OutputHashesMultiCtx(ctx, miss)
+				elems, bases, err := b.engine.OutputHashesMultiLiveCtx(ctx, miss, nil)
 				b.engineMu.Unlock()
 				if err != nil {
 					return nil, err
@@ -454,7 +461,7 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 		for j := range qs {
 			prices[j] = entries[j].price
 			stats[j] = entries[j].stats
-			addStats(&sum, entries[j].stats)
+			sum.Add(entries[j].stats)
 		}
 		b.setLastStats(sum)
 		return prices, stats, cached, nil

@@ -28,6 +28,13 @@ func newCancelBroker(t *testing.T, size int) *Broker {
 
 const cancelSQL = `SELECT Name FROM Country WHERE Continent = 'Asia'`
 
+// midSweepSQL is the query of the tests that must catch a sweep in
+// flight: ORDER BY + LIMIT keeps it off the fast path, so it is
+// re-executed per support element and its sweep outlives a deadline or
+// a cancellation a few milliseconds away however fast the batched sweep
+// gets.
+const midSweepSQL = cancelSQL + ` ORDER BY Name LIMIT 50`
+
 func TestPriceCancelledContext(t *testing.T) {
 	b := newCancelBroker(t, 400)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -66,7 +73,7 @@ func TestPriceDeadlineMidSweep(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	_, err := b.Price(ctx, PriceRequest{SQLs: []string{cancelSQL}})
+	_, err := b.Price(ctx, PriceRequest{SQLs: []string{midSweepSQL}})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("sweep finished inside the deadline; mid-sweep abort not exercised")
@@ -84,7 +91,7 @@ func TestPriceDeadlineMidSweep(t *testing.T) {
 		t.Fatalf("aborted sweep left %d cache entries", n)
 	}
 
-	resp, err := b.Price(context.Background(), PriceRequest{SQLs: []string{cancelSQL}})
+	resp, err := b.Price(context.Background(), PriceRequest{SQLs: []string{midSweepSQL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +144,7 @@ func TestPurchaseCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.Purchase(ctx, PurchaseRequest{Buyer: "bob", SQL: cancelSQL})
+		_, err := b.Purchase(ctx, PurchaseRequest{Buyer: "bob", SQL: midSweepSQL})
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // let the sweep start
@@ -154,12 +161,12 @@ func TestPurchaseCancelMidSweep(t *testing.T) {
 	}
 
 	// The broker still works and the charge matches a fresh broker.
-	rec, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: "bob", SQL: cancelSQL})
+	rec, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: "bob", SQL: midSweepSQL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := newCancelBroker(t, 3000)
-	want, err := fresh.Purchase(context.Background(), PurchaseRequest{Buyer: "bob", SQL: cancelSQL})
+	want, err := fresh.Purchase(context.Background(), PurchaseRequest{Buyer: "bob", SQL: midSweepSQL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func TestClusterShardRowsSwept(t *testing.T) {
 		return out
 	}
 	before := sweptPerShard()
-	if _, err := routed.Quote("SELECT Name FROM Country WHERE Population > 5000000"); err != nil {
+	if _, err := routed.Price(context.Background(), qirana.PriceRequest{SQLs: []string{"SELECT Name FROM Country WHERE Population > 5000000"}}); err != nil {
 		t.Fatal(err)
 	}
 	after := sweptPerShard()
@@ -280,7 +280,7 @@ func TestClusterShardRowsSwept(t *testing.T) {
 	// Warm path: same quote again — served from the router's cache, no
 	// shard sweeps at all.
 	before = sweptPerShard()
-	if _, err := routed.Quote("SELECT Name FROM Country WHERE Population > 5000000"); err != nil {
+	if _, err := routed.Price(context.Background(), qirana.PriceRequest{SQLs: []string{"SELECT Name FROM Country WHERE Population > 5000000"}}); err != nil {
 		t.Fatal(err)
 	}
 	after = sweptPerShard()
@@ -375,7 +375,7 @@ func TestClusterPartitionRecovery(t *testing.T) {
 	// Partition shard 1 and quote cold: the whole fan-out must fail.
 	flakies[1].down.Store(true)
 	const sql = "SELECT Name FROM Country WHERE Population > 2000000"
-	if _, err := routed.Quote(sql); !errors.Is(err, qirana.ErrShardUnavailable) {
+	if _, err := routed.Price(context.Background(), qirana.PriceRequest{SQLs: []string{sql}}); !errors.Is(err, qirana.ErrShardUnavailable) {
 		t.Fatalf("quote with a partitioned shard: err=%v, want ErrShardUnavailable", err)
 	}
 
@@ -407,7 +407,7 @@ func TestClusterPartitionRecovery(t *testing.T) {
 	if v := routed.Metrics().Counters["breaker_open"]; v == 0 {
 		t.Error("breaker_open never moved under a persistent partition")
 	}
-	if _, err := routed.Quote(sql + " "); err == nil {
+	if _, err := routed.Price(context.Background(), qirana.PriceRequest{SQLs: []string{sql + " "}}); err == nil {
 		t.Fatal("open breaker: quote succeeded during the partition")
 	} else if hint, ok := qirana.RetryAfterHint(err); !ok || hint <= 0 {
 		t.Fatalf("open-breaker error carries no Retry-After hint: %v", err)

@@ -1,7 +1,10 @@
 // Command bench times the pricing-engine benchmark groups the paper's
-// Figures 4d, 5a and 5b measure and writes the results as machine-readable
-// JSON (default BENCH_pricing.json), so successive PRs can track perf
-// deltas without parsing `go test -bench` output.
+// Figures 4d, 5a and 5b measure, plus the delta-tier A/B group, and writes
+// the results as machine-readable JSON (default BENCH_pricing.json), so
+// successive PRs can track perf deltas without parsing `go test -bench`
+// output. It measures the bare engine in process; quotes through the
+// broker, its caches, templates, shards and the approximate path are
+// measured over a socket by benchmark/ (see BENCHMARK.json).
 //
 // Every pricing benchmark runs at each requested worker count (default
 // "1,numcpu" — the serial baseline and the parallel engine). Worker counts
@@ -28,14 +31,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"qirana"
 	"qirana/internal/datagen"
 	"qirana/internal/pricing"
-	"qirana/internal/shard"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
 	"qirana/internal/support"
@@ -108,7 +107,7 @@ func (r *runner) measure(group, name string, workers int, op func() error) {
 func main() {
 	var (
 		out      = flag.String("out", "BENCH_pricing.json", "output JSON path")
-		groups   = flag.String("groups", "fig4d,fig5a,fig5b,quote,delta-tiers,templates,cluster,approx", "comma-separated benchmark groups")
+		groups   = flag.String("groups", "fig4d,fig5a,fig5b,delta-tiers", "comma-separated benchmark groups")
 		workersF = flag.String("workers", "1,numcpu", "comma-separated worker counts ('numcpu' allowed)")
 		supportN = flag.Int("support", 500, "support set size for the Fig 5 fixtures")
 		ssbSF    = flag.Float64("ssb-sf", 0.002, "SSB scale factor")
@@ -126,7 +125,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	known := []string{"fig4d", "fig5a", "fig5b", "quote", "delta-tiers", "templates", "cluster", "approx"}
+	known := []string{"fig4d", "fig5a", "fig5b", "delta-tiers"}
 	want := map[string]bool{}
 	for _, g := range strings.Split(*groups, ",") {
 		g = strings.TrimSpace(g)
@@ -145,6 +144,7 @@ func main() {
 	}
 
 	r := &runner{minTime: *minTime, maxIter: *maxIter, reps: *reps}
+	ctx := context.Background()
 
 	if want["fig4d"] {
 		db := datagen.World(*seed)
@@ -160,7 +160,7 @@ func main() {
 					e := pricing.NewEngine(db, set, 100)
 					e.Opts.Workers = w
 					r.measure("fig4d", fmt.Sprintf("%s/S=%d", wq.Name, size), w, func() error {
-						_, err := e.Price(pricing.WeightedCoverage, q)
+						_, err := e.PriceCtx(ctx, pricing.WeightedCoverage, q)
 						return err
 					})
 				}
@@ -169,7 +169,7 @@ func main() {
 	}
 	if want["fig5a"] {
 		all := workload.SSB()
-		scalability(r, "fig5a", datagen.SSB(*seed, *ssbSF), *supportN, *seed, workers,
+		scalability(ctx, r, "fig5a", datagen.SSB(*seed, *ssbSF), *supportN, *seed, workers,
 			[]workload.Query{all[0], all[3], all[6], all[10]})
 	}
 	if want["fig5b"] {
@@ -177,23 +177,11 @@ func main() {
 		for _, wq := range workload.TPCH() {
 			byName[wq.Name] = wq
 		}
-		scalability(r, "fig5b", datagen.TPCH(*seed, *tpchSF), *supportN, *seed, workers,
+		scalability(ctx, r, "fig5b", datagen.TPCH(*seed, *tpchSF), *supportN, *seed, workers,
 			[]workload.Query{byName["Q1"], byName["Q6"], byName["Q12"], byName["Q17"]})
 	}
-	if want["quote"] {
-		quoteThroughput(r, *seed, *supportN)
-	}
 	if want["delta-tiers"] {
-		deltaTiers(r, *seed, *supportN, workers)
-	}
-	if want["templates"] {
-		templatesGroup(r, *seed, *supportN)
-	}
-	if want["cluster"] {
-		clusterGroup(r, *seed, *supportN)
-	}
-	if want["approx"] {
-		approxGroup(r, *seed, *supportN)
+		deltaTiers(ctx, r, *seed, *supportN, workers)
 	}
 
 	rep := report{
@@ -309,7 +297,7 @@ func compareReports(path string, rep report) bool {
 
 // scalability is the Figure 5 shape: per query, bare execution plus
 // no-batching and batching pricing at every worker count.
-func scalability(r *runner, group string, db *storage.Database, supportN int, seed int64, workers []int, wqs []workload.Query) {
+func scalability(ctx context.Context, r *runner, group string, db *storage.Database, supportN int, seed int64, workers []int, wqs []workload.Query) {
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(supportN, seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -326,7 +314,7 @@ func scalability(r *runner, group string, db *storage.Database, supportN int, se
 			e.Opts.Batching = false
 			e.Opts.Workers = w
 			r.measure(group, wq.Name+"/no-batching", w, func() error {
-				_, err := e.Price(pricing.WeightedCoverage, q)
+				_, err := e.PriceCtx(ctx, pricing.WeightedCoverage, q)
 				return err
 			})
 		}
@@ -334,7 +322,7 @@ func scalability(r *runner, group string, db *storage.Database, supportN int, se
 			e := pricing.NewEngine(db, set, 100)
 			e.Opts.Workers = w
 			r.measure(group, wq.Name+"/batching", w, func() error {
-				_, err := e.Price(pricing.WeightedCoverage, q)
+				_, err := e.PriceCtx(ctx, pricing.WeightedCoverage, q)
 				return err
 			})
 		}
@@ -349,7 +337,7 @@ func scalability(r *runner, group string, db *storage.Database, supportN int, se
 // and self-joins fall back to naive per-element re-execution and extremum
 // removals re-run the full query — and the group prints the tiered-vs-
 // untiered geometric-mean speedup at workers=1.
-func deltaTiers(r *runner, seed int64, supportN int, workers []int) {
+func deltaTiers(ctx context.Context, r *runner, seed int64, supportN int, workers []int) {
 	db := datagen.World(seed)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(supportN, seed))
 	if err != nil {
@@ -369,7 +357,7 @@ func deltaTiers(r *runner, seed int64, supportN int, workers []int) {
 			tiered := pricing.NewEngine(db, set, 100)
 			tiered.Opts.Workers = w
 			r.measure("delta-tiers", wq.name+"/tiered", w, func() error {
-				_, err := tiered.Price(pricing.WeightedCoverage, q)
+				_, err := tiered.PriceCtx(ctx, pricing.WeightedCoverage, q)
 				return err
 			})
 		}
@@ -378,7 +366,7 @@ func deltaTiers(r *runner, seed int64, supportN int, workers []int) {
 			untiered.Opts.Workers = w
 			untiered.Opts.DisableDeltaTiers = true
 			r.measure("delta-tiers", wq.name+"/untiered", w, func() error {
-				_, err := untiered.Price(pricing.WeightedCoverage, q)
+				_, err := untiered.PriceCtx(ctx, pricing.WeightedCoverage, q)
 				return err
 			})
 		}
@@ -401,222 +389,6 @@ func deltaTiers(r *runner, seed int64, supportN int, workers []int) {
 	}
 	if n > 0 {
 		fmt.Printf("delta-tiers: geomean %.2fx faster than untiered at workers=%d\n", math.Exp(logSum/float64(n)), workers[0])
-	}
-}
-
-// quoteThroughput is the broker-frontend throughput group: quote latency
-// through the public Broker under four traffic mixes (repeated queries
-// against a disabled cache, repeated against a primed cache, all-unique,
-// and a 90/10 repeated/unique mix), each with 1 client and NumCPU
-// concurrent clients. One op = clients × quotesPerClient quotes, so
-// ns/op is comparable across mixes at a fixed client count.
-func quoteThroughput(r *runner, seed int64, supportN int) {
-	db := datagen.World(seed)
-	ctx := context.Background()
-	repeated := []string{
-		"SELECT Name FROM Country WHERE Continent = 'Asia'",
-		"SELECT Population FROM Country WHERE ID < 50",
-		"SELECT * FROM CountryLanguage WHERE IsOfficial = 'T'",
-		"SELECT Name, Region FROM Country WHERE Continent = 'Europe'",
-	}
-	var uniqueN atomic.Int64
-	unique := func() string {
-		return fmt.Sprintf("SELECT Name FROM Country WHERE Population > %d", uniqueN.Add(1)*1000)
-	}
-	newBroker := func(cacheSize int) *qirana.Broker {
-		b, err := qirana.NewBroker(db, 100, qirana.Options{
-			SupportSetSize: supportN, Seed: seed,
-			Workers: runtime.NumCPU(), QuoteCacheSize: cacheSize,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return b
-	}
-	const quotesPerClient = 4
-	run := func(b *qirana.Broker, clients int, sqlFor func(g, i int) string) func() error {
-		return func() error {
-			errs := make(chan error, clients)
-			var wg sync.WaitGroup
-			for g := 0; g < clients; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < quotesPerClient; i++ {
-						if _, err := b.Price(ctx, qirana.PriceRequest{SQLs: []string{sqlFor(g, i)}}); err != nil {
-							select {
-							case errs <- err:
-							default:
-							}
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			return <-errs
-		}
-	}
-	repSQL := func(g, i int) string { return repeated[(g+i)%len(repeated)] }
-	uniSQL := func(g, i int) string { return unique() }
-	mixSQL := func(g, i int) string {
-		if (g*quotesPerClient+i)%10 == 9 {
-			return unique()
-		}
-		return repSQL(g, i)
-	}
-	clients := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		clients = append(clients, n)
-	}
-	for _, c := range clients {
-		cold := newBroker(-1)
-		r.measure("quote", fmt.Sprintf("repeated-cold/clients=%d", c), c, run(cold, c, repSQL))
-		warm := newBroker(0)
-		for _, sql := range repeated { // prime
-			if _, err := warm.Price(ctx, qirana.PriceRequest{SQLs: []string{sql}}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		r.measure("quote", fmt.Sprintf("repeated-warm/clients=%d", c), c, run(warm, c, repSQL))
-		uni := newBroker(0)
-		r.measure("quote", fmt.Sprintf("unique-cold/clients=%d", c), c, run(uni, c, uniSQL))
-		mix := newBroker(0)
-		r.measure("quote", fmt.Sprintf("mix-90-10/clients=%d", c), c, run(mix, c, mixSQL))
-	}
-	var coldNs, warmNs float64
-	for _, res := range r.out {
-		if res.Group != "quote" {
-			continue
-		}
-		switch res.Name {
-		case "repeated-cold/clients=1":
-			coldNs = res.NsPerOp
-		case "repeated-warm/clients=1":
-			warmNs = res.NsPerOp
-		}
-	}
-	if coldNs > 0 && warmNs > 0 {
-		fmt.Printf("quote: warm repeated path %.0fx faster than cold (%.0f ns vs %.0f ns per %d quotes)\n",
-			coldNs/warmNs, warmNs, coldNs, quotesPerClient)
-	}
-}
-
-// templatesGroup measures the prepared-template serving paths at
-// workers=1 (one op = quotesPerOp quotes, comparable across variants):
-//
-//	cold-prepare        Broker.Prepare per call: parse + canonicalize +
-//	                    template extraction, the one-time template cost
-//	warm-parameterized  Stmt.Price over parameter vectors whose entries
-//	                    are warm: render the param signature, assemble
-//	                    the precomputed key, serve the shared entry
-//	quote-hit           ad-hoc Quote of one fixed constant, warm: the
-//	                    classic quote-cache hit (parse + canon + hit)
-//	adhoc-cold          ad-hoc Quote with a fresh constant per call: the
-//	                    pre-template worst case — every distinct constant
-//	                    re-parses, re-canonicalizes and re-sweeps
-//
-// The printed summary reports warm-parameterized against quote-hit
-// (template serving must stay within 2× of a same-constant hit: it does
-// strictly less string work) and against adhoc-cold (the payoff: the
-// sweep is shared across constants, so ≥10× is expected even at small
-// support sizes).
-func templatesGroup(r *runner, seed int64, supportN int) {
-	db := datagen.World(seed)
-	ctx := context.Background()
-	const tmplSQL = "SELECT Name FROM Country WHERE Population > $1"
-	newBroker := func() *qirana.Broker {
-		b, err := qirana.NewBroker(db, 100, qirana.Options{
-			SupportSetSize: supportN, Seed: seed, Workers: 1,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return b
-	}
-	const quotesPerOp = 4
-	const paramSpace = 16 // distinct warm parameter vectors to cycle
-
-	// cold-prepare: the full one-time cost, repeated.
-	bp := newBroker()
-	r.measure("templates", "cold-prepare", 1, func() error {
-		for i := 0; i < quotesPerOp; i++ {
-			if _, err := bp.Prepare(ctx, tmplSQL); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// warm-parameterized: one Stmt, parameter vectors primed once.
-	bw := newBroker()
-	stmt, err := bw.Prepare(ctx, tmplSQL)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for i := 0; i < paramSpace; i++ {
-		if _, err := stmt.Price(ctx, qirana.NewInt(int64(i)*100000)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var warmN atomic.Int64
-	r.measure("templates", "warm-parameterized", 1, func() error {
-		for i := 0; i < quotesPerOp; i++ {
-			v := warmN.Add(1) % paramSpace
-			if _, err := stmt.Price(ctx, qirana.NewInt(v*100000)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// quote-hit: the same broker and template, one fixed constant ad hoc.
-	hitSQL := "SELECT Name FROM Country WHERE Population > 0"
-	if _, err := bw.Price(ctx, qirana.PriceRequest{SQLs: []string{hitSQL}}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	r.measure("templates", "quote-hit", 1, func() error {
-		for i := 0; i < quotesPerOp; i++ {
-			if _, err := bw.Price(ctx, qirana.PriceRequest{SQLs: []string{hitSQL}}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// adhoc-cold: a fresh constant per quote; every call is a cold miss.
-	bc := newBroker()
-	var uniqueN atomic.Int64
-	r.measure("templates", "adhoc-cold", 1, func() error {
-		for i := 0; i < quotesPerOp; i++ {
-			sql := fmt.Sprintf("SELECT Name FROM Country WHERE Population > %d", uniqueN.Add(1)*1000+7)
-			if _, err := bc.Price(ctx, qirana.PriceRequest{SQLs: []string{sql}}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	ns := map[string]float64{}
-	for _, res := range r.out {
-		if res.Group == "templates" {
-			ns[res.Name] = res.NsPerOp
-		}
-	}
-	if ns["warm-parameterized"] > 0 && ns["quote-hit"] > 0 {
-		fmt.Printf("templates: warm parameterized quote %.2fx a same-constant cache hit (%.0f ns vs %.0f ns, want ≤2x)\n",
-			ns["warm-parameterized"]/ns["quote-hit"], ns["warm-parameterized"], ns["quote-hit"])
-	}
-	if ns["adhoc-cold"] > 0 && ns["warm-parameterized"] > 0 {
-		fmt.Printf("templates: warm parameterized quote %.0fx faster than cold ad-hoc (%.0f ns vs %.0f ns, want ≥10x)\n",
-			ns["adhoc-cold"]/ns["warm-parameterized"], ns["warm-parameterized"], ns["adhoc-cold"])
 	}
 }
 
@@ -643,104 +415,4 @@ func parseWorkers(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// clusterGroup measures cold-quote throughput against an in-process
-// shard cluster at 1, 2 and 3 shards: every quote is a fresh SQL, so
-// each op is a full fan-out + sweep + merge. The "workers" column
-// reports the shard count. After each size the per-shard rows-swept
-// counters are printed — with N shards each worker sweeps |S|/N of
-// every cold quote, which is the whole point.
-func clusterGroup(r *runner, seed int64, supportN int) {
-	db := datagen.World(seed)
-	var uniqueN atomic.Int64
-	unique := func() string {
-		return fmt.Sprintf("SELECT Name FROM Country WHERE Population > %d", uniqueN.Add(1)*1000)
-	}
-	for _, n := range []int{1, 2, 3} {
-		opt := qirana.Options{SupportSetSize: supportN, Seed: seed}
-		routed, err := qirana.NewBroker(db, 100, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cl, err := shard.AttachLocal(routed, db, n, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		r.measure("cluster", fmt.Sprintf("cold-quote/shards=%d", n), n, func() error {
-			_, err := routed.Price(context.Background(), qirana.PriceRequest{SQLs: []string{unique()}})
-			return err
-		})
-		for i, b := range cl.Brokers {
-			m := b.Metrics()
-			fmt.Printf("         shard %d/%d: %d rows swept over %d sweep RPCs\n",
-				i+1, n, m.Counters["shard_rows_swept"], m.Counters["shard_sweep_requests"])
-		}
-		cl.Close()
-	}
-}
-
-// approxGroup measures the sampled approximate pricing sweep against the
-// exact sweep at the engine level (no broker cache, no background
-// refiner — each price is a cold sweep): one fixed query per pricing
-// function, exact plus three sample fractions. Sweep cost is live-mask
-// driven, so ns/op should fall roughly linearly with the fraction; the
-// printed summary reports the speedup and the estimate's overshoot over
-// the exact price at each fraction (the served estimate is a guaranteed
-// upper bound — overshoot is never negative).
-func approxGroup(r *runner, seed int64, supportN int) {
-	db := datagen.World(seed)
-	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(supportN, seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ctx := context.Background()
-	fracs := []float64{0.25, 0.1, 0.05}
-	queries := []struct {
-		name string
-		fn   pricing.Func
-		sql  string
-	}{
-		{"coverage", pricing.WeightedCoverage, "SELECT Name, Population FROM Country WHERE Population > 1000000"},
-		{"shannon", pricing.ShannonEntropy, "SELECT Name, Population FROM Country WHERE Population > 1000000"},
-	}
-	type cell struct{ ns, price, point float64 }
-	got := map[string]cell{}
-	for _, wq := range queries {
-		q := exec.MustCompile(wq.sql, db.Schema)
-		e := pricing.NewEngine(db, set, 100)
-		var exact float64
-		r.measure("approx", wq.name+"/exact", 1, func() error {
-			p, err := e.Price(wq.fn, q)
-			exact = p
-			return err
-		})
-		got[wq.name+"/exact"] = cell{ns: r.out[len(r.out)-1].NsPerOp, price: exact, point: exact}
-		n := set.Size()
-		for _, frac := range fracs {
-			mask := support.SampleMask(n, frac, seed, 0)
-			var est pricing.Estimate
-			name := fmt.Sprintf("%s/frac=%g", wq.name, frac)
-			r.measure("approx", name, 1, func() error {
-				var err error
-				est, err = e.ApproxPriceCtx(ctx, wq.fn, mask, q)
-				return err
-			})
-			got[name] = cell{ns: r.out[len(r.out)-1].NsPerOp, price: est.Price, point: est.Point}
-		}
-	}
-	for _, wq := range queries {
-		ex := got[wq.name+"/exact"]
-		for _, frac := range fracs {
-			c := got[fmt.Sprintf("%s/frac=%g", wq.name, frac)]
-			if ex.ns <= 0 || c.ns <= 0 || ex.price <= 0 {
-				continue
-			}
-			fmt.Printf("approx: %-8s frac=%-5g %5.2fx faster than exact; point estimate off by %5.1f%%, guaranteed bound +%.0f%%\n",
-				wq.name, frac, ex.ns/c.ns, 100*math.Abs(c.point-ex.price)/ex.price, 100*(c.price-ex.price)/ex.price)
-		}
-	}
 }

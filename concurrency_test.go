@@ -35,12 +35,12 @@ func TestConcurrentBrokerAccess(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				sql := queries[(g+i)%len(queries)]
 				if g%2 == 0 {
-					if _, err := b.Quote(sql); err != nil {
+					if _, err := quote(b, sql); err != nil {
 						errs <- err
 						return
 					}
 				} else {
-					if _, _, err := b.Ask(buyer, sql); err != nil {
+					if _, _, err := ask(b, buyer, sql); err != nil {
 						errs <- err
 						return
 					}
@@ -56,11 +56,11 @@ func TestConcurrentBrokerAccess(t *testing.T) {
 	}
 	// The database must be back in its pristine state: quotes are
 	// idempotent afterwards.
-	p1, err := b.Quote(queries[0])
+	p1, err := quote(b, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := b.Quote(queries[0])
+	p2, err := quote(b, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

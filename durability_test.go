@@ -100,11 +100,11 @@ func assertTwinEqual(t *testing.T, recovered, tw *Broker, from int) {
 		}
 	}
 	for _, sql := range durProbes {
-		got, err := recovered.Quote(sql)
+		got, err := quote(recovered, sql)
 		if err != nil {
 			t.Fatalf("recovered quote %q: %v", sql, err)
 		}
-		want, err := tw.Quote(sql)
+		want, err := quote(tw, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestBrokerLedgerTruncationMatrix(t *testing.T) {
 	}
 	probeWant := make([]float64, len(durProbes))
 	for i, sql := range durProbes {
-		p, err := b.Quote(sql)
+		p, err := quote(b, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestBrokerLedgerTruncationMatrix(t *testing.T) {
 			// Quotes are history-independent; checking once per distinct
 			// prefix keeps the matrix fast.
 			for i, sql := range durProbes {
-				got, qerr := rec.Quote(sql)
+				got, qerr := quote(rec, sql)
 				if qerr != nil {
 					t.Fatalf("cut=%d: quote: %v", cut, qerr)
 				}

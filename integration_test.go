@@ -1,6 +1,7 @@
 package qirana
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -55,11 +56,11 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	b1, b2 := mk(), mk()
 	const sql = "SELECT Name, Population FROM Country WHERE Continent = 'Europe'"
-	p1, err := b1.Quote(sql)
+	p1, err := quote(b1, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := b2.Quote(sql)
+	p2, err := quote(b2, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestBuyerNeverOverpays(t *testing.T) {
 	}
 	prev := 0.0
 	for _, sql := range session {
-		if _, _, err := b.Ask("greedy", sql); err != nil {
+		if _, _, err := ask(b, "greedy", sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		paid := b.TotalPaid("greedy")
@@ -109,7 +110,7 @@ func TestBuyerNeverOverpays(t *testing.T) {
 	if math.Abs(b.TotalPaid("greedy")-100) > 1e-6 {
 		t.Fatalf("full ownership should cost exactly the dataset price, paid %g", b.TotalPaid("greedy"))
 	}
-	_, c, err := b.Ask("greedy", "SELECT SurfaceArea FROM Country")
+	_, c, err := ask(b, "greedy", "SELECT SurfaceArea FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +119,24 @@ func TestBuyerNeverOverpays(t *testing.T) {
 	}
 }
 
-func ExampleBroker_Quote() {
+func ExampleBroker_Price() {
 	db, _ := LoadDataset("world", 1, 0)
 	broker, _ := NewBroker(db, 100, Options{SupportSetSize: 400, Seed: 7})
-	free, _ := broker.Quote("SELECT count(*) FROM Country") // cardinality is public
-	full, _ := broker.Quote("SELECT * FROM Country")
+	resp, _ := broker.Price(context.Background(), PriceRequest{SQLs: []string{
+		"SELECT count(*) FROM Country", // cardinality is public
+		"SELECT * FROM Country",
+	}})
+	free, full := resp.Prices[0], resp.Prices[1]
 	fmt.Println(free == 0, full > 0, full <= 100)
 	// Output: true true true
 }
 
-func ExampleBroker_Ask() {
+func ExampleBroker_Purchase() {
 	db, _ := LoadDataset("world", 1, 0)
 	broker, _ := NewBroker(db, 100, Options{SupportSetSize: 400, Seed: 7})
-	_, first, _ := broker.Ask("alice", "SELECT Continent, count(*) FROM Country GROUP BY Continent")
-	_, again, _ := broker.Ask("alice", "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
-	fmt.Println(first > 0, again == 0)
+	ctx := context.Background()
+	first, _ := broker.Purchase(ctx, PurchaseRequest{Buyer: "alice", SQL: "SELECT Continent, count(*) FROM Country GROUP BY Continent"})
+	again, _ := broker.Purchase(ctx, PurchaseRequest{Buyer: "alice", SQL: "SELECT count(*) FROM Country WHERE Continent = 'Asia'"})
+	fmt.Println(first.Net > 0, again.Net == 0)
 	// Output: true true
 }

@@ -2,8 +2,10 @@ package disagree
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
+	"qirana/internal/obs"
 	"qirana/internal/pool"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
@@ -25,74 +27,119 @@ const classifyBlock = 64
 // dominates and sharding would add work instead of hiding it.
 const minBatchShard = 32
 
-// batchJob is one tagged-query task: answer the NeedPlus (compare=false)
-// or NeedCompare (compare=true) checks for a slice of updates that all
-// touch relation rel. Jobs partition the pending updates, touch disjoint
-// res indexes, and only read the checker and the base database, so any
-// number of them run concurrently.
+// batchJob is one tagged-query task of checker k: answer the NeedPlus
+// (compare=false) or NeedCompare (compare=true) checks for a slice of
+// updates that all touch relation rel. Jobs partition a checker's pending
+// updates, touch disjoint result slots, and only read the checker and the
+// base database, so any number of them run concurrently.
 type batchJob struct {
+	k       int
 	rel     string
 	idxs    []int
 	compare bool
 }
 
-// deltaCheck is one per-update delta task: updates of a relation with
-// multiple occurrences cannot share a tagged query (the upid substitution
-// is per-slot-unsound for self-joins), so each resolves individually
-// through the higher-order expansion of Checker.decide.
-type deltaCheck struct {
-	i       int
+// check is one per-update task of checker k on update i: a delta check
+// (updates of a relation with multiple occurrences cannot share a tagged
+// query — the upid substitution is per-slot-unsound for self-joins — so
+// each resolves individually through the higher-order expansion of
+// Checker.decide) or a residual full run (compare unused).
+type check struct {
+	k, i    int
 	compare bool
 }
 
-// CheckBatch decides all updates, batching the database checks per
-// relation (paper §4.2): for every single-occurrence relation at most one
-// tagged query answers the NeedPlus checks and two tagged queries answer
-// the NeedCompare checks, independent of how many updates are in the
-// batch; multi-occurrence (self-join) relations resolve per update
-// through the delta expansion. The live mask (nil = all live) lets
-// history-aware pricing skip elements that already contributed.
-//
-// With Workers > 1 the batch runs concurrently over the shared read-only
-// database: the static classification shards across workers, the
-// per-relation tagged queries run in parallel (oversized batches split
-// into chunks), the per-update delta checks fan out, and the residual
-// full checks run over per-worker overlays. Every (element, query)
-// decision is independent and lands in its own res slot, and Stats are
-// aggregated by counting, so results and Stats are bit-identical to the
-// serial (Workers ≤ 1) run.
-func (c *Checker) CheckBatch(us []*support.Update, live []bool) ([]bool, error) {
-	return c.CheckBatchCtx(context.Background(), us, live)
+// jobResult is what one tagged job hands back besides the decided bits:
+// the updates escalated to a residual full run and the counts of checks
+// decided at the full and partial delta tiers.
+type jobResult struct {
+	escalated       []int
+	nFull, nPartial int
 }
 
-// CheckBatchCtx is CheckBatch under a context: the worker pools of every
-// stage poll ctx between items, so cancellation or an expired deadline
-// aborts the sweep mid-batch with ctx.Err() instead of finishing it.
-func (c *Checker) CheckBatchCtx(ctx context.Context, us []*support.Update, live []bool) ([]bool, error) {
-	res := make([]bool, len(us))
-	workers := pool.Clamp(c.Workers, len(us))
+// CheckBatch decides all updates for k checkers — k priced queries over
+// the same database and support set; a single query is k = 1 — in one
+// shared sweep, batching the database checks per relation (paper §4.2):
+// for every single-occurrence relation at most one tagged query answers a
+// checker's NeedPlus checks and two tagged queries answer its NeedCompare
+// checks, independent of how many updates are in the batch;
+// multi-occurrence (self-join) relations resolve per update through the
+// delta expansion. The live mask (nil = all live) lets history-aware,
+// sampled and sharded pricing skip elements.
+//
+// Across checkers the sweep shares what does not depend on the query: the
+// classification pass touches each update once for all k queries and
+// builds its u⁺ tuples at most once, when the first checker that reads the
+// update's relation needs them; and the tagged jobs, delta checks and
+// residual full runs of every checker each run in one worker pool (max
+// Workers of the checkers) over the shared read-only database. Tuples are
+// never kept across stages: a tagged job rebuilds u⁺ (and, to compare, u⁻)
+// for its own updates only, so the sweep's live memory does not grow with
+// the number of pending checks.
+//
+// Every (update, query) decision is independent of k, of the mask and of
+// the worker count, lands in its own result slot, and Stats accumulate by
+// counting — so results and per-checker Stats are bit-identical serial or
+// parallel, alone or batched, and over disjoint covering masks they OR /
+// add exactly to the unmasked sweep's. Every stage polls ctx between
+// items and aborts with ctx.Err().
+func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live []bool) ([][]bool, error) {
+	if len(cs) == 0 {
+		return nil, nil
+	}
+	// One database, one worker budget and one registry serve the shared
+	// stages: the checkers of one engine all carry the engine's registry,
+	// so the first non-nil one stands in for the sweep as a whole.
+	db := cs[0].db
+	workers := 1
+	var reg *obs.Registry
+	for _, c := range cs {
+		if c.db != db {
+			return nil, fmt.Errorf("CheckBatch: checkers span different databases")
+		}
+		if c.Workers > workers {
+			workers = c.Workers
+		}
+		if reg == nil {
+			reg = c.Obs
+		}
+	}
+	workers = pool.Clamp(workers, len(us))
 
 	// Account the executor's index-cache movement for this batch. Both
 	// snapshots happen at quiesced points (pool.Run waits for its workers),
 	// so the before/after delta is exact.
-	before := c.cacheSnapshot()
-	defer c.accountCache(before)
+	befores := make([]exec.CacheStats, len(cs))
+	for k, c := range cs {
+		befores[k] = c.cacheSnapshot()
+	}
+	defer func() {
+		for k, c := range cs {
+			c.accountCache(befores[k])
+		}
+	}()
 
 	// Static classification (Algorithms 4/5/6, no database access).
-	stopClassify := c.Obs.Timer("stage_classify")
-	outcomes := make([]Outcome, len(us))
-	nBlocks := (len(us) + classifyBlock - 1) / classifyBlock
+	stopClassify := reg.Timer("stage_classify")
+	n := len(us)
+	outcomes := make([]Outcome, len(cs)*n) // checker k's row is [k*n, (k+1)*n)
+	nBlocks := (n + classifyBlock - 1) / classifyBlock
 	if err := pool.RunCtx(ctx, workers, nBlocks, func(b int) error {
 		lo, hi := b*classifyBlock, (b+1)*classifyBlock
-		if hi > len(us) {
-			hi = len(us)
+		if hi > n {
+			hi = n
 		}
 		for i := lo; i < hi; i++ {
 			if live != nil && !live[i] {
-				outcomes[i] = skipped
+				for k := range cs {
+					outcomes[k*n+i] = skipped
+				}
 				continue
 			}
-			outcomes[i] = c.Classify(us[i])
+			var plus [][]value.Value // u⁺, shared by the k classifications
+			for k, c := range cs {
+				outcomes[k*n+i] = c.classify(us[i], &plus)
+			}
 		}
 		return nil
 	}); err != nil {
@@ -100,141 +147,140 @@ func (c *Checker) CheckBatchCtx(ctx context.Context, us []*support.Update, live 
 	}
 	stopClassify()
 
-	plusPending := make(map[string][]int)
-	comparePending := make(map[string][]int)
-	var deltaPending []deltaCheck
-	var fullPending []int
-	for i := range us {
-		switch outcomes[i] {
-		case skipped:
-		case Agree:
-			c.Stats.Static++
-		case Disagree:
-			c.Stats.Static++
-			res[i] = true
-		case NeedPlus:
-			if rel := ast.LowerName(us[i].Rel); c.multi[rel] {
-				deltaPending = append(deltaPending, deltaCheck{i: i, compare: false})
-			} else {
-				plusPending[rel] = append(plusPending[rel], i)
+	// Per checker: fold the static decisions and collect the tagged jobs,
+	// per-update delta checks and residual full runs into shared pools.
+	results := make([][]bool, len(cs))
+	var jobs []batchJob
+	var deltas, fulls []check
+	for k, c := range cs {
+		results[k] = make([]bool, len(us))
+		plusPending := make(map[string][]int)
+		comparePending := make(map[string][]int)
+		for i, o := range outcomes[k*n : (k+1)*n] {
+			switch o {
+			case Agree:
+				c.Stats.Static++
+			case Disagree:
+				c.Stats.Static++
+				results[k][i] = true
+			case NeedPlus, NeedCompare:
+				rel := ast.LowerName(us[i].Rel)
+				switch {
+				case c.multi[rel]:
+					deltas = append(deltas, check{k: k, i: i, compare: o == NeedCompare})
+				case o == NeedPlus:
+					plusPending[rel] = append(plusPending[rel], i)
+					c.Stats.Batched++
+				default:
+					comparePending[rel] = append(comparePending[rel], i)
+					c.Stats.Batched++
+				}
+			case NeedFull:
+				fulls = append(fulls, check{k: k, i: i})
 			}
-		case NeedCompare:
-			if rel := ast.LowerName(us[i].Rel); c.multi[rel] {
-				deltaPending = append(deltaPending, deltaCheck{i: i, compare: true})
-			} else {
-				comparePending[rel] = append(comparePending[rel], i)
-			}
-		case NeedFull:
-			fullPending = append(fullPending, i)
 		}
+		// Batch 1 per relation: Q((D \ R) ∪ {u⁺}) emptiness checks.
+		// Batches 2+3 per relation: compare the {u⁻} and {u⁺} runs.
+		jobs = appendJobs(jobs, k, plusPending, false, c.Workers)
+		jobs = appendJobs(jobs, k, comparePending, true, c.Workers)
 	}
-
-	// Batch 1 per relation: Q((D \ R) ∪ {u⁺}) emptiness checks.
-	// Batches 2+3 per relation: compare the {u⁻} and {u⁺} runs.
-	jobs := makeJobs(plusPending, comparePending, workers)
-	batched := 0
-	for _, j := range jobs {
-		batched += len(j.idxs)
-	}
-	plusOf := func(i int) [][]value.Value { return us[i].PlusRows(c.db) }
-	minusOf := func(i int) [][]value.Value { return us[i].MinusRows(c.db) }
-	extraFull := make([][]int, len(jobs))
-	tallies := make([][2]int, len(jobs)) // per job: decided at (full, partial) tier
-	stopTagged := c.Obs.Timer("stage_tagged_batch")
-	if err := pool.RunCtx(ctx, workers, len(jobs), func(k int) error {
-		ef, nFull, nPartial, err := c.runBatchJob(us, jobs[k], res, plusOf, minusOf)
-		extraFull[k] = ef
-		tallies[k] = [2]int{nFull, nPartial}
+	jres := make([]jobResult, len(jobs))
+	stopTagged := reg.Timer("stage_tagged_batch")
+	if err := pool.RunCtx(ctx, workers, len(jobs), func(x int) (err error) {
+		j := jobs[x]
+		jres[x], err = cs[j.k].runBatchJob(us, j, results[j.k])
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	stopTagged()
-	c.Stats.Batched += batched
-	for k, ef := range extraFull {
-		fullPending = append(fullPending, ef...)
-		c.Stats.DeltaFullRuns += tallies[k][0]
-		c.Stats.DeltaPartialRuns += tallies[k][1]
+	for x, j := range jobs {
+		cs[j.k].Stats.DeltaFullRuns += jres[x].nFull
+		cs[j.k].Stats.DeltaPartialRuns += jres[x].nPartial
+		for _, i := range jres[x].escalated {
+			fulls = append(fulls, check{k: j.k, i: i})
+		}
 	}
 
 	// Per-update delta checks of multi-occurrence relations (self-joins):
 	// each runs the higher-order expansion against the cached indexes and
 	// views, escalating to the residual stage when inexact.
-	if len(deltaPending) > 0 {
+	if len(deltas) > 0 {
 		type deltaRes struct{ dis, esc, partial bool }
-		dres := make([]deltaRes, len(deltaPending))
-		stopDelta := c.Obs.Timer("stage_delta")
-		if err := pool.RunCtx(ctx, workers, len(deltaPending), func(x int) error {
-			dc := deltaPending[x]
-			dis, esc, partial, err := c.decide(us[dc.i], dc.compare)
+		dres := make([]deltaRes, len(deltas))
+		stopDelta := reg.Timer("stage_delta")
+		if err := pool.RunCtx(ctx, workers, len(deltas), func(x int) error {
+			d := deltas[x]
+			dis, esc, partial, err := cs[d.k].decide(us[d.i], d.compare)
 			dres[x] = deltaRes{dis: dis, esc: esc, partial: partial}
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		stopDelta()
-		for x, dc := range deltaPending {
+		for x, d := range deltas {
 			switch {
 			case dres[x].esc:
-				fullPending = append(fullPending, dc.i)
+				fulls = append(fulls, d)
 			case dres[x].partial:
-				res[dc.i] = dres[x].dis
-				c.Stats.DeltaPartialRuns++
+				results[d.k][d.i] = dres[x].dis
+				cs[d.k].Stats.DeltaPartialRuns++
 			default:
-				res[dc.i] = dres[x].dis
-				c.Stats.DeltaFullRuns++
+				results[d.k][d.i] = dres[x].dis
+				cs[d.k].Stats.DeltaFullRuns++
 			}
 		}
 	}
 
 	// Residual full runs (rare: float borderlines and view overshoot),
-	// fanned out over per-worker overlays of the shared instance.
-	if len(fullPending) > 0 {
-		defer c.Obs.Timer("stage_residual")()
-		if err := c.ensureBaseHash(); err != nil {
-			return nil, err
+	// fanned out over per-worker overlays of the shared instance (a
+	// worker's overlay serves any checker under the apply/run/undo
+	// discipline).
+	if len(fulls) > 0 {
+		defer reg.Timer("stage_residual")()
+		for _, f := range fulls {
+			if err := cs[f.k].ensureBaseHash(); err != nil {
+				return nil, err
+			}
+			cs[f.k].Stats.FullRuns++
 		}
-		fw := pool.Clamp(workers, len(fullPending))
+		fw := pool.Clamp(workers, len(fulls))
 		overlays := make([]*storage.Overlay, fw)
-		if err := pool.RunWorkersCtx(ctx, fw, len(fullPending), func(w, k int) error {
+		if err := pool.RunWorkersCtx(ctx, fw, len(fulls), func(w, x int) error {
 			o := overlays[w]
 			if o == nil {
-				o = storage.NewOverlay(c.db)
+				o = storage.NewOverlay(db)
 				overlays[w] = o
 			}
-			d, err := c.fullRunOn(o, us[fullPending[k]])
+			f := fulls[x]
+			d, err := cs[f.k].fullRunOn(o, us[f.i])
 			if err != nil {
 				return err
 			}
-			res[fullPending[k]] = d
+			results[f.k][f.i] = d
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		c.Stats.FullRuns += len(fullPending)
 	}
-	return res, nil
+	return results, nil
 }
 
-// makeJobs turns the pending maps into a deterministic job list, sharding
-// a relation's updates across several tagged queries when the batch is
-// large enough to keep multiple workers busy.
-func makeJobs(plusPending, comparePending map[string][]int, workers int) []batchJob {
-	var jobs []batchJob
-	add := func(pending map[string][]int, compare bool) {
-		rels := make([]string, 0, len(pending))
-		for rel := range pending {
-			rels = append(rels, rel)
-		}
-		sort.Strings(rels)
-		for _, rel := range rels {
-			for _, chunk := range shard(pending[rel], workers) {
-				jobs = append(jobs, batchJob{rel: rel, idxs: chunk, compare: compare})
-			}
+// appendJobs appends checker k's tagged jobs for one pending map in
+// deterministic (relation-name) order, sharding a relation's updates
+// across several tagged queries when the batch is large enough to keep
+// multiple workers busy.
+func appendJobs(jobs []batchJob, k int, pending map[string][]int, compare bool, workers int) []batchJob {
+	rels := make([]string, 0, len(pending))
+	for rel := range pending {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		for _, chunk := range shard(pending[rel], workers) {
+			jobs = append(jobs, batchJob{k: k, rel: rel, idxs: chunk, compare: compare})
 		}
 	}
-	add(plusPending, false)
-	add(comparePending, true)
 	return jobs
 }
 
@@ -262,22 +308,18 @@ func shard(idxs []int, workers int) [][]int {
 }
 
 // runBatchJob answers one job's checks with the §4.2 tagged queries,
-// writing the decided bits into res (disjoint indexes per job) and
-// returning the updates escalated to a residual full run plus the counts
-// of checks decided at the full and partial delta tiers. plusOf/minusOf
-// supply the u⁺/u⁻ tuples per update index — built on demand by
-// CheckBatch, materialized once and shared by the multi-query sweep.
-func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plusOf, minusOf func(int) [][]value.Value) (fullPending []int, nFull, nPartial int, err error) {
+// writing the decided bits into res (disjoint indexes per job).
+func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr jobResult, err error) {
 	q := c.checkQuery()
 	var gv *exec.GroupView
 	var mv *exec.MultiplicityView
 	if c.SPJ.IsAgg {
 		if gv, err = c.groupView(); err != nil {
-			return nil, 0, 0, err
+			return jr, err
 		}
 	} else if c.SPJ.Distinct {
 		if mv, err = c.Q.MultiplicityView(c.db); err != nil {
-			return nil, 0, 0, err
+			return jr, err
 		}
 	}
 	// settle records one decided check; consulting the multiplicity view
@@ -286,9 +328,9 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plus
 	settle := func(i int, dis, usedView bool) {
 		res[i] = dis
 		if usedView {
-			nPartial++
+			jr.nPartial++
 		} else {
-			nFull++
+			jr.nFull++
 		}
 	}
 	decide := func(i int, m, p [][]value.Value) {
@@ -296,7 +338,7 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plus
 		case c.SPJ.IsAgg:
 			o, usedCand := c.aggDelta(gv, m, p)
 			if o == NeedFull {
-				fullPending = append(fullPending, i)
+				jr.escalated = append(jr.escalated, i)
 			} else {
 				settle(i, o == Disagree, usedCand)
 			}
@@ -308,40 +350,29 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plus
 			settle(i, !equalMultiset(m, p), false)
 		}
 	}
-	if !j.compare {
-		out, rerr := q.RunTagged(c.db, j.rel, tagRows(plusOf, j.idxs))
-		if rerr != nil {
-			return nil, 0, 0, rerr
+	var outMinus map[int64][][]value.Value
+	if j.compare {
+		if outMinus, err = q.RunTagged(c.db, j.rel, c.tagRows(us, j.idxs, (*support.Update).MinusRows)); err != nil {
+			return jr, err
 		}
-		for _, i := range j.idxs {
-			decide(i, nil, out[int64(i)])
-		}
-		return fullPending, nFull, nPartial, nil
 	}
-	outMinus, err := q.RunTagged(c.db, j.rel, tagRows(minusOf, j.idxs))
+	outPlus, err := q.RunTagged(c.db, j.rel, c.tagRows(us, j.idxs, (*support.Update).PlusRows))
 	if err != nil {
-		return nil, 0, 0, err
-	}
-	outPlus, err := q.RunTagged(c.db, j.rel, tagRows(plusOf, j.idxs))
-	if err != nil {
-		return nil, 0, 0, err
+		return jr, err
 	}
 	for _, i := range j.idxs {
 		decide(i, outMinus[int64(i)], outPlus[int64(i)])
 	}
-	return fullPending, nFull, nPartial, nil
+	return jr, nil
 }
 
 // tagRows builds the tagged replacement relation R⁺ (or R⁻) of §4.2: each
-// affected tuple of update i extended with the trailing upid column i.
-// The source tuples come through rowsOf and are never mutated (they are
-// built with cap == len, so the append allocates a fresh backing array —
-// required when the multi-query sweep shares one materialization across
-// concurrent jobs).
-func tagRows(rowsOf func(int) [][]value.Value, idxs []int) [][]value.Value {
+// affected tuple of update i, as rowsOf (PlusRows or MinusRows) builds it,
+// extended with the trailing upid column i.
+func (c *Checker) tagRows(us []*support.Update, idxs []int, rowsOf func(*support.Update, *storage.Database) [][]value.Value) [][]value.Value {
 	var out [][]value.Value
 	for _, i := range idxs {
-		for _, r := range rowsOf(i) {
+		for _, r := range rowsOf(us[i], c.db) {
 			out = append(out, append(r, value.NewInt(int64(i))))
 		}
 	}

@@ -56,7 +56,7 @@ func TestCacheAndDeltaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cb.CheckBatch(set.Updates, nil); err != nil {
+	if _, err := batch1(cb, set.Updates, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cb.Stats.IndexCacheHits == 0 {

@@ -245,14 +245,15 @@ func (c *Checker) groupView() (*exec.GroupView, error) {
 // Classify makes the static decision of Algorithms 4/5/6 for one update,
 // without touching the database.
 func (c *Checker) Classify(u *support.Update) Outcome {
-	return c.classifyWith(u, nil)
+	var plus [][]value.Value
+	return c.classify(u, &plus)
 }
 
-// classifyWith is Classify with the update's u⁺ tuples optionally
-// pre-materialized (nil = fetch lazily). The multi-query shared sweep
-// materializes them once and classifies the same update against every
-// checker in the batch.
-func (c *Checker) classifyWith(u *support.Update, plus [][]value.Value) Outcome {
+// classify is Classify with the update's u⁺ tuples held in a caller-owned
+// slot: the first satisfiability check that needs them fills *plus, every
+// later one — of this or of another checker of the same sweep — reuses it,
+// and an update on a relation the query never reads leaves it nil.
+func (c *Checker) classify(u *support.Update, plus *[][]value.Value) Outcome {
 	srcs, ok := c.srcsOf[ast.LowerName(u.Rel)]
 	if !ok {
 		return Agree // the update does not modify any relation of Q
@@ -341,7 +342,7 @@ func changedAt(u *support.Update, j int) bool {
 // allPlusUnsat reports whether every u⁺ tuple fails some single-relation
 // conjunct at every occurrence of the updated relation (the conservative
 // C[u⁺] satisfiability check of §4.1).
-func (c *Checker) allPlusUnsat(u *support.Update, srcs []int, plus [][]value.Value) bool {
+func (c *Checker) allPlusUnsat(u *support.Update, srcs []int, plus *[][]value.Value) bool {
 	if !c.plusRowUnsatAll(u, srcs, 0, plus) {
 		return false
 	}
@@ -353,12 +354,13 @@ func (c *Checker) allPlusUnsat(u *support.Update, srcs []int, plus [][]value.Val
 
 // plusRowUnsatAll reports whether the idx-th new tuple provably cannot
 // contribute at ANY occurrence of the updated relation: each occurrence
-// must fail one of its single-relation conjuncts. rows may carry the
-// pre-materialized u⁺ tuples (nil = build them here).
-func (c *Checker) plusRowUnsatAll(u *support.Update, srcs []int, idx int, rows [][]value.Value) bool {
-	if rows == nil {
-		rows = u.PlusRows(c.db)
+// must fail one of its single-relation conjuncts. *plus caches the u⁺
+// tuples (nil = not built yet).
+func (c *Checker) plusRowUnsatAll(u *support.Update, srcs []int, idx int, plus *[][]value.Value) bool {
+	if *plus == nil {
+		*plus = u.PlusRows(c.db)
 	}
+	rows := *plus
 	if idx >= len(rows) {
 		return false
 	}

@@ -210,7 +210,7 @@ func TestFullRunFallbackCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CheckBatch(set.Updates, nil); err != nil {
+	if _, err := batch1(c, set.Updates, nil); err != nil {
 		t.Fatal(err)
 	}
 	total := c.Stats.Static + c.Stats.Batched + c.Stats.FullRuns

@@ -1,6 +1,7 @@
 package disagree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -133,6 +134,22 @@ func TestDifferentialFastPath(t *testing.T) {
 	}
 }
 
+// batch1 runs the shared sweep for a single checker (k = 1).
+func batch1(c *Checker, us []*support.Update, live []bool) ([]bool, error) {
+	res, err := CheckBatch(context.Background(), []*Checker{c}, us, live)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// residual sums the three tiers that partition the database checks.
+func residual(s CheckStats) int { return s.DeltaFullRuns + s.DeltaPartialRuns + s.FullRuns }
+
+// TestDifferentialBatch anchors the sweep on the two per-element ground
+// truths: brute-force re-execution of the updated instance, and a fresh
+// checker's unbatched Check — whose static and residual decision counts
+// the batch must reproduce.
 func TestDifferentialBatch(t *testing.T) {
 	db := testDB(23, 35, 100)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(300, 29))
@@ -147,7 +164,11 @@ func TestDifferentialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("checker ineligible: %v", err)
 			}
-			got, err := c.CheckBatch(set.Updates, nil)
+			got, err := batch1(c, set.Updates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,6 +177,16 @@ func TestDifferentialBatch(t *testing.T) {
 				if got[i] != want {
 					t.Fatalf("update %d (%+v): batch says %v, naive says %v", u.ID, u, got[i], want)
 				}
+				one, err := ref.Check(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one != want {
+					t.Fatalf("update %d (%+v): Check says %v, naive says %v", u.ID, u, one, want)
+				}
+			}
+			if c.Stats.Static != ref.Stats.Static || residual(c.Stats) != residual(ref.Stats) {
+				t.Fatalf("batch stats %+v do not partition like per-element Check's %+v", c.Stats, ref.Stats)
 			}
 		})
 	}
@@ -173,16 +204,111 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := make([]bool, len(set.Updates))
+	nLive := 0
 	for i := range live {
-		live[i] = i%2 == 0
+		if live[i] = i%2 == 0; live[i] {
+			nLive++
+		}
 	}
-	got, err := c.CheckBatch(set.Updates, live)
+	got, err := batch1(c, set.Updates, live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if !live[i] && got[i] {
-			t.Fatalf("dead element %d was checked", i)
+	ref, err := New(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range set.Updates {
+		if !live[i] {
+			if got[i] {
+				t.Fatalf("dead element %d was checked", i)
+			}
+			continue
+		}
+		want, err := ref.Check(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want || want != naiveDisagree(t, q, db, u) {
+			t.Fatalf("live element %d: batch %v, Check %v", i, got[i], want)
+		}
+	}
+	if n := c.Stats.Static + residual(c.Stats); n != nLive {
+		t.Fatalf("stats account for %d decisions, want the %d live elements: %+v", n, nLive, c.Stats)
+	}
+}
+
+// TestBatchSharedSweepMasks runs k = 4 checkers (plain SPJ, join
+// aggregate, DISTINCT, self-join) through one shared sweep, unmasked and
+// under two disjoint covering masks, serial and with Workers = 4: every
+// checker's bitmap must equal its own per-element Check, and the masked
+// bitmaps and Stats must OR / add exactly to the unmasked sweep's.
+func TestBatchSharedSweepMasks(t *testing.T) {
+	db := testDB(77, 30, 90)
+	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(260, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := []string{
+		"SELECT city, tier FROM Cust WHERE score > 25",
+		"SELECT C.city, sum(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city",
+		"SELECT DISTINCT O.status FROM Cust C, Ord O WHERE C.cid = O.cid",
+		"SELECT a.city, max(b.score) FROM Cust a, Cust b WHERE a.tier = b.tier GROUP BY a.city",
+	}
+	lo, hi := make([]bool, len(set.Updates)), make([]bool, len(set.Updates))
+	for i := range lo {
+		lo[i] = i%3 == 0
+		hi[i] = !lo[i]
+	}
+	for _, workers := range []int{1, 4} {
+		sweep := func(live []bool) ([][]bool, []CheckStats) {
+			cs := make([]*Checker, len(sqls))
+			for k, sql := range sqls {
+				c, err := New(exec.MustCompile(sql, db.Schema), db)
+				if err != nil {
+					t.Fatalf("%q: %v", sql, err)
+				}
+				c.Workers = workers
+				cs[k] = c
+			}
+			res, err := CheckBatch(context.Background(), cs, set.Updates, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := make([]CheckStats, len(cs))
+			for k, c := range cs {
+				stats[k] = c.Stats
+				// Cache hit counts depend on job sharding, not on decisions.
+				stats[k].IndexCacheHits, stats[k].IndexCacheMisses = 0, 0
+			}
+			return res, stats
+		}
+		full, fullStats := sweep(nil)
+		resLo, statsLo := sweep(lo)
+		resHi, statsHi := sweep(hi)
+		for k, sql := range sqls {
+			ref, err := New(exec.MustCompile(sql, db.Schema), db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range set.Updates {
+				want, err := ref.Check(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full[k][i] != want {
+					t.Fatalf("workers=%d %q update %d: sweep %v, Check %v", workers, sql, i, full[k][i], want)
+				}
+				if (resLo[k][i] || resHi[k][i]) != want || (resLo[k][i] && !lo[i]) || (resHi[k][i] && !hi[i]) {
+					t.Fatalf("workers=%d %q update %d: masked bits %v|%v do not OR to %v", workers, sql, i, resLo[k][i], resHi[k][i], want)
+				}
+			}
+			a, b := statsLo[k], statsHi[k]
+			sum := CheckStats{Static: a.Static + b.Static, Batched: a.Batched + b.Batched, FullRuns: a.FullRuns + b.FullRuns,
+				DeltaFullRuns: a.DeltaFullRuns + b.DeltaFullRuns, DeltaPartialRuns: a.DeltaPartialRuns + b.DeltaPartialRuns}
+			if sum != fullStats[k] {
+				t.Fatalf("workers=%d %q: masked stats %+v + %+v != unmasked %+v", workers, sql, a, b, fullStats[k])
+			}
 		}
 	}
 }
@@ -209,7 +335,7 @@ func TestIneligibleQueries(t *testing.T) {
 func TestUntieredRejects(t *testing.T) {
 	db := testDB(1, 10, 20)
 	for sql, frag := range map[string]string{
-		"SELECT DISTINCT city FROM Cust":                       "DISTINCT",
+		"SELECT DISTINCT city FROM Cust":                           "DISTINCT",
 		"SELECT a.cid FROM Cust a, Cust b WHERE a.score = b.score": "self-join",
 	} {
 		q := exec.MustCompile(sql, db.Schema)
@@ -242,7 +368,7 @@ func TestDifferentialUntiered(t *testing.T) {
 			continue // DISTINCT / self-join: untiered opts out
 		}
 		t.Run(sql, func(t *testing.T) {
-			got, err := c.CheckBatch(set.Updates, nil)
+			got, err := batch1(c, set.Updates, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +396,7 @@ func TestCheckerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CheckBatch(set.Updates, nil); err != nil {
+	if _, err := batch1(c, set.Updates, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A selective single-table query should resolve many updates statically
@@ -289,7 +415,7 @@ func ExampleChecker() {
 	q := exec.MustCompile("SELECT city, count(*) FROM Cust GROUP BY city", db.Schema)
 	c, _ := New(q, db)
 	set, _ := support.GenerateNeighborhood(db, support.DefaultConfig(4, 1))
-	res, _ := c.CheckBatch(set.Updates, nil)
+	res, _ := batch1(c, set.Updates, nil)
 	fmt.Println(len(res) == 4)
 	// Output: true
 }

@@ -112,7 +112,7 @@ func TestDifferentialRandomTemplates(t *testing.T) {
 			continue // template produced something ineligible; fine
 		}
 		tried++
-		batch, err := c.CheckBatch(set.Updates, nil)
+		batch, err := batch1(c, set.Updates, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}

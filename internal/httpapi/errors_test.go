@@ -126,7 +126,10 @@ func TestDeadlineCode(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(b, 0))
 	defer ts.Close()
-	sql := `SELECT Name, Population FROM City WHERE Population > 1000000`
+	// ORDER BY + LIMIT keeps the query off the fast path, so the sweep
+	// re-executes it per support element and cannot finish inside 1 ms
+	// however fast the batched sweep gets.
+	sql := `SELECT Name, Population FROM City WHERE Population > 1000000 ORDER BY Population, Name LIMIT 20`
 	status, e, _ := postForError(t, ts.URL+"/v1/quote?timeout_ms=1", `{"sql": "`+sql+`"}`)
 	if status == http.StatusOK {
 		t.Skip("sweep finished inside 1ms; timeout path not exercised")

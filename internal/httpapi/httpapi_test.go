@@ -297,7 +297,9 @@ func TestRequestTimeoutCancelsSweep(t *testing.T) {
 	ts := httptest.NewServer(New(b, 0))
 	defer ts.Close()
 
-	sql := `SELECT Name, Population FROM City WHERE Population > 1000000`
+	// ORDER BY + LIMIT keeps the query off the fast path: re-executed per
+	// support element, its sweep cannot beat the deadline.
+	sql := `SELECT Name, Population FROM City WHERE Population > 1000000 ORDER BY Population, Name LIMIT 20`
 	r := postJSON(t, ts.URL+"/quote?timeout_ms=1", `{"sql": "`+sql+`"}`, nil)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		// On a fast machine the sweep may beat the deadline; accept 200

@@ -5,233 +5,143 @@ import (
 
 	"qirana/internal/disagree"
 	"qirana/internal/sqlengine/exec"
-	"qirana/internal/storage"
 )
 
-// DisagreementsMulti computes the full (history-oblivious) disagreement
-// bitmap of every query in qs — k INDEPENDENT queries, not one bundle —
-// in a single shared sweep over the support set. Fast-path queries go
-// through disagree.CheckBatchMulti (one classification pass, one u⁺/u⁻
-// materialization, one merged job pool); fallback queries without the
-// instance reduction share one overlay pass that applies each element
-// once and runs all of them. The broker's batch-quote endpoint uses it
-// to price k cache misses for the cost of roughly one sweep.
+// DisagreementsMultiLiveCtx is the engine's one disagreement sweep: it
+// computes the disagreement bitmap of every query in qs — k INDEPENDENT
+// queries, not one bundle; a single query is k = 1, a bundle is
+// DisagreementsCtx's fold over it — restricted to the live elements (nil
+// live = all). Batched fast-path queries share one disagree.CheckBatch
+// (one classification pass, merged job pools, shared residual overlays);
+// queries outside the fast path take the Appendix A instance reduction
+// when eligible and otherwise share one naive pass that applies each
+// element once and runs all of them. The broker's batch-quote endpoint
+// uses it to price k cache misses for the cost of roughly one sweep.
 //
-// Per query, the returned bitmap and Stats are bit-identical to a solo
-// Disagreements([]*exec.Query{q}, nil) call — every decision runs the
-// same code against the same inputs, only shared setup is factored out.
-// LastStats is left holding the sum over all k queries.
-func (e *Engine) DisagreementsMulti(qs []*exec.Query) ([][]bool, []Stats, error) {
-	return e.DisagreementsMultiCtx(context.Background(), qs)
-}
-
-// DisagreementsMultiCtx is DisagreementsMulti under a context: the shared
-// sweep and every solo fallback poll ctx between elements and abort with
-// ctx.Err().
-func (e *Engine) DisagreementsMultiCtx(ctx context.Context, qs []*exec.Query) ([][]bool, []Stats, error) {
-	return e.DisagreementsMultiLiveCtx(ctx, qs, nil)
-}
-
-// DisagreementsMultiLiveCtx is DisagreementsMultiCtx restricted to the
-// live elements (nil live = all): every evaluation path — the shared
-// batched sweep, solo fallbacks and the naive overlay pass — skips dead
-// elements, and per-query Stats count only live decisions. Because every
-// per-element decision is mask-independent, the bitmaps and Stats of
-// disjoint covering masks sum (bitwise OR / integer add) exactly to the
-// unmasked sweep's — the invariant behind sharded pricing.
+// Every per-element decision runs the same code against the same inputs
+// whatever k and live are, so per query the bitmap and Stats are
+// bit-identical alone or batched, and those of disjoint covering masks
+// sum (bitwise OR / integer add) exactly to the unmasked sweep's — the
+// invariant behind sharded pricing. LastStats is left holding the sum
+// over all k queries. Every path polls ctx between elements and aborts
+// with ctx.Err().
 func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([][]bool, []Stats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}
 	results := make([][]bool, len(qs))
 	stats := make([]Stats, len(qs))
-	size := e.Set.Size()
-	liveCount := size
-	if live != nil {
-		liveCount = 0
-		for _, ok := range live {
-			if ok {
-				liveCount++
-			}
-		}
-	}
 
-	// Partition by evaluation path, mirroring the solo dispatch in
-	// Disagreements → fastDisagree/naiveDisagree.
-	var fastIdx []int
-	var checkers []*disagree.Checker
-	var soloIdx []int  // checkable but unbatched, or reduction-eligible
-	var naiveIdx []int // plain naive: share one overlay sweep
+	var naiveIdx []int
+	var batched []*disagree.Checker // in qs order; their results[j] stay nil until the sweep
+	var naive []*exec.Query
 	for j, q := range qs {
-		if c := e.checker(q); c != nil {
-			if e.Opts.Batching {
-				fastIdx = append(fastIdx, j)
-				checkers = append(checkers, c)
-			} else {
-				soloIdx = append(soloIdx, j)
+		c := e.checker(q)
+		if c == nil {
+			results[j] = make([]bool, e.Set.Size())
+			if e.Opts.InstanceReduction && e.Set.Updates != nil {
+				ok, n, err := e.reducedDisagree(ctx, q, live, results[j])
+				if err != nil {
+					return nil, nil, err
+				}
+				if ok {
+					stats[j].Naive = n
+					continue
+				}
 			}
+			naiveIdx = append(naiveIdx, j)
+			naive = append(naive, q)
 			continue
 		}
-		if e.Opts.InstanceReduction && e.Set.Updates != nil {
-			soloIdx = append(soloIdx, j) // reduction attempt happens solo
-		} else {
-			naiveIdx = append(naiveIdx, j)
+		c.Stats = disagree.CheckStats{}
+		c.Workers = e.parallelWorkers()
+		if e.Opts.Batching {
+			batched = append(batched, c)
+			continue
 		}
+		// The "no batching" mode of Figure 5: one Check per live element.
+		results[j] = make([]bool, e.Set.Size())
+		for i, u := range e.Set.Updates {
+			if live != nil && !live[i] {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			d, err := c.Check(u)
+			if err != nil {
+				return nil, nil, err
+			}
+			results[j][i] = d
+		}
+		stats[j] = e.checkerStats(c)
 	}
 
 	// Shared §4.2 sweep across all batched fast-path queries.
-	if len(checkers) > 0 {
-		for _, c := range checkers {
-			c.Stats = disagree.CheckStats{}
-			c.Workers = e.parallelWorkers()
-		}
-		res, err := disagree.CheckBatchMultiCtx(ctx, checkers, e.Set.Updates, live)
+	if len(batched) > 0 {
+		res, err := disagree.CheckBatch(ctx, batched, e.Set.Updates, live)
 		if err != nil {
 			return nil, nil, err
 		}
-		for k, j := range fastIdx {
-			results[j] = res[k]
-			stats[j] = Stats{
-				Static:       checkers[k].Stats.Static,
-				Batched:      checkers[k].Stats.Batched,
-				FullRuns:     checkers[k].Stats.FullRuns,
-				DeltaFull:    checkers[k].Stats.DeltaFullRuns,
-				DeltaPartial: checkers[k].Stats.DeltaPartialRuns,
+		k := 0
+		for j := range qs {
+			if results[j] == nil {
+				results[j], stats[j] = res[k], e.checkerStats(batched[k])
+				k++
 			}
-			// The solo paths below export their tier counters inside
-			// fastDisagree; the shared sweep exports per checker here.
-			e.addTierObs(&checkers[k].Stats)
 		}
 	}
 
-	// Queries whose solo path is already specialized (non-batched checker
-	// walk, Appendix A reduction) run through it one by one; each sees
-	// exactly what a solo call would.
-	prev := e.LastStats
-	for _, j := range soloIdx {
-		dis, err := e.DisagreementsCtx(ctx, qs[j:j+1], live)
-		if err != nil {
-			e.LastStats = prev
-			return nil, nil, err
-		}
-		results[j] = dis
-		stats[j] = e.LastStats
-	}
-
-	// Plain naive fallbacks share one overlay pass: apply each element
-	// once, run every query, compare hashes against its own baseline.
-	if len(naiveIdx) > 0 {
-		bases := make([]uint64, len(naiveIdx))
-		for x, j := range naiveIdx {
-			base, err := qs[j].Run(e.DB)
-			if err != nil {
-				e.LastStats = prev
-				return nil, nil, err
-			}
-			bases[x] = base.Hash()
-			results[j] = make([]bool, size)
-		}
-		err := e.parallelApplyCtx(ctx, live, func(o *storage.Overlay, i int) error {
-			el := e.Set.Elements[i]
-			el.ApplyOverlay(o)
-			defer el.UndoOverlay(o)
+	// Shared naive pass: compare every element's output hash against the
+	// query's own baseline.
+	if len(naive) > 0 {
+		_, n, err := e.sweepElements(ctx, naive, live, func(i int, hs, bases []uint64) {
 			for x, j := range naiveIdx {
-				res, rerr := qs[j].RunOverride(e.DB, o.Overrides())
-				if rerr != nil {
-					return rerr
-				}
-				if res.Hash() != bases[x] {
-					results[j][i] = true
+				if hs[x] != bases[x] {
+					results[j][i] = true // distinct index per element: no contention
 				}
 			}
-			return nil
 		})
 		if err != nil {
-			e.LastStats = prev
 			return nil, nil, err
 		}
 		for _, j := range naiveIdx {
-			stats[j] = Stats{Naive: liveCount}
+			stats[j].Naive = n
 		}
 	}
 
-	var sum Stats
+	e.LastStats = Stats{}
 	for _, s := range stats {
-		sum.Static += s.Static
-		sum.Batched += s.Batched
-		sum.FullRuns += s.FullRuns
-		sum.Naive += s.Naive
-		sum.DeltaFull += s.DeltaFull
-		sum.DeltaPartial += s.DeltaPartial
+		e.LastStats.Add(s)
 	}
-	e.LastStats = sum
 	return results, stats, nil
 }
 
-// OutputHashesMulti is the k-query form of OutputHashes for INDEPENDENT
-// queries: one overlay pass over the support set applies each element
-// once and runs all k queries, returning per-query element hashes and
-// base hashes in exactly the encoding a solo OutputHashes([]{q}) call
-// produces (so entropy prices derived from them are bit-identical).
-// Adds Size×k to LastStats.Naive, matching k solo calls.
-func (e *Engine) OutputHashesMulti(qs []*exec.Query) ([][]uint64, []uint64, error) {
-	return e.OutputHashesMultiCtx(context.Background(), qs)
-}
-
-// OutputHashesMultiCtx is OutputHashesMulti under a context.
-func (e *Engine) OutputHashesMultiCtx(ctx context.Context, qs []*exec.Query) ([][]uint64, []uint64, error) {
-	return e.OutputHashesMultiLiveCtx(ctx, qs, nil)
-}
-
-// OutputHashesMultiLiveCtx is OutputHashesMultiCtx restricted to the live
-// elements (nil live = all); see OutputHashesLiveCtx for the fold
-// invariant and stats accounting.
+// OutputHashesMultiLiveCtx is the k-query form of OutputHashesLiveCtx for
+// INDEPENDENT queries: one pass over the live elements applies each once
+// and runs all k queries, returning per-query element hashes and base
+// hashes in exactly the encoding an OutputHashesLiveCtx call on the
+// single-query bundle {q} produces (so entropy prices derived from them
+// are bit-identical); see there for the fold invariant and stats
+// accounting.
 func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([][]uint64, []uint64, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
-	}
-	defer e.Obs.Timer("stage_entropy")()
-	bases := make([]uint64, len(qs))
-	var one [1]uint64
-	for j, q := range qs {
-		res, err := q.Run(e.DB)
-		if err != nil {
-			return nil, nil, err
-		}
-		one[0] = res.Hash()
-		bases[j] = combine(one[:])
-	}
-	liveCount := e.Set.Size()
-	if live != nil {
-		liveCount = 0
-		for _, ok := range live {
-			if ok {
-				liveCount++
-			}
-		}
 	}
 	elems := make([][]uint64, len(qs))
 	for j := range elems {
 		elems[j] = make([]uint64, e.Set.Size())
 	}
-	err := e.parallelApplyCtx(ctx, live, func(o *storage.Overlay, i int) error {
-		el := e.Set.Elements[i]
-		el.ApplyOverlay(o)
-		defer el.UndoOverlay(o)
-		var h [1]uint64
-		for j, q := range qs {
-			res, rerr := q.RunOverride(e.DB, o.Overrides())
-			if rerr != nil {
-				return rerr
-			}
-			h[0] = res.Hash()
-			elems[j][i] = combine(h[:])
+	bases, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) {
+		for j := range hs {
+			elems[j][i] = combine(hs[j : j+1])
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	e.LastStats.Naive += liveCount * len(qs)
+	for j := range bases {
+		bases[j] = combine(bases[j : j+1])
+	}
 	return elems, bases, nil
 }

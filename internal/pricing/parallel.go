@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"qirana/internal/pool"
+	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
 )
 
@@ -29,36 +30,62 @@ func (e *Engine) parallelWorkers() int {
 	return pool.Clamp(e.Opts.Workers, -1)
 }
 
-// parallelApply runs fn(overlay, elementIndex) for every live element.
-// Each worker owns one overlay over the shared database; fn must leave the
-// overlay as it found it (the usual apply/undo discipline, now against the
-// overlay). With one worker the elements run inline in index order, so the
-// serial path is bit-identical to the parallel one by construction.
-func (e *Engine) parallelApply(mask []bool, fn func(o *storage.Overlay, i int) error) error {
-	return e.parallelApplyCtx(context.Background(), mask, fn)
-}
-
-// parallelApplyCtx is parallelApply under a context: the pool polls ctx
-// between elements, so a cancelled sweep stops after the in-flight
-// elements finish their apply/run/undo cycle.
-func (e *Engine) parallelApplyCtx(ctx context.Context, mask []bool, fn func(o *storage.Overlay, i int) error) error {
-	var live []int
-	for i := range e.Set.Elements {
-		if mask == nil || mask[i] {
-			live = append(live, i)
+// sweepElements is Algorithm 1's loop, the engine's one naive pass: it
+// runs qs on D itself (the returned base hashes), then applies every live
+// element (nil live = all) once, runs all of qs on the neighboring
+// instance, and hands visit the element's index, its raw per-query output
+// hashes (the worker's scratch, valid only during the call) and the base
+// hashes. It also returns the number of live elements. Each worker owns
+// one overlay over the shared database and restores it after every
+// element; visit runs on the workers and must write only to slots of
+// element i. With one worker the elements run inline in index order, so
+// the serial path is bit-identical to the parallel one by construction.
+// The pool polls ctx between elements, so a cancelled sweep stops after
+// the in-flight elements finish their apply/run/undo cycle.
+func (e *Engine) sweepElements(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) ([]uint64, int, error) {
+	n := len(e.Set.Elements)
+	if live != nil {
+		n = 0
+		for _, ok := range live {
+			if ok {
+				n++
+			}
 		}
 	}
-	if len(live) == 0 {
-		return nil
+	workers := pool.Clamp(e.parallelWorkers(), n)
+	k := len(qs)
+	hashes := make([]uint64, (1+workers)*k) // base hashes, then one scratch row per worker
+	bases := hashes[:k:k]
+	for j, q := range qs {
+		res, err := q.Run(e.DB)
+		if err != nil {
+			return nil, 0, err
+		}
+		bases[j] = res.Hash()
 	}
-	workers := pool.Clamp(e.parallelWorkers(), len(live))
 	overlays := make([]*storage.Overlay, workers)
-	return pool.RunWorkersCtx(ctx, workers, len(live), func(w, k int) error {
+	err := pool.RunWorkersCtx(ctx, workers, len(e.Set.Elements), func(w, i int) error {
+		if live != nil && !live[i] {
+			return nil
+		}
 		o := overlays[w]
 		if o == nil {
 			o = storage.NewOverlay(e.DB)
 			overlays[w] = o
 		}
-		return fn(o, live[k])
+		hs := hashes[(1+w)*k : (2+w)*k]
+		el := e.Set.Elements[i]
+		el.ApplyOverlay(o)
+		defer el.UndoOverlay(o)
+		for j, q := range qs {
+			res, err := q.RunOverride(e.DB, o.Overrides())
+			if err != nil {
+				return err
+			}
+			hs[j] = res.Hash()
+		}
+		visit(i, hs, bases)
+		return nil
 	})
+	return bases, n, err
 }

@@ -20,7 +20,6 @@ import (
 	"qirana/internal/disagree"
 	"qirana/internal/obs"
 	"qirana/internal/pool"
-	"qirana/internal/result"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/sqlengine/plan"
@@ -112,6 +111,16 @@ type Stats struct {
 	// candidate view) or the higher-order self-join expansion. Together
 	// with FullRuns they partition the residual checks.
 	DeltaFull, DeltaPartial int
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Static += o.Static
+	s.Batched += o.Batched
+	s.FullRuns += o.FullRuns
+	s.Naive += o.Naive
+	s.DeltaFull += o.DeltaFull
+	s.DeltaPartial += o.DeltaPartial
 }
 
 // Engine prices query bundles over one database and support set.
@@ -238,125 +247,60 @@ func (e *Engine) Disagreements(qs []*exec.Query, live []bool) ([]bool, error) {
 	return e.DisagreementsCtx(context.Background(), qs, live)
 }
 
-// DisagreementsCtx is Disagreements under a context: every evaluation
-// path (batched checker, per-element checker walk, naive and reduced
-// re-execution) polls ctx between elements and aborts mid-sweep with
-// ctx.Err(). A cancelled call leaves no partial state behind — the next
-// call recomputes from scratch.
+// DisagreementsCtx is Disagreements under a context. The bundle is a fold
+// over the single-query sweep (DisagreementsMultiLiveCtx at k = 1): the
+// first query's bitmap starts the bundle's, each later query sweeps only
+// the live elements no earlier one already told apart, and LastStats sums
+// the per-query Stats. Every evaluation path polls ctx between elements
+// and aborts mid-sweep with ctx.Err(); a cancelled call leaves no partial
+// state behind — the next call recomputes from scratch.
 func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, error) {
 	e.LastStats = Stats{}
-	out := make([]bool, e.Set.Size())
-	for _, q := range qs {
-		mask := make([]bool, e.Set.Size())
-		any := false
-		for i := range mask {
-			mask[i] = (live == nil || live[i]) && !out[i]
-			any = any || mask[i]
-		}
-		if !any {
-			break
-		}
-		if c := e.checker(q); c != nil {
-			if err := e.fastDisagree(ctx, c, mask, out); err != nil {
-				return nil, err
+	var sum Stats
+	var out []bool
+	for n := range qs {
+		mask := live
+		if n > 0 {
+			mask = make([]bool, len(out))
+			any := false
+			for i := range mask {
+				mask[i] = (live == nil || live[i]) && !out[i]
+				any = any || mask[i]
 			}
-			continue
+			if !any {
+				break
+			}
 		}
-		if err := e.naiveDisagree(ctx, q, mask, out); err != nil {
+		res, stats, err := e.DisagreementsMultiLiveCtx(ctx, qs[n:n+1], mask)
+		if err != nil {
 			return nil, err
 		}
+		if n == 0 {
+			out = res[0]
+		} else {
+			for i, d := range res[0] {
+				out[i] = out[i] || d
+			}
+		}
+		sum.Add(stats[0])
 	}
+	if out == nil {
+		out = make([]bool, e.Set.Size())
+	}
+	e.LastStats = sum
 	return out, nil
 }
 
-func (e *Engine) fastDisagree(ctx context.Context, c *disagree.Checker, mask, out []bool) error {
-	c.Stats = disagree.CheckStats{}
-	c.Workers = e.parallelWorkers()
-	if e.Opts.Batching {
-		res, err := c.CheckBatchCtx(ctx, e.Set.Updates, mask)
-		if err != nil {
-			return err
-		}
-		for i, d := range res {
-			if d {
-				out[i] = true
-			}
-		}
-	} else {
-		for i, u := range e.Set.Updates {
-			if !mask[i] {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			d, err := c.Check(u)
-			if err != nil {
-				return err
-			}
-			if d {
-				out[i] = true
-			}
-		}
-	}
-	e.LastStats.Static += c.Stats.Static
-	e.LastStats.Batched += c.Stats.Batched
-	e.LastStats.FullRuns += c.Stats.FullRuns
-	e.LastStats.DeltaFull += c.Stats.DeltaFullRuns
-	e.LastStats.DeltaPartial += c.Stats.DeltaPartialRuns
-	e.addTierObs(&c.Stats)
-	return nil
-}
-
-// addTierObs exports one sweep's per-tier residual-check counts to the
-// observability registry (nil-safe). The counters feed the broker's
-// /metrics endpoint.
-func (e *Engine) addTierObs(s *disagree.CheckStats) {
+// checkerStats converts the counts a checker accumulated over one sweep
+// and exports its per-tier residual-check counts to the observability
+// registry (nil-safe); the counters feed the broker's /metrics endpoint.
+func (e *Engine) checkerStats(c *disagree.Checker) Stats {
+	s := c.Stats
 	e.Obs.Add("checker_delta_full", uint64(s.DeltaFullRuns))
 	e.Obs.Add("checker_delta_partial", uint64(s.DeltaPartialRuns))
 	e.Obs.Add("checker_delta_fallback", uint64(s.FullRuns))
-}
-
-// naiveDisagree is Algorithm 1's loop: run Q on every (live) neighboring
-// instance and compare output hashes, with the Appendix A instance
-// reduction when eligible and enabled. Elements are evaluated through
-// copy-on-write overlays over the shared (never mutated) database, one
-// overlay per worker; with one worker they run inline in index order.
-func (e *Engine) naiveDisagree(ctx context.Context, q *exec.Query, mask, out []bool) error {
-	if e.Opts.InstanceReduction && e.Set.Updates != nil {
-		if ok, err := e.reducedDisagree(ctx, q, mask, out); ok {
-			return err
-		}
-	}
-	base, err := q.Run(e.DB)
-	if err != nil {
-		return err
-	}
-	bh := base.Hash()
-	n := 0
-	for i := range mask {
-		if mask[i] {
-			n++
-		}
-	}
-	err = e.parallelApplyCtx(ctx, mask, func(o *storage.Overlay, i int) error {
-		el := e.Set.Elements[i]
-		el.ApplyOverlay(o)
-		res, rerr := q.RunOverride(e.DB, o.Overrides())
-		el.UndoOverlay(o)
-		if rerr != nil {
-			return rerr
-		}
-		if res.Hash() != bh {
-			out[i] = true // distinct index per element: no contention
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	e.LastStats.Naive += n
-	return nil
+	return Stats{Static: s.Static, Batched: s.Batched, FullRuns: s.FullRuns,
+		DeltaFull: s.DeltaFullRuns, DeltaPartial: s.DeltaPartialRuns}
 }
 
 // reducedRel is one relation's Appendix A reduction: the touched base rows
@@ -371,18 +315,20 @@ type reducedRel struct {
 // reducedDisagree implements the instance-reduction optimization of
 // Appendix A (Lemma A.3): for SPJ queries, an update on relation R changes
 // Q(D) iff it changes Q(D with R reduced to the rows the support set
-// touches). It returns ok=false when the query is ineligible.
+// touches). It returns ok=false when the query is ineligible, else the
+// number n of elements it re-executed (live updates of a relation Q reads;
+// the others cannot disagree).
 //
 // Each element's check substitutes its updated tuples into a private copy
 // of the (tiny) reduced relation, so the base database stays read-only and
 // the per-element checks parallelize across workers.
-func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out []bool) (bool, error) {
+func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, live, out []bool) (ok bool, n int, err error) {
 	s, err := plan.Extract(q.A)
 	if err != nil || s.IsAgg || s.Distinct {
 		// The reduction lemma is a multiset-locality argument: DISTINCT
 		// breaks it because an untouched duplicate outside the reduced
 		// instance can absorb a removal that looks visible inside it.
-		return false, nil
+		return false, 0, nil
 	}
 	inQuery := make(map[string]bool)
 	for _, rel := range s.RelOfSource {
@@ -390,7 +336,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		if inQuery[rel] {
 			// Self-join: reducing the relation shrinks BOTH occurrences, so
 			// an update loses its untouched join partners — ineligible.
-			return false, nil
+			return false, 0, nil
 		}
 		inQuery[rel] = true
 	}
@@ -398,7 +344,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 	touched := make(map[string]map[int]bool)
 	var idxs []int
 	for i, u := range e.Set.Updates {
-		if !mask[i] {
+		if live != nil && !live[i] {
 			continue
 		}
 		rel := ast.LowerName(u.Rel)
@@ -428,13 +374,13 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		}
 		res, err := q.RunOverride(e.DB, exec.Overrides{rel: rr.rows})
 		if err != nil {
-			return true, err
+			return true, 0, err
 		}
 		rr.baseline = res.Hash()
 		reduced[rel] = rr
 	}
 	if len(idxs) == 0 {
-		return true, nil
+		return true, 0, nil
 	}
 	workers := pool.Clamp(e.parallelWorkers(), len(idxs))
 	scratch := make([]map[string][][]value.Value, workers)
@@ -474,10 +420,9 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		return nil
 	})
 	if err != nil {
-		return true, err
+		return true, 0, err
 	}
-	e.LastStats.Naive += len(idxs)
-	return true, nil
+	return true, len(idxs), nil
 }
 
 // OutputHashes runs the bundle on D and every support element, returning
@@ -500,48 +445,27 @@ func (e *Engine) OutputHashesCtx(ctx context.Context, qs []*exec.Query) (elems [
 // cluster's fold relies on. Each live element's hash is computed by the
 // identical code against the identical inputs, so elems[i] is
 // bit-identical to the full sweep's for every live i.
-func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) (elems []uint64, base uint64, err error) {
-	defer e.Obs.Timer("stage_entropy")()
-	baseHashes := make([]uint64, len(qs))
-	for j, q := range qs {
-		var res *result.Result
-		res, err = q.Run(e.DB)
-		if err != nil {
-			return nil, 0, err
-		}
-		baseHashes[j] = res.Hash()
-	}
-	base = combine(baseHashes)
-	elems = make([]uint64, e.Set.Size())
-	n := e.Set.Size()
-	if live != nil {
-		n = 0
-		for _, ok := range live {
-			if ok {
-				n++
-			}
-		}
-	}
-	err = e.parallelApplyCtx(ctx, live, func(o *storage.Overlay, i int) error {
-		el := e.Set.Elements[i]
-		el.ApplyOverlay(o)
-		defer el.UndoOverlay(o)
-		hs := make([]uint64, len(qs))
-		for j, q := range qs {
-			res, rerr := q.RunOverride(e.DB, o.Overrides())
-			if rerr != nil {
-				return rerr
-			}
-			hs[j] = res.Hash()
-		}
-		elems[i] = combine(hs)
-		return nil
-	})
+func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]uint64, uint64, error) {
+	elems := make([]uint64, e.Set.Size())
+	bases, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) { elems[i] = combine(hs) })
 	if err != nil {
 		return nil, 0, err
 	}
+	return elems, combine(bases), nil
+}
+
+// entropySweep is the sweep behind both output-hash forms: visit receives
+// every live element's raw per-query hashes — the bundle form combines all
+// of them into one hash, the independent form each one on its own — and
+// the raw base hashes come back. Adds live×k to LastStats.Naive.
+func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) ([]uint64, error) {
+	defer e.Obs.Timer("stage_entropy")()
+	bases, n, err := e.sweepElements(ctx, qs, live, visit)
+	if err != nil {
+		return nil, err
+	}
 	e.LastStats.Naive += n * len(qs)
-	return elems, base, nil
+	return bases, nil
 }
 
 func combine(hs []uint64) uint64 {

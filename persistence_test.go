@@ -2,6 +2,7 @@ package qirana
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestBrokerRestartKeepsPrices(t *testing.T) {
 	}
 	want := make([]float64, len(queries))
 	for i, sql := range queries {
-		p, err := b1.Quote(sql)
+		p, err := quote(b1, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestBrokerRestartKeepsPrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sql := range queries {
-		p, err := b2.Quote(sql)
+		p, err := quote(b2, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,18 +61,20 @@ func TestAskWithRefundFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g1, r1, err := b.AskWithRefund("zoe", "SELECT Continent FROM Country")
+	rec1, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: "zoe", SQL: "SELECT Continent FROM Country", Refund: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g1, r1 := rec1.Gross, rec1.Refund
 	if r1 != 0 || g1 <= 0 {
 		t.Fatalf("first purchase: gross %g refund %g", g1, r1)
 	}
 	// The determined histogram is fully refunded.
-	_, g2, r2, err := b.AskWithRefund("zoe", "SELECT Continent, count(*) FROM Country GROUP BY Continent")
+	rec2, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: "zoe", SQL: "SELECT Continent, count(*) FROM Country GROUP BY Continent", Refund: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2, r2 := rec2.Gross, rec2.Refund
 	if math.Abs(g2-r2) > 1e-9 {
 		t.Fatalf("owned information not fully refunded: gross %g refund %g", g2, r2)
 	}

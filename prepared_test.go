@@ -38,7 +38,7 @@ func TestAdHocRejectsPlaceholders(t *testing.T) {
 	if _, err := b.Price(ctx, PriceRequest{SQLs: []string{sql}}); err == nil || !strings.Contains(err.Error(), "Prepare") {
 		t.Fatalf("Price: want prepare-hint error, got %v", err)
 	}
-	if _, err := b.Quote(sql); err == nil {
+	if _, err := quote(b, sql); err == nil {
 		t.Fatal("Quote must reject placeholders")
 	}
 	if _, err := b.Purchase(ctx, PurchaseRequest{Buyer: "a", SQL: sql}); err == nil {
@@ -135,7 +135,7 @@ func TestPreparedSharesCacheWithAdHoc(t *testing.T) {
 
 	// Ad-hoc quote of the substituted SQL: must hit the entry the
 	// prepared call wrote.
-	if _, err := b.Quote("SELECT Name FROM Country WHERE Population > 7"); err != nil {
+	if _, err := quote(b, "SELECT Name FROM Country WHERE Population > 7"); err != nil {
 		t.Fatal(err)
 	}
 	st = b.QuoteCacheStats()
@@ -149,7 +149,7 @@ func TestPreparedSharesCacheWithAdHoc(t *testing.T) {
 
 	// Ad-hoc quote with a NEW constant seeds the entry for a later
 	// prepared call: sharing works in the other direction too.
-	if _, err := b.Quote("SELECT Name FROM Country WHERE Population > 11"); err != nil {
+	if _, err := quote(b, "SELECT Name FROM Country WHERE Population > 11"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := s.Price(ctx, NewInt(11))

@@ -131,7 +131,7 @@ type Options struct {
 	// random neighborhood. The paper shows this prices poorly (Figure 2);
 	// it exists for completeness and experiments.
 	UniformSupport bool
-	// Func is the pricing function for Quote/Ask (default
+	// Func is the default pricing function of Price (default
 	// WeightedCoverage).
 	Func PricingFunc
 	// DisableFastPath turns off the §4 disagreement checker.
@@ -667,80 +667,6 @@ func (b *Broker) quoteKeyedLocked(ctx context.Context, fn PricingFunc, qs []*exe
 	return 0, Stats{}, false, fmt.Errorf("unknown pricing function %v", fn)
 }
 
-// Quote prices a query (history-oblivious) with the broker's pricing
-// function without running it for a buyer. With up-front pricing the quote
-// can be disclosed before purchase (paper §2.2, price leakage discussion).
-// It is a wrapper over Price.
-//
-// Deprecated: use Price, which carries a context, per-query provenance
-// and the approximate-pricing controls (PriceRequest.MaxError).
-func (b *Broker) Quote(sql string) (float64, error) {
-	return b.QuoteWith(b.fn, sql)
-}
-
-// QuoteWith prices a query under a specific pricing function. It is a
-// wrapper over Price.
-//
-// Deprecated: use Price with PriceRequest.Func.
-func (b *Broker) QuoteWith(fn PricingFunc, sql string) (float64, error) {
-	resp, err := b.Price(context.Background(), PriceRequest{SQLs: []string{sql}, Func: &fn})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Total, nil
-}
-
-// QuoteBundle prices a bundle of queries asked together. It is a wrapper
-// over Price.
-//
-// Deprecated: use Price with PriceRequest.Bundle.
-func (b *Broker) QuoteBundle(sqls ...string) (float64, error) {
-	resp, err := b.Price(context.Background(), PriceRequest{SQLs: sqls, Bundle: true})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Total, nil
-}
-
-// QuoteBatch prices k INDEPENDENT queries (not a bundle) in one shared
-// sweep over the support set with the broker's pricing function,
-// returning one price per query. Cache hits are served directly; the
-// misses share static classification, overlay setup and tagged-row
-// materialization through the engine's multi-query sweep. Each price is
-// bit-identical to a solo Quote of that query.
-//
-// Batch misses insert into the cache without claiming singleflight
-// leadership, so they do not coalesce with concurrent solo quotes of the
-// same query (both may compute; both results are identical). It is a
-// wrapper over Price.
-//
-// Deprecated: use Price with multiple PriceRequest.SQLs (Bundle false).
-func (b *Broker) QuoteBatch(sqls []string) ([]float64, error) {
-	return b.QuoteBatchWith(b.fn, sqls)
-}
-
-// QuoteBatchWith is QuoteBatch under a specific pricing function. It is a
-// wrapper over Price.
-//
-// Deprecated: use Price with multiple PriceRequest.SQLs and
-// PriceRequest.Func.
-func (b *Broker) QuoteBatchWith(fn PricingFunc, sqls []string) ([]float64, error) {
-	resp, err := b.Price(context.Background(), PriceRequest{SQLs: sqls, Func: &fn})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Prices, nil
-}
-
-func addStats(sum *pricing.Stats, s pricing.Stats) {
-	sum.Static += s.Static
-	sum.Batched += s.Batched
-	sum.FullRuns += s.FullRuns
-	sum.Naive += s.Naive
-	sum.DeltaFull += s.DeltaFull
-	sum.DeltaPartial += s.DeltaPartial
-}
-
 // batchEntries resolves one cache entry per query: hits from the LRU,
 // in-batch duplicates folded onto one computation, and the remaining
 // misses computed together by the shared ctx-aware sweep and inserted via
@@ -813,42 +739,6 @@ func (b *Broker) buyerState(name string) *buyerState {
 		b.buyers[name] = bs
 	}
 	return bs
-}
-
-// Ask executes the query for the buyer and returns the answer plus the
-// incremental history-aware charge (weighted coverage; Algorithm 3). The
-// buyer never pays twice for the same information, and once they have paid
-// the full dataset price every further query is free.
-//
-// The charge folds the bundle's cached (history-oblivious) disagreement
-// bitmap into the buyer's history: an element's disagreement bit does not
-// depend on who is asking, so one cached bitmap serves every buyer, and
-// the masked cold computation decides every element identically — the
-// charge is bit-identical to pricing against the history directly. It is
-// a wrapper over Purchase.
-//
-// Deprecated: use Purchase, which carries a context and returns the full
-// Receipt (gross/net/refund/balance plus reconcile provenance).
-func (b *Broker) Ask(buyer, sql string) (*Result, float64, error) {
-	rec, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: buyer, SQL: sql})
-	if err != nil {
-		return nil, 0, err
-	}
-	return rec.Result, rec.Net, nil
-}
-
-// AskWithRefund is Ask under the refund settlement model the paper cites
-// from prior work (§2.2): the buyer pays the full history-oblivious price
-// and is reimbursed for information already owned. Net payments equal
-// Ask's; only the cash flow differs. It is a wrapper over Purchase.
-//
-// Deprecated: use Purchase with PurchaseRequest.Refund.
-func (b *Broker) AskWithRefund(buyer, sql string) (*Result, float64, float64, error) {
-	rec, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: buyer, SQL: sql, Refund: true})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return rec.Result, rec.Gross, rec.Refund, nil
 }
 
 // SaveSupportSet persists the broker's support set (the paper stores the

@@ -1,10 +1,31 @@
 package qirana
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
+
+// quote prices one query through Price under the broker's default
+// pricing function.
+func quote(b *Broker, sql string) (float64, error) {
+	resp, err := b.Price(context.Background(), PriceRequest{SQLs: []string{sql}})
+	if err != nil {
+		return 0, err
+	}
+	return resp.Total, nil
+}
+
+// ask buys one query through Purchase and returns the answer plus the net
+// (incremental, history-aware) charge.
+func ask(b *Broker, buyer, sql string) (*Result, float64, error) {
+	rec, err := b.Purchase(context.Background(), PurchaseRequest{Buyer: buyer, SQL: sql})
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec.Result, rec.Net, nil
+}
 
 func worldBroker(t testing.TB, size int) *Broker {
 	t.Helper()
@@ -21,11 +42,11 @@ func worldBroker(t testing.TB, size int) *Broker {
 
 func TestBrokerQuote(t *testing.T) {
 	b := worldBroker(t, 300)
-	full, err := b.Quote("SELECT * FROM Country")
+	full, err := quote(b, "SELECT * FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := b.Quote("SELECT Name FROM Country WHERE ID < 10")
+	small, err := quote(b, "SELECT Name FROM Country WHERE ID < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +64,11 @@ func TestExample11Arbitrage(t *testing.T) {
 	b := worldBroker(t, 400)
 	// Q1 = count of one gender; Q2 = counts of all genders. Q2 determines
 	// Q1, so p(Q1) <= p(Q2). Our world stand-ins: Continent plays gender.
-	p1, err := b.Quote("SELECT count(*) FROM Country WHERE Continent = 'Asia'")
+	p1, err := quote(b, "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := b.Quote("SELECT Continent, count(*) FROM Country GROUP BY Continent")
+	p2, err := quote(b, "SELECT Continent, count(*) FROM Country GROUP BY Continent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +77,15 @@ func TestExample11Arbitrage(t *testing.T) {
 	}
 	// AVG is determined by (SUM, COUNT): p(Q3) <= p(Q2') + p(Q4) with
 	// bundle subadditivity.
-	p3, err := b.Quote("SELECT AVG(Population) FROM Country")
+	p3, err := quote(b, "SELECT AVG(Population) FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := b.Quote("SELECT count(*) FROM Country")
+	pc, err := quote(b, "SELECT count(*) FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := b.Quote("SELECT SUM(Population) FROM Country")
+	p4, err := quote(b, "SELECT SUM(Population) FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +96,7 @@ func TestExample11Arbitrage(t *testing.T) {
 
 func TestBrokerAskHistory(t *testing.T) {
 	b := worldBroker(t, 300)
-	res, c1, err := b.Ask("alice", "SELECT Continent, count(*) FROM Country GROUP BY Continent")
+	res, c1, err := ask(b, "alice", "SELECT Continent, count(*) FROM Country GROUP BY Continent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +104,7 @@ func TestBrokerAskHistory(t *testing.T) {
 		t.Fatalf("first purchase: %d rows, charge %g", res.Len(), c1)
 	}
 	// The overlapping count query is now free (the paper's Q5 moment).
-	_, c2, err := b.Ask("alice", "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
+	_, c2, err := ask(b, "alice", "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +115,7 @@ func TestBrokerAskHistory(t *testing.T) {
 		t.Fatalf("TotalPaid mismatch")
 	}
 	// A different buyer pays full price.
-	_, c3, err := b.Ask("bob", "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
+	_, c3, err := ask(b, "bob", "SELECT count(*) FROM Country WHERE Continent = 'Asia'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +136,7 @@ func TestBrokerPricePoints(t *testing.T) {
 	if err := b.SetPricePoints([]PricePoint{{SQL: "SELECT * FROM Country", Price: 70}}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := b.Quote("SELECT * FROM Country")
+	p, err := quote(b, "SELECT * FROM Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +147,16 @@ func TestBrokerPricePoints(t *testing.T) {
 
 func TestBrokerBundle(t *testing.T) {
 	b := worldBroker(t, 200)
-	p, err := b.QuoteBundle(
+	resp, err := b.Price(context.Background(), PriceRequest{Bundle: true, SQLs: []string{
 		"SELECT Name FROM Country WHERE ID < 100",
 		"SELECT Population FROM Country WHERE ID < 100",
-	)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := b.Quote("SELECT Name FROM Country WHERE ID < 100")
-	p2, _ := b.Quote("SELECT Population FROM Country WHERE ID < 100")
+	p := resp.Total
+	p1, _ := quote(b, "SELECT Name FROM Country WHERE ID < 100")
+	p2, _ := quote(b, "SELECT Population FROM Country WHERE ID < 100")
 	if p > p1+p2+1e-9 {
 		t.Fatalf("bundle arbitrage: %g > %g", p, p1+p2)
 	}
@@ -171,10 +193,10 @@ func TestBrokerErrors(t *testing.T) {
 		t.Fatal("zero price must be rejected")
 	}
 	b := worldBroker(t, 100)
-	if _, err := b.Quote("SELEC nonsense"); err == nil {
+	if _, err := quote(b, "SELEC nonsense"); err == nil {
 		t.Fatal("syntax error must surface")
 	}
-	if _, err := b.Quote("SELECT missing FROM Country"); err == nil {
+	if _, err := quote(b, "SELECT missing FROM Country"); err == nil {
 		t.Fatal("unknown column must surface")
 	}
 }

@@ -2,6 +2,7 @@ package qirana
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 	// Cold serial references, computed up front on the twin.
 	wantQuote := make(map[string]float64)
 	for _, sql := range repeated {
-		p, err := ref.Quote(sql)
+		p, err := quote(ref, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		for i := 0; i < 4; i++ {
 			sql := fresh(g, i)
-			p, err := ref.Quote(sql)
+			p, err := quote(ref, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +77,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		buyer := fmt.Sprintf("ref-%d", g)
 		for i := 0; i < 4; i++ {
-			_, c, err := ref.Ask(buyer, repeated[(g+i)%len(repeated)])
+			_, c, err := ask(ref, buyer, repeated[(g+i)%len(repeated)])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				// Repeated quote: must match cold serial exactly.
 				sql := repeated[(g+i)%len(repeated)]
-				p, err := b.Quote(sql)
+				p, err := quote(b, sql)
 				if err != nil {
 					errs <- err
 					return
@@ -105,7 +106,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 				}
 				// Fresh quote: unique to this goroutine, always a miss.
 				sql = fresh(g, i)
-				if p, err = b.Quote(sql); err != nil {
+				if p, err = quote(b, sql); err != nil {
 					errs <- err
 					return
 				}
@@ -115,7 +116,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 				}
 				// Purchase: history-aware charge must match the reference
 				// buyer's sequence.
-				_, c, err := b.Ask(buyer, repeated[(g+i)%len(repeated)])
+				_, c, err := ask(b, buyer, repeated[(g+i)%len(repeated)])
 				if err != nil {
 					errs <- err
 					return
@@ -156,17 +157,17 @@ func TestBatchQuoteMatchesSolo(t *testing.T) {
 		"SELECT * FROM CountryLanguage WHERE IsOfficial = 'T'",
 	}
 	for _, fn := range []PricingFunc{WeightedCoverage, ShannonEntropy} {
-		got, err := b.QuoteBatchWith(fn, batch)
+		got, err := b.Price(context.Background(), PriceRequest{SQLs: batch, Func: &fn})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, sql := range batch {
-			want, err := ref.QuoteWith(fn, sql)
+			want, err := ref.Price(context.Background(), PriceRequest{SQLs: []string{sql}, Func: &fn})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[j] != want {
-				t.Errorf("%v batch[%d] = %g, solo cold = %g", fn, j, got[j], want)
+			if got.Prices[j] != want.Total {
+				t.Errorf("%v batch[%d] = %g, solo cold = %g", fn, j, got.Prices[j], want.Total)
 			}
 		}
 	}
@@ -179,22 +180,22 @@ func TestMutationInvalidatesQuotes(t *testing.T) {
 	b, ref, db := twinBrokers(t, 2)
 	sql := "SELECT Name FROM Country WHERE Population > 100000000"
 
-	p0, err := b.Quote(sql)
+	p0, err := quote(b, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1, _ := b.Quote(sql); p1 != p0 {
+	if p1, _ := quote(b, sql); p1 != p0 {
 		t.Fatalf("warm quote %g != first quote %g", p1, p0)
 	}
 
 	// Point update: push a country over the predicate threshold.
 	country := db.Table("Country")
 	country.Set(3, 7, NewInt(200000000)) // attr 7 = Population
-	got, err := b.Quote(sql)
+	got, err := quote(b, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Quote(sql) // cache-less twin cold-computes on the mutated db
+	want, err := quote(ref, sql) // cache-less twin cold-computes on the mutated db
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestMutationInvalidatesQuotes(t *testing.T) {
 	if err := ref.SetWeights(w); err != nil {
 		t.Fatal(err)
 	}
-	got, err = b.Quote(sql)
+	got, err = quote(b, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = ref.Quote(sql)
+	want, err = quote(ref, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
