@@ -21,7 +21,10 @@ test: vet
 # Race-detector run over the whole module. The parallel differential test
 # (internal/pricing) forces GOMAXPROCS=4 and runs every pricing path with
 # Workers=4, so this doubles as the shared-read correctness gate at CI
-# scale factors.
+# scale factors. The concurrent-sweep tests (a checker shared by four
+# concurrent CheckBatch calls; eight goroutines of distinct cold quotes
+# on every sweep path against a serial twin) run here once; CI repeats
+# them with go test -race -count=5 -run 'Concurren|SharedChecker' ./...
 race:
 	$(GO) test -race ./...
 

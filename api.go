@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 )
@@ -75,7 +74,7 @@ type PriceResponse struct {
 	// PerQuery aligns with Prices (one entry for the whole bundle in
 	// bundle mode).
 	PerQuery []QuoteInfo `json:"per_query"`
-	// Stats sums the per-entry stats (what LastStats reports).
+	// Stats sums the per-entry stats.
 	Stats Stats `json:"stats"`
 }
 
@@ -299,7 +298,6 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 	if err != nil {
 		return nil, err
 	}
-	b.setLastStats(ent.stats)
 	// The sweep is done; nothing below blocks. Re-check ctx once so a
 	// cancellation that raced the sweep's completion still leaves the
 	// buyer uncharged, then commit the charge atomically under the
@@ -385,10 +383,10 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 				if rs := b.sweeper; rs != nil {
 					res, stats, err = rs.SweepBits(ctx, sqlsOf(miss), SweepSpec{SupportGen: b.supportGen})
 				} else {
-					b.engineMu.Lock()
-					b.refreshEngineLocked()
-					res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, nil)
-					b.engineMu.Unlock()
+					err = b.localSweep(ctx, func() (err error) {
+						res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, nil)
+						return err
+					})
 				}
 				if err != nil {
 					return nil, err
@@ -404,7 +402,6 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 		}
 		prices := make([]float64, len(qs))
 		stats := make([]Stats, len(qs))
-		var sum pricing.Stats
 		for j := range qs {
 			p, err := b.engine.PriceFromDisagreements(fn, entries[j].dis)
 			if err != nil {
@@ -412,9 +409,7 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 			}
 			prices[j] = p
 			stats[j] = entries[j].stats
-			sum.Add(entries[j].stats)
 		}
-		b.setLastStats(sum)
 		return prices, stats, cached, nil
 
 	case ShannonEntropy, QEntropy:
@@ -436,19 +431,23 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 					}
 					return out, nil
 				}
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				elems, bases, err := b.engine.OutputHashesMultiLiveCtx(ctx, miss, nil)
-				b.engineMu.Unlock()
-				if err != nil {
+				var elems [][]uint64
+				var stats []Stats
+				if err := b.localSweep(ctx, func() (err error) {
+					elems, _, stats, err = b.engine.OutputHashesMultiLiveCtx(ctx, miss, nil)
+					return err
+				}); err != nil {
 					return nil, err
 				}
 				out := make([]priceEntry, len(miss))
 				for x := range miss {
 					// Identical to the solo path: the price is a function
 					// of the element-hash partition alone.
-					p := b.engine.PricesFromHashes(elems[x], bases[x])[fn]
-					out[x] = priceEntry{price: p, stats: pricing.Stats{Naive: b.engine.Set.Size()}}
+					p, err := b.engine.EntropyPriceFromHashes(fn, elems[x])
+					if err != nil {
+						return nil, err
+					}
+					out[x] = priceEntry{price: p, stats: stats[x]}
 				}
 				return out, nil
 			})
@@ -457,13 +456,10 @@ func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exe
 		}
 		prices := make([]float64, len(qs))
 		stats := make([]Stats, len(qs))
-		var sum pricing.Stats
 		for j := range qs {
 			prices[j] = entries[j].price
 			stats[j] = entries[j].stats
-			sum.Add(entries[j].stats)
 		}
-		b.setLastStats(sum)
 		return prices, stats, cached, nil
 	}
 	return nil, nil, nil, fmt.Errorf("unknown pricing function %v", fn)

@@ -215,46 +215,60 @@ func (b *Broker) approxInfo(ent approxEntry, cached bool, maxErr float64) QuoteI
 
 // approxSweepLocked runs the sampled sweep — remotely through the shard
 // fan-out when a sweeper is installed (every shard recomputes the same
-// mask from the forwarded spec), locally through the engine's live-mask
-// machinery otherwise. Callers hold mu.RLock.
+// mask from the forwarded spec), locally in a sweep slot through the
+// engine's live-mask machinery otherwise — and folds the sampled vector
+// into the estimate. Callers hold mu.RLock.
 func (b *Broker) approxSweepLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, frac float64) (approxEntry, error) {
 	n := b.engine.Set.Size()
 	mask := support.SampleMask(n, frac, b.seed, b.supportGen)
-	if rs := b.sweeper; rs != nil {
-		spec := SweepSpec{Bundle: true, SupportGen: b.supportGen, SampleFrac: frac, SampleSeed: b.seed}
-		switch fn {
-		case WeightedCoverage, UniformEntropyGain:
-			dis, stats, err := rs.SweepBits(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return approxEntry{}, err
+	rs := b.sweeper
+	spec := SweepSpec{Bundle: true, SupportGen: b.supportGen, SampleFrac: frac, SampleSeed: b.seed}
+	var ent approxEntry
+	var err error
+	switch fn {
+	case WeightedCoverage, UniformEntropyGain:
+		var dis []bool
+		if rs != nil {
+			var bits [][]bool
+			var stats []Stats
+			if bits, stats, err = rs.SweepBits(ctx, sqlsOf(qs), spec); err == nil {
+				dis, ent.stats = bits[0], stats[0]
 			}
-			est, err := b.engine.EstimateFromSampledDisagreements(fn, dis[0], mask)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			return approxEntry{est: est, stats: stats[0]}, nil
-		case ShannonEntropy, QEntropy:
-			elems, stats, err := rs.SweepHashes(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			est, err := b.engine.EstimateFromSampledHashes(fn, elems[0], mask)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			return approxEntry{est: est, stats: stats[0]}, nil
+		} else {
+			err = b.localSweep(ctx, func() (err error) {
+				dis, ent.stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, mask)
+				return err
+			})
 		}
+		if err != nil {
+			return approxEntry{}, err
+		}
+		ent.est, err = b.engine.EstimateFromSampledDisagreements(fn, dis, mask)
+	case ShannonEntropy, QEntropy:
+		var elems []uint64
+		if rs != nil {
+			var hashes [][]uint64
+			var stats []Stats
+			if hashes, stats, err = rs.SweepHashes(ctx, sqlsOf(qs), spec); err == nil {
+				elems, ent.stats = hashes[0], stats[0]
+			}
+		} else {
+			err = b.localSweep(ctx, func() (err error) {
+				elems, _, ent.stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, mask)
+				return err
+			})
+		}
+		if err != nil {
+			return approxEntry{}, err
+		}
+		ent.est, err = b.engine.EstimateFromSampledHashes(fn, elems, mask)
+	default:
 		return approxEntry{}, fmt.Errorf("unknown pricing function %v", fn)
 	}
-	b.engineMu.Lock()
-	defer b.engineMu.Unlock()
-	b.refreshEngineLocked()
-	b.engine.LastStats = pricing.Stats{}
-	est, err := b.engine.ApproxPriceCtx(ctx, fn, mask, qs...)
 	if err != nil {
 		return approxEntry{}, err
 	}
-	return approxEntry{est: est, stats: b.engine.LastStats}, nil
+	return ent, nil
 }
 
 // ---------------------------------------------------------------------

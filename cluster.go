@@ -288,17 +288,17 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 	case req.Hashes && req.Bundle:
 		key := fmt.Sprintf("sh|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
 		v, _, err := b.cached(ctx, key, func() (any, error) {
-			b.engineMu.Lock()
-			defer b.engineMu.Unlock()
-			b.refreshEngineLocked()
-			b.engine.LastStats = pricing.Stats{}
-			elems, _, err := b.engine.OutputHashesLiveCtx(ctx, qs, live)
-			if err != nil {
+			var elems []uint64
+			var stats Stats
+			if err := b.localSweep(ctx, func() (err error) {
+				elems, _, stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, live)
+				return err
+			}); err != nil {
 				return nil, err
 			}
 			rows += width
 			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceHashEntry{hashes: append([]uint64(nil), elems[req.Lo:req.Hi]...), stats: b.engine.LastStats}, nil
+			return sliceHashEntry{hashes: append([]uint64(nil), elems[req.Lo:req.Hi]...), stats: stats}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -313,23 +313,19 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 				return fmt.Sprintf("sh|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
 			},
 			func(ctx context.Context, miss []*exec.Query) ([]sliceHashEntry, error) {
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				elems, _, err := b.engine.OutputHashesMultiLiveCtx(ctx, miss, live)
-				b.engineMu.Unlock()
-				if err != nil {
+				var elems [][]uint64
+				var stats []Stats
+				if err := b.localSweep(ctx, func() (err error) {
+					elems, _, stats, err = b.engine.OutputHashesMultiLiveCtx(ctx, miss, live)
+					return err
+				}); err != nil {
 					return nil, err
 				}
 				rows += width * len(miss)
 				b.obs.Add("shard_rows_swept", uint64(width*len(miss)))
 				out := make([]sliceHashEntry, len(miss))
 				for x := range miss {
-					out[x] = sliceHashEntry{
-						hashes: append([]uint64(nil), elems[x][req.Lo:req.Hi]...),
-						// The single-node batch path reports Naive=|S| per
-						// query; this slice's share is its width.
-						stats: pricing.Stats{Naive: width},
-					}
+					out[x] = sliceHashEntry{hashes: append([]uint64(nil), elems[x][req.Lo:req.Hi]...), stats: stats[x]}
 				}
 				return out, nil
 			})
@@ -346,16 +342,17 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 	case req.Bundle:
 		key := fmt.Sprintf("ss|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
 		v, _, err := b.cached(ctx, key, func() (any, error) {
-			b.engineMu.Lock()
-			defer b.engineMu.Unlock()
-			b.refreshEngineLocked()
-			dis, err := b.engine.DisagreementsCtx(ctx, qs, live)
-			if err != nil {
+			var dis []bool
+			var stats Stats
+			if err := b.localSweep(ctx, func() (err error) {
+				dis, stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, live)
+				return err
+			}); err != nil {
 				return nil, err
 			}
 			rows += width
 			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceBitsEntry{packed: durable.PackBits(dis[req.Lo:req.Hi]), stats: b.engine.LastStats}, nil
+			return sliceBitsEntry{packed: durable.PackBits(dis[req.Lo:req.Hi]), stats: stats}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -370,11 +367,12 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 				return fmt.Sprintf("ss|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
 			},
 			func(ctx context.Context, miss []*exec.Query) ([]sliceBitsEntry, error) {
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				res, stats, err := b.engine.DisagreementsMultiLiveCtx(ctx, miss, live)
-				b.engineMu.Unlock()
-				if err != nil {
+				var res [][]bool
+				var stats []Stats
+				if err := b.localSweep(ctx, func() (err error) {
+					res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, live)
+					return err
+				}); err != nil {
 					return nil, err
 				}
 				rows += width * len(miss)

@@ -22,7 +22,7 @@
 //	refund <sql>          buy under the refund settlement model
 //	save <path>           persist the support set (prices survive restarts)
 //	paid                  show the current buyer's total payments
-//	stats                 show how the last price was computed
+//	stats                 show how the last quote was computed
 //	schema                list relations and attributes
 //	help / quit
 package main
@@ -104,6 +104,7 @@ func main() {
 	ctx := context.Background()
 	var points []qirana.PricePoint
 	var prepared []*qirana.Stmt
+	var lastQuote qirana.Stats // how the REPL's last quote was swept
 
 	var scripted []string
 	if *script != "" {
@@ -165,6 +166,7 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
+			lastQuote = resp.Stats
 			fmt.Printf("price: $%.2f\n", resp.Total)
 		case "approx":
 			// approx <max_error> <sql>: sampled upper-bound quote.
@@ -179,6 +181,7 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
+			lastQuote = resp.Stats
 			if est := resp.PerQuery[0].Estimate; est != nil {
 				fmt.Printf("price: $%.2f (upper bound; point $%.2f ± $%.2f from a %.0f%% sample)\n",
 					resp.Total, est.Point, est.CI, est.SampleFrac*100)
@@ -215,6 +218,7 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
+			lastQuote = price.Stats
 			rec, err := s.Purchase(ctx, buyer, params...)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -277,8 +281,8 @@ func main() {
 		case "paid":
 			fmt.Printf("%s has paid $%.2f of $%.2f\n", buyer, broker.TotalPaid(buyer), broker.TotalPrice())
 		case "stats":
-			s := broker.LastStats()
-			fmt.Printf("last pricing: %d static, %d batched, %d full runs, %d naive executions\n",
+			s := lastQuote
+			fmt.Printf("last quote: %d static, %d batched, %d full runs, %d naive executions\n",
 				s.Static, s.Batched, s.FullRuns, s.Naive)
 			c := broker.QuoteCacheStats()
 			fmt.Printf("quote cache: %d hits, %d misses, %d coalesced waits, %d evictions (%d entries)\n",

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"qirana/internal/durable"
-	"qirana/internal/obs"
 	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
@@ -425,17 +424,8 @@ func brokerFromSnapshot(db *Database, snap *durable.Snapshot, opt Options) (*Bro
 	if err != nil {
 		return nil, fmt.Errorf("recover support set from snapshot: %w", err)
 	}
-	b := &Broker{db: db, fn: opt.Func, buyers: make(map[string]*buyerState),
-		seed: opt.Seed, opts: opt, total: snap.Total, qc: newQuoteCache(opt), obs: obs.New()}
-	if b.qc != nil {
-		b.qc.AttachObs(b.obs)
-	}
-	b.engine = pricing.NewEngine(db, set, snap.Total)
-	b.engine.Opts.FastPath = !opt.DisableFastPath
-	b.engine.Opts.Batching = !opt.DisableBatching
-	b.engine.Opts.Workers = opt.Workers
-	b.engine.Obs = b.obs
-	b.supportSum = set.Checksum()
+	b := newBroker(db, snap.Total, opt)
+	b.installEngine(set)
 	b.supportGen = 1
 	if len(snap.Weights) > 0 {
 		if err := b.engine.RestoreWeights(snap.Weights, snap.WeightsEpoch); err != nil {

@@ -48,26 +48,25 @@ func main() {
 		 where lo_custkey = c_custkey group by c_region`,
 	}
 	ctx := context.Background()
+	// Each query is quoted up front, then bought. The quote's price is what
+	// a history-oblivious seller would charge; its Stats say how the
+	// support set was swept (the purchase reuses that sweep's bitmap).
+	oblivious := 0.0
 	for i, sql := range session {
+		quote, err := broker.Price(ctx, qirana.PriceRequest{SQLs: []string{sql}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		oblivious += quote.Total
 		rec, err := broker.Purchase(ctx, qirana.PurchaseRequest{Buyer: "analyst", SQL: sql})
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := broker.LastStats()
+		s := quote.Stats
 		fmt.Printf("query %d: %3d rows, charged $%7.2f (running total $%7.2f)\n",
 			i+1, rec.Result.Len(), rec.Net, broker.TotalPaid("analyst"))
 		fmt.Printf("         pricing work: %d static, %d batched, %d full runs\n",
 			s.Static, s.Batched, s.FullRuns)
-	}
-
-	// Compare with a history-oblivious seller: each query priced alone.
-	oblivious := 0.0
-	for _, sql := range session {
-		resp, err := broker.Price(ctx, qirana.PriceRequest{SQLs: []string{sql}})
-		if err != nil {
-			log.Fatal(err)
-		}
-		oblivious += resp.Total
 	}
 	fmt.Printf("\nhistory-aware total:     $%7.2f\n", broker.TotalPaid("analyst"))
 	fmt.Printf("history-oblivious total: $%7.2f (what a refundless market would charge)\n", oblivious)

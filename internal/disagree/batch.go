@@ -71,53 +71,40 @@ type jobResult struct {
 // classification pass touches each update once for all k queries and
 // builds its u⁺ tuples at most once, when the first checker that reads the
 // update's relation needs them; and the tagged jobs, delta checks and
-// residual full runs of every checker each run in one worker pool (max
-// Workers of the checkers) over the shared read-only database. Tuples are
+// residual full runs of every checker each run in one pool of workers
+// goroutines over the shared read-only database. Tuples are
 // never kept across stages: a tagged job rebuilds u⁺ (and, to compare, u⁻)
 // for its own updates only, so the sweep's live memory does not grow with
 // the number of pending checks.
 //
 // Every (update, query) decision is independent of k, of the mask and of
-// the worker count, lands in its own result slot, and Stats accumulate by
-// counting — so results and per-checker Stats are bit-identical serial or
-// parallel, alone or batched, and over disjoint covering masks they OR /
-// add exactly to the unmasked sweep's. Every stage polls ctx between
-// items and aborts with ctx.Err().
-func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live []bool) ([][]bool, error) {
+// the worker count, lands in its own result slot, and the per-checker
+// CheckStats are counted, not measured — so results and CheckStats are
+// bit-identical serial or parallel, alone or batched, and over disjoint
+// covering masks they OR / add exactly to the unmasked sweep's. The call
+// writes nothing but its own results, so any number of CheckBatch calls
+// share the same checkers concurrently. workers ≤ 1 runs serially. Every
+// stage polls ctx between items and aborts with ctx.Err().
+func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live []bool, workers int) ([][]bool, []CheckStats, error) {
 	if len(cs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	// One database, one worker budget and one registry serve the shared
-	// stages: the checkers of one engine all carry the engine's registry,
-	// so the first non-nil one stands in for the sweep as a whole.
+	// One database and one registry serve the shared stages: the checkers
+	// of one engine all carry the engine's registry, so the first non-nil
+	// one stands in for the sweep as a whole.
 	db := cs[0].db
-	workers := 1
 	var reg *obs.Registry
 	for _, c := range cs {
 		if c.db != db {
-			return nil, fmt.Errorf("CheckBatch: checkers span different databases")
-		}
-		if c.Workers > workers {
-			workers = c.Workers
+			return nil, nil, fmt.Errorf("CheckBatch: checkers span different databases")
 		}
 		if reg == nil {
 			reg = c.Obs
 		}
 	}
+	shardWorkers := workers
 	workers = pool.Clamp(workers, len(us))
-
-	// Account the executor's index-cache movement for this batch. Both
-	// snapshots happen at quiesced points (pool.Run waits for its workers),
-	// so the before/after delta is exact.
-	befores := make([]exec.CacheStats, len(cs))
-	for k, c := range cs {
-		befores[k] = c.cacheSnapshot()
-	}
-	defer func() {
-		for k, c := range cs {
-			c.accountCache(befores[k])
-		}
-	}()
+	stats := make([]CheckStats, len(cs))
 
 	// Static classification (Algorithms 4/5/6, no database access).
 	stopClassify := reg.Timer("stage_classify")
@@ -143,7 +130,7 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stopClassify()
 
@@ -159,9 +146,9 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		for i, o := range outcomes[k*n : (k+1)*n] {
 			switch o {
 			case Agree:
-				c.Stats.Static++
+				stats[k].Static++
 			case Disagree:
-				c.Stats.Static++
+				stats[k].Static++
 				results[k][i] = true
 			case NeedPlus, NeedCompare:
 				rel := ast.LowerName(us[i].Rel)
@@ -170,10 +157,10 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 					deltas = append(deltas, check{k: k, i: i, compare: o == NeedCompare})
 				case o == NeedPlus:
 					plusPending[rel] = append(plusPending[rel], i)
-					c.Stats.Batched++
+					stats[k].Batched++
 				default:
 					comparePending[rel] = append(comparePending[rel], i)
-					c.Stats.Batched++
+					stats[k].Batched++
 				}
 			case NeedFull:
 				fulls = append(fulls, check{k: k, i: i})
@@ -181,8 +168,8 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		}
 		// Batch 1 per relation: Q((D \ R) ∪ {u⁺}) emptiness checks.
 		// Batches 2+3 per relation: compare the {u⁻} and {u⁺} runs.
-		jobs = appendJobs(jobs, k, plusPending, false, c.Workers)
-		jobs = appendJobs(jobs, k, comparePending, true, c.Workers)
+		jobs = appendJobs(jobs, k, plusPending, false, shardWorkers)
+		jobs = appendJobs(jobs, k, comparePending, true, shardWorkers)
 	}
 	jres := make([]jobResult, len(jobs))
 	stopTagged := reg.Timer("stage_tagged_batch")
@@ -191,12 +178,12 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		jres[x], err = cs[j.k].runBatchJob(us, j, results[j.k])
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stopTagged()
 	for x, j := range jobs {
-		cs[j.k].Stats.DeltaFullRuns += jres[x].nFull
-		cs[j.k].Stats.DeltaPartialRuns += jres[x].nPartial
+		stats[j.k].DeltaFullRuns += jres[x].nFull
+		stats[j.k].DeltaPartialRuns += jres[x].nPartial
 		for _, i := range jres[x].escalated {
 			fulls = append(fulls, check{k: j.k, i: i})
 		}
@@ -215,7 +202,7 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 			dres[x] = deltaRes{dis: dis, esc: esc, partial: partial}
 			return err
 		}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stopDelta()
 		for x, d := range deltas {
@@ -224,10 +211,10 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 				fulls = append(fulls, d)
 			case dres[x].partial:
 				results[d.k][d.i] = dres[x].dis
-				cs[d.k].Stats.DeltaPartialRuns++
+				stats[d.k].DeltaPartialRuns++
 			default:
 				results[d.k][d.i] = dres[x].dis
-				cs[d.k].Stats.DeltaFullRuns++
+				stats[d.k].DeltaFullRuns++
 			}
 		}
 	}
@@ -239,10 +226,7 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 	if len(fulls) > 0 {
 		defer reg.Timer("stage_residual")()
 		for _, f := range fulls {
-			if err := cs[f.k].ensureBaseHash(); err != nil {
-				return nil, err
-			}
-			cs[f.k].Stats.FullRuns++
+			stats[f.k].FullRuns++
 		}
 		fw := pool.Clamp(workers, len(fulls))
 		overlays := make([]*storage.Overlay, fw)
@@ -260,10 +244,10 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 			results[f.k][f.i] = d
 			return nil
 		}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return results, nil
+	return results, stats, nil
 }
 
 // appendJobs appends checker k's tagged jobs for one pending map in

@@ -10,7 +10,9 @@ import (
 // TestCacheAndDeltaStats pins the integration contract of the execution
 // index cache and the delta path: checking a support set one update at a
 // time must answer its residual database checks through RunDelta, build the
-// cached sources once, and serve every later check from the cache.
+// cached sources once, and serve every later check from the cache. The
+// cache counters are read from the checker's compiled queries around each
+// region (nothing else runs on them here, so the deltas are exact).
 func TestCacheAndDeltaStats(t *testing.T) {
 	db := testDB(13, 40, 120)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(300, 5))
@@ -25,42 +27,48 @@ func TestCacheAndDeltaStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	checks := 0
+	var s CheckStats
+	before := c.cacheSnapshot()
 	for _, u := range set.Updates {
-		if _, err := c.Check(u); err != nil {
+		_, one, err := c.Check(u)
+		if err != nil {
 			t.Fatal(err)
 		}
+		s.Add(one)
 		checks++
 	}
+	cache := delta(before, c.cacheSnapshot())
 	if checks == 0 {
 		t.Fatal("empty support set")
 	}
-	if c.Stats.DeltaFullRuns == 0 {
-		t.Fatalf("no checks went through the delta path: %+v", c.Stats)
+	if s.DeltaFullRuns == 0 {
+		t.Fatalf("no checks went through the delta path: %+v", s)
 	}
-	if c.Stats.IndexCacheHits == 0 {
-		t.Fatalf("no index-cache hits across %d checks: %+v", checks, c.Stats)
+	if cache.Hits == 0 {
+		t.Fatalf("no index-cache hits across %d checks: %+v", checks, cache)
 	}
-	if c.Stats.IndexCacheMisses == 0 {
-		t.Fatalf("cache reported hits without ever building: %+v", c.Stats)
+	if cache.Misses == 0 {
+		t.Fatalf("cache reported hits without ever building: %+v", cache)
 	}
 	// The cache is keyed per (source, version) plus a handful of join
 	// indexes and partitions; over a static database the build count must
 	// stay tiny compared to the check count, or the cache isn't caching.
-	if c.Stats.IndexCacheMisses > 16 {
-		t.Fatalf("cache thrashing: %d misses for %d checks (%+v)", c.Stats.IndexCacheMisses, checks, c.Stats)
+	if cache.Misses > 16 {
+		t.Fatalf("cache thrashing: %d misses for %d checks", cache.Misses, checks)
 	}
 
-	// The batched mode over a fresh checker must account cache movement the
-	// same way (counters quiesced at CheckBatch boundaries).
+	// The batched mode over a fresh checker serves its checks from the
+	// cache the same way.
 	cb, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch1(cb, set.Updates, nil); err != nil {
+	before = cb.cacheSnapshot()
+	if _, _, err := batch1(cb, set.Updates, nil); err != nil {
 		t.Fatal(err)
 	}
-	if cb.Stats.IndexCacheHits == 0 {
-		t.Fatalf("batched checking reported no cache hits: %+v", cb.Stats)
+	if cache := delta(before, cb.cacheSnapshot()); cache.Hits == 0 {
+		t.Fatalf("batched checking reported no cache hits: %+v", cache)
 	}
 
 	// Aggregates route their compare checks through the unrolled query's
@@ -70,15 +78,24 @@ func TestCacheAndDeltaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sa CheckStats
+	before = ca.cacheSnapshot()
 	for _, u := range set.Updates {
-		if _, err := ca.Check(u); err != nil {
+		_, one, err := ca.Check(u)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sa.Add(one)
 	}
-	if ca.Stats.DeltaFullRuns == 0 {
-		t.Fatalf("aggregate checks never used the delta path: %+v", ca.Stats)
+	if sa.DeltaFullRuns == 0 {
+		t.Fatalf("aggregate checks never used the delta path: %+v", sa)
 	}
-	if ca.Stats.IndexCacheHits == 0 {
-		t.Fatalf("aggregate checks never hit the cache: %+v", ca.Stats)
+	if cache := delta(before, ca.cacheSnapshot()); cache.Hits == 0 {
+		t.Fatalf("aggregate checks never hit the cache: %+v", cache)
 	}
+}
+
+// delta is the cache-counter movement between two snapshots.
+func delta(before, after exec.CacheStats) exec.CacheStats {
+	return exec.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 }

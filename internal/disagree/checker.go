@@ -40,6 +40,7 @@ package disagree
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"qirana/internal/obs"
 	"qirana/internal/result"
@@ -72,8 +73,9 @@ const (
 	NeedFull
 )
 
-// CheckStats counts how each update was decided (reported by experiments)
-// and how the execution layer served the database checks.
+// CheckStats counts how each update of one Check or CheckBatch call was
+// decided (reported by experiments). The counts depend only on the
+// updates and the mask, never on the worker count or on other calls.
 type CheckStats struct {
 	Static, Batched, FullRuns int
 	// DeltaFullRuns counts residual checks decided by the first-order
@@ -83,18 +85,22 @@ type CheckStats struct {
 	// FullRuns they partition the residual checks: every check lands in
 	// exactly one of the three.
 	DeltaFullRuns, DeltaPartialRuns int
-	// IndexCacheHits/Misses aggregate the executor's index-cache counters
-	// (filtered sources, join build sides, probe partitions, materialized
-	// views) across the queries this checker drives, accumulated per
-	// Check/CheckBatch call. Hit counts depend on Workers (job sharding),
-	// so they are informational, not part of the bit-identical result
-	// contract.
-	IndexCacheHits, IndexCacheMisses int
+}
+
+// Add accumulates o into s.
+func (s *CheckStats) Add(o CheckStats) {
+	s.Static += o.Static
+	s.Batched += o.Batched
+	s.FullRuns += o.FullRuns
+	s.DeltaFullRuns += o.DeltaFullRuns
+	s.DeltaPartialRuns += o.DeltaPartialRuns
 }
 
 // Checker decides disagreements for one query over one database. It is
 // built once per priced query: construction runs the contribution query
-// (and, for aggregates, the unrolled query) a single time.
+// (and, for aggregates, the unrolled query) a single time. A Checker is
+// read-only after New — every call returns its own counts — so any
+// number of Check and CheckBatch calls share one concurrently.
 type Checker struct {
 	Q   *exec.Query
 	SPJ *plan.SPJ
@@ -114,26 +120,24 @@ type Checker struct {
 	tiered   bool
 	viewSpec exec.GroupViewSpec
 
-	baseHash    uint64
-	baseHashSet bool
-
-	// Workers > 1 parallelizes CheckBatch (classification, per-relation
-	// tagged batches, residual full runs) across that many goroutines over
-	// the shared read-only database. Results and Stats are bit-identical
-	// to the serial run. Set by the pricing engine from Options.Workers.
-	Workers int
+	// base is h(Q(D)), computed by the first residual full run that needs
+	// it; the Once makes the fill safe under concurrent calls.
+	baseOnce sync.Once
+	baseHash uint64
+	baseErr  error
 
 	// Obs, when non-nil, receives per-stage latency observations
 	// (stage_classify, stage_tagged_batch, stage_delta, stage_residual)
-	// from every CheckBatch. Set by the pricing engine; nil costs a branch.
+	// from every CheckBatch. Set by the pricing engine before the checker
+	// is shared; nil costs a branch.
 	Obs *obs.Registry
-
-	Stats CheckStats
 }
 
 // cacheSnapshot sums the execution-cache counters of every compiled query
 // the checker runs (the priced query and, for aggregates, its unrolled
-// form; the contribution query only runs at construction time).
+// form; the contribution query only runs at construction time). The
+// counters are shared by every call on those queries, so a before/after
+// delta is exact only around a region no other call overlaps.
 func (c *Checker) cacheSnapshot() exec.CacheStats {
 	s := c.Q.CacheStats()
 	if c.unrolledQ != nil {
@@ -147,14 +151,6 @@ func (c *Checker) cacheSnapshot() exec.CacheStats {
 		s.Misses += t.Misses
 	}
 	return s
-}
-
-// accountCache folds the cache-counter movement since `before` into Stats.
-// Both snapshots must be taken at quiesced points (no in-flight workers).
-func (c *Checker) accountCache(before exec.CacheStats) {
-	after := c.cacheSnapshot()
-	c.Stats.IndexCacheHits += int(after.Hits - before.Hits)
-	c.Stats.IndexCacheMisses += int(after.Misses - before.Misses)
 }
 
 // New builds a checker, or returns an error when the query is outside the
@@ -392,23 +388,26 @@ func (c *Checker) rowUnsatAt(si int, row []value.Value) bool {
 }
 
 // Check fully decides one update, resolving any needed database checks
-// individually (the "no batching" mode of Figure 5).
-func (c *Checker) Check(u *support.Update) (bool, error) {
-	before := c.cacheSnapshot()
-	defer c.accountCache(before)
+// individually (the "no batching" mode of Figure 5), and returns the
+// counts of how it was decided.
+func (c *Checker) Check(u *support.Update) (bool, CheckStats, error) {
+	var s CheckStats
+	var dis bool
+	var err error
 	switch c.Classify(u) {
 	case Agree:
-		c.Stats.Static++
-		return false, nil
+		s.Static++
 	case Disagree:
-		c.Stats.Static++
-		return true, nil
+		s.Static++
+		dis = true
 	case NeedPlus:
-		return c.resolve(u, false)
+		dis, err = c.resolve(u, false, &s)
 	case NeedCompare:
-		return c.resolve(u, true)
+		dis, err = c.resolve(u, true, &s)
+	default:
+		dis, err = c.fullRun(u, &s)
 	}
-	return c.fullRun(u)
+	return dis, s, err
 }
 
 // checkQuery is the query a residual database check runs: the priced query
@@ -423,19 +422,19 @@ func (c *Checker) checkQuery() *exec.Query {
 
 // resolve answers one residual check through the delta tiers, escalating
 // to a full re-run when decide cannot give an exact answer, and accounts
-// the check under exactly one Stats tier.
-func (c *Checker) resolve(u *support.Update, compare bool) (bool, error) {
+// the check under exactly one tier of s.
+func (c *Checker) resolve(u *support.Update, compare bool, s *CheckStats) (bool, error) {
 	dis, esc, partial, err := c.decide(u, compare)
 	if err != nil {
 		return false, err
 	}
 	if esc {
-		return c.fullRun(u)
+		return c.fullRun(u, s)
 	}
 	if partial {
-		c.Stats.DeltaPartialRuns++
+		s.DeltaPartialRuns++
 	} else {
-		c.Stats.DeltaFullRuns++
+		s.DeltaFullRuns++
 	}
 	return dis, nil
 }
@@ -518,43 +517,44 @@ func distinctFlips(mv *exec.MultiplicityView, outMinus, outPlus [][]value.Value)
 	return false
 }
 
-// ensureBaseHash computes and caches h(Q(D)). It must be called before
-// fullRunOn fans out (the residual checks then only read the checker).
-func (c *Checker) ensureBaseHash() error {
-	if c.baseHashSet {
-		return nil
-	}
-	res, err := c.Q.Run(c.db)
-	if err != nil {
-		return err
-	}
-	c.baseHash = res.Hash()
-	c.baseHashSet = true
-	return nil
+// base returns h(Q(D)), running Q once per checker however many calls
+// ask concurrently.
+func (c *Checker) base() (uint64, error) {
+	c.baseOnce.Do(func() {
+		res, err := c.Q.Run(c.db)
+		if err != nil {
+			c.baseErr = err
+			return
+		}
+		c.baseHash = res.Hash()
+	})
+	return c.baseHash, c.baseErr
 }
 
 // fullRun re-executes Q over the updated instance and compares output
-// hashes (Algorithm 1's inner loop for a single element).
-func (c *Checker) fullRun(u *support.Update) (bool, error) {
-	if err := c.ensureBaseHash(); err != nil {
-		return false, err
-	}
-	c.Stats.FullRuns++
+// hashes (Algorithm 1's inner loop for a single element), counting the
+// run in s.
+func (c *Checker) fullRun(u *support.Update, s *CheckStats) (bool, error) {
+	s.FullRuns++
 	return c.fullRunOn(storage.NewOverlay(c.db), u)
 }
 
 // fullRunOn evaluates one residual full check through a (per-worker,
 // reusable) overlay: the update is realized as a copy-on-write view, so
 // the base database is never written and checks run concurrently. The
-// caller must have run ensureBaseHash and accounts Stats itself.
+// caller accounts the run itself.
 func (c *Checker) fullRunOn(o *storage.Overlay, u *support.Update) (bool, error) {
+	base, err := c.base()
+	if err != nil {
+		return false, err
+	}
 	u.ApplyOverlay(o)
 	res, err := c.Q.RunOverride(c.db, o.Overrides())
 	u.UndoOverlay(o)
 	if err != nil {
 		return false, err
 	}
-	return res.Hash() != c.baseHash, nil
+	return res.Hash() != base, nil
 }
 
 // equalMultiset compares two row bags exactly.

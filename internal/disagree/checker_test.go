@@ -178,7 +178,7 @@ func TestAggMinMaxDuplicates(t *testing.T) {
 	u := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{1},
 		Old1: []value.Value{value.NewString("dup")},
 		New1: []value.Value{value.NewString("ny")}}
-	got, err := c.Check(u)
+	got, _, err := c.Check(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAggMinMaxDuplicates(t *testing.T) {
 	u2 := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{3},
 		Old1: []value.Value{value.NewInt(49)},
 		New1: []value.Value{value.NewInt(1)}}
-	got2, err := c.Check(u2)
+	got2, _, err := c.Check(u2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,16 +210,17 @@ func TestFullRunFallbackCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch1(c, set.Updates, nil); err != nil {
+	_, s, err := batch1(c, set.Updates, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	total := c.Stats.Static + c.Stats.Batched + c.Stats.FullRuns
+	total := s.Static + s.Batched + s.FullRuns
 	if total == 0 {
 		t.Fatal("no decisions recorded")
 	}
 	// MIN queries over a small score domain hit the extremum-removal
 	// fallback at least occasionally; this pins the plumbing.
-	if c.Stats.FullRuns == 0 {
+	if s.FullRuns == 0 {
 		t.Log("note: no full-run fallbacks triggered at this seed")
 	}
 }
@@ -246,7 +247,7 @@ func TestGlobalAggNullInputsRegression(t *testing.T) {
 	u := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{2},
 		Old1: []value.Value{cust.Get(0, 2)},
 		New1: []value.Value{value.NewInt(2)}}
-	got, err := c.Check(u)
+	got, _, err := c.Check(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestGlobalAggNullInputsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := c2.Check(u)
+	got2, _, err := c2.Check(u)
 	if err != nil {
 		t.Fatal(err)
 	}

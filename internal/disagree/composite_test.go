@@ -73,7 +73,7 @@ func TestDifferentialCompositeKeys(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ineligible: %v", err)
 			}
-			batch, err := batch1(c, set.Updates, nil)
+			batch, _, err := batch1(c, set.Updates, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -122,7 +122,7 @@ func TestDifferentialFastPath(t *testing.T) {
 			}
 			for _, u := range set.Updates {
 				want := naiveDisagree(t, q, db, u)
-				got, err := c.Check(u)
+				got, _, err := c.Check(u)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,12 +135,12 @@ func TestDifferentialFastPath(t *testing.T) {
 }
 
 // batch1 runs the shared sweep for a single checker (k = 1).
-func batch1(c *Checker, us []*support.Update, live []bool) ([]bool, error) {
-	res, err := CheckBatch(context.Background(), []*Checker{c}, us, live)
+func batch1(c *Checker, us []*support.Update, live []bool) ([]bool, CheckStats, error) {
+	res, stats, err := CheckBatch(context.Background(), []*Checker{c}, us, live, 1)
 	if err != nil {
-		return nil, err
+		return nil, CheckStats{}, err
 	}
-	return res[0], nil
+	return res[0], stats[0], nil
 }
 
 // residual sums the three tiers that partition the database checks.
@@ -164,7 +164,7 @@ func TestDifferentialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("checker ineligible: %v", err)
 			}
-			got, err := batch1(c, set.Updates, nil)
+			got, stats, err := batch1(c, set.Updates, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,21 +172,23 @@ func TestDifferentialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var refStats CheckStats
 			for i, u := range set.Updates {
 				want := naiveDisagree(t, q, db, u)
 				if got[i] != want {
 					t.Fatalf("update %d (%+v): batch says %v, naive says %v", u.ID, u, got[i], want)
 				}
-				one, err := ref.Check(u)
+				one, s, err := ref.Check(u)
 				if err != nil {
 					t.Fatal(err)
 				}
+				refStats.Add(s)
 				if one != want {
 					t.Fatalf("update %d (%+v): Check says %v, naive says %v", u.ID, u, one, want)
 				}
 			}
-			if c.Stats.Static != ref.Stats.Static || residual(c.Stats) != residual(ref.Stats) {
-				t.Fatalf("batch stats %+v do not partition like per-element Check's %+v", c.Stats, ref.Stats)
+			if stats.Static != refStats.Static || residual(stats) != residual(refStats) {
+				t.Fatalf("batch stats %+v do not partition like per-element Check's %+v", stats, refStats)
 			}
 		})
 	}
@@ -210,7 +212,7 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 			nLive++
 		}
 	}
-	got, err := batch1(c, set.Updates, live)
+	got, stats, err := batch1(c, set.Updates, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 			}
 			continue
 		}
-		want, err := ref.Check(u)
+		want, _, err := ref.Check(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,8 +235,8 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 			t.Fatalf("live element %d: batch %v, Check %v", i, got[i], want)
 		}
 	}
-	if n := c.Stats.Static + residual(c.Stats); n != nLive {
-		t.Fatalf("stats account for %d decisions, want the %d live elements: %+v", n, nLive, c.Stats)
+	if n := stats.Static + residual(stats); n != nLive {
+		t.Fatalf("stats account for %d decisions, want the %d live elements: %+v", n, nLive, stats)
 	}
 }
 
@@ -268,18 +270,11 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%q: %v", sql, err)
 				}
-				c.Workers = workers
 				cs[k] = c
 			}
-			res, err := CheckBatch(context.Background(), cs, set.Updates, live)
+			res, stats, err := CheckBatch(context.Background(), cs, set.Updates, live, workers)
 			if err != nil {
 				t.Fatal(err)
-			}
-			stats := make([]CheckStats, len(cs))
-			for k, c := range cs {
-				stats[k] = c.Stats
-				// Cache hit counts depend on job sharding, not on decisions.
-				stats[k].IndexCacheHits, stats[k].IndexCacheMisses = 0, 0
 			}
 			return res, stats
 		}
@@ -292,7 +287,7 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, u := range set.Updates {
-				want, err := ref.Check(u)
+				want, _, err := ref.Check(u)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,11 +298,10 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 					t.Fatalf("workers=%d %q update %d: masked bits %v|%v do not OR to %v", workers, sql, i, resLo[k][i], resHi[k][i], want)
 				}
 			}
-			a, b := statsLo[k], statsHi[k]
-			sum := CheckStats{Static: a.Static + b.Static, Batched: a.Batched + b.Batched, FullRuns: a.FullRuns + b.FullRuns,
-				DeltaFullRuns: a.DeltaFullRuns + b.DeltaFullRuns, DeltaPartialRuns: a.DeltaPartialRuns + b.DeltaPartialRuns}
+			sum := statsLo[k]
+			sum.Add(statsHi[k])
 			if sum != fullStats[k] {
-				t.Fatalf("workers=%d %q: masked stats %+v + %+v != unmasked %+v", workers, sql, a, b, fullStats[k])
+				t.Fatalf("workers=%d %q: masked stats %+v + %+v != unmasked %+v", workers, sql, statsLo[k], statsHi[k], fullStats[k])
 			}
 		}
 	}
@@ -368,7 +362,7 @@ func TestDifferentialUntiered(t *testing.T) {
 			continue // DISTINCT / self-join: untiered opts out
 		}
 		t.Run(sql, func(t *testing.T) {
-			got, err := batch1(c, set.Updates, nil)
+			got, stats, err := batch1(c, set.Updates, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,8 +372,8 @@ func TestDifferentialUntiered(t *testing.T) {
 					t.Fatalf("update %d (%+v): untiered says %v, naive says %v", u.ID, u, got[i], want)
 				}
 			}
-			if c.Stats.DeltaPartialRuns != 0 {
-				t.Fatalf("untiered checker used the partial tier: %+v", c.Stats)
+			if stats.DeltaPartialRuns != 0 {
+				t.Fatalf("untiered checker used the partial tier: %+v", stats)
 			}
 		})
 	}
@@ -396,15 +390,16 @@ func TestCheckerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch1(c, set.Updates, nil); err != nil {
+	_, stats, err := batch1(c, set.Updates, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A selective single-table query should resolve many updates statically
 	// (Ord updates are irrelevant; non-contributing unsatisfiable ones too).
-	if c.Stats.Static == 0 {
+	if stats.Static == 0 {
 		t.Error("expected some statically decided updates")
 	}
-	total := c.Stats.Static + c.Stats.Batched + c.Stats.FullRuns
+	total := stats.Static + stats.Batched + stats.FullRuns
 	if total < len(set.Updates)/2 {
 		t.Errorf("stats account for %d of %d updates", total, len(set.Updates))
 	}
@@ -415,7 +410,7 @@ func ExampleChecker() {
 	q := exec.MustCompile("SELECT city, count(*) FROM Cust GROUP BY city", db.Schema)
 	c, _ := New(q, db)
 	set, _ := support.GenerateNeighborhood(db, support.DefaultConfig(4, 1))
-	res, _ := batch1(c, set.Updates, nil)
+	res, _, _ := batch1(c, set.Updates, nil)
 	fmt.Println(len(res) == 4)
 	// Output: true
 }

@@ -70,7 +70,7 @@ func FuzzDeltaTiers(f *testing.F) {
 			Old1: []value.Value{tbl.Get(ri, ai)},
 			New1: []value.Value{newVal}}
 		k := int(qPick) % len(checkers)
-		got, err := checkers[k].Check(u)
+		got, _, err := checkers[k].Check(u)
 		if err != nil {
 			t.Fatalf("%q / %+v: %v", queries[k], u, err)
 		}

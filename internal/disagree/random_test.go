@@ -112,7 +112,7 @@ func TestDifferentialRandomTemplates(t *testing.T) {
 			continue // template produced something ineligible; fine
 		}
 		tried++
-		batch, err := batch1(c, set.Updates, nil)
+		batch, _, err := batch1(c, set.Updates, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -121,7 +121,7 @@ func TestDifferentialRandomTemplates(t *testing.T) {
 			if batch[j] != want {
 				t.Fatalf("query %q update %+v: fast %v naive %v", sql, u, batch[j], want)
 			}
-			one, err := c.Check(u)
+			one, _, err := c.Check(u)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -522,7 +522,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, map[string]any{
 		"support_set_size": b.SupportSetSize(),
 		"total_price":      b.TotalPrice(),
-		"last_stats":       b.LastStats(),
 		"quote_cache":      b.QuoteCacheStats(),
 		"quote_cache_len":  b.QuoteCacheLen(),
 		"durability":       b.Durability(),

@@ -155,14 +155,14 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	if r := getJSON(t, ts.URL+"/stats", &stats); r.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", r.StatusCode)
 	}
-	for _, k := range []string{"support_set_size", "total_price", "last_stats", "quote_cache"} {
+	for _, k := range []string{"support_set_size", "total_price", "quote_cache"} {
 		if _, ok := stats[k]; !ok {
 			t.Fatalf("stats missing %q: %v", k, stats)
 		}
 	}
 
 	var m qirana.MetricsSnapshot
-	if r := getJSON(t, ts.URL+"/metrics", &m); r.StatusCode != http.StatusOK {
+	if r := getJSON(t, ts.URL+"/v1/metrics", &m); r.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status = %d", r.StatusCode)
 	}
 	if m.Counters["broker_price_requests"] == 0 {
@@ -171,27 +171,33 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	if lat, ok := m.Latencies["broker_price"]; !ok || lat.Count == 0 {
 		t.Fatalf("metrics missing broker_price latency: %+v", m.Latencies)
 	}
+	// The cold quote took a sweep slot: its queueing time and the
+	// sweeps-in-flight high-water mark are exported.
+	if lat, ok := m.Latencies["sweep_wait"]; !ok || lat.Count == 0 {
+		t.Fatalf("metrics missing sweep_wait: %+v", m.Latencies)
+	}
+	if m.Counters["sweeps_inflight_max"] < 1 {
+		t.Fatalf("metrics missing the sweeps_inflight_max high-water mark: %+v", m.Counters)
+	}
 }
 
 // TestTierCountersExported drives a workload through the delta tiers (a
 // MIN/MAX group-by resolves extremum removals against candidate views, a
 // DISTINCT query against a multiplicity view) and asserts the per-tier hit
-// counts surface in both /stats (last_stats) and /metrics and move.
+// counts surface in both the quote response's stats and /metrics and move.
 func TestTierCountersExported(t *testing.T) {
 	ts := newTestServer(t)
-	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT Continent, max(Population) FROM Country GROUP BY Continent"}`, nil)
-
-	var stats struct {
-		LastStats map[string]int `json:"last_stats"`
+	var quote struct {
+		Stats map[string]int `json:"stats"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT Continent, max(Population) FROM Country GROUP BY Continent"}`, &quote)
 	for _, k := range []string{"DeltaFull", "DeltaPartial", "FullRuns"} {
-		if _, ok := stats.LastStats[k]; !ok {
-			t.Fatalf("last_stats missing %q: %v", k, stats.LastStats)
+		if _, ok := quote.Stats[k]; !ok {
+			t.Fatalf("quote stats missing %q: %v", k, quote.Stats)
 		}
 	}
-	if stats.LastStats["DeltaFull"]+stats.LastStats["DeltaPartial"] == 0 {
-		t.Fatalf("MIN/MAX workload never used the delta tiers: %v", stats.LastStats)
+	if quote.Stats["DeltaFull"]+quote.Stats["DeltaPartial"] == 0 {
+		t.Fatalf("MIN/MAX workload never used the delta tiers: %v", quote.Stats)
 	}
 
 	var m qirana.MetricsSnapshot
@@ -205,14 +211,13 @@ func TestTierCountersExported(t *testing.T) {
 
 	// A DISTINCT query routes its residual checks through the multiplicity
 	// view: the partial-tier counter must move.
-	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT DISTINCT Continent FROM Country"}`, nil)
+	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT DISTINCT Continent FROM Country"}`, &quote)
 	getJSON(t, ts.URL+"/metrics", &m)
 	if m.Counters["checker_delta_partial"] <= before {
 		t.Fatalf("partial-tier counter did not move: %d -> %d", before, m.Counters["checker_delta_partial"])
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
-	if stats.LastStats["DeltaPartial"] == 0 {
-		t.Fatalf("DISTINCT workload reported no partial-tier checks: %v", stats.LastStats)
+	if quote.Stats["DeltaPartial"] == 0 {
+		t.Fatalf("DISTINCT workload reported no partial-tier checks: %v", quote.Stats)
 	}
 }
 

@@ -45,6 +45,20 @@ func (c *Counter) Add(n uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// Max raises the counter to n when it is below n: a high-water mark,
+// monotonic like every counter, kept exact under concurrent callers.
+func (c *Counter) Max(n uint64) {
+	if c == nil {
+		return
+	}
+	for {
+		cur := c.v.Load()
+		if n <= cur || c.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {

@@ -22,6 +22,31 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestCounterMax pins the high-water-mark form: Max only ever raises the
+// counter, and concurrent callers leave it at the largest value offered.
+func TestCounterMax(t *testing.T) {
+	var c Counter
+	c.Max(3)
+	c.Max(1)
+	if got := c.Value(); got != 3 {
+		t.Fatalf("after Max(3), Max(1): %d, want 3", got)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= 64; i++ {
+		wg.Add(1)
+		go func(n uint64) {
+			defer wg.Done()
+			c.Max(n)
+		}(uint64(i))
+	}
+	wg.Wait()
+	if got := c.Value(); got != 64 {
+		t.Fatalf("concurrent Max up to 64: %d", got)
+	}
+	var nilC *Counter
+	nilC.Max(5)
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()

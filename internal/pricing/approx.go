@@ -252,23 +252,32 @@ func safeDenom(v float64) float64 {
 }
 
 // ApproxPriceCtx runs a sampled sweep over the elements selected by
-// sample and returns the approximate price of the bundle qs under fn.
-// The sweep reuses the engine's live-mask machinery, so its cost scales
-// with the sample size, not |S|.
+// sample and returns the approximate price of the bundle qs under fn,
+// leaving the sweep's Stats in LastStats. The sweep reuses the engine's
+// live-mask machinery, so its cost scales with the sample size, not |S|.
 func (e *Engine) ApproxPriceCtx(ctx context.Context, fn Func, sample []bool, qs ...*exec.Query) (Estimate, error) {
+	var est Estimate
+	var s Stats
+	var err error
 	switch fn {
 	case WeightedCoverage, UniformEntropyGain:
-		dis, err := e.DisagreementsCtx(ctx, qs, sample)
-		if err != nil {
+		var dis []bool
+		if dis, s, err = e.DisagreementsLiveCtx(ctx, qs, sample); err != nil {
 			return Estimate{}, err
 		}
-		return e.EstimateFromSampledDisagreements(fn, dis, sample)
+		est, err = e.EstimateFromSampledDisagreements(fn, dis, sample)
 	case ShannonEntropy, QEntropy:
-		hashes, _, err := e.OutputHashesLiveCtx(ctx, qs, sample)
-		if err != nil {
+		var hashes []uint64
+		if hashes, _, s, err = e.OutputHashesLiveCtx(ctx, qs, sample); err != nil {
 			return Estimate{}, err
 		}
-		return e.EstimateFromSampledHashes(fn, hashes, sample)
+		est, err = e.EstimateFromSampledHashes(fn, hashes, sample)
+	default:
+		return Estimate{}, fmt.Errorf("unknown pricing function %v", fn)
 	}
-	return Estimate{}, fmt.Errorf("unknown pricing function %v", fn)
+	if err != nil {
+		return Estimate{}, err
+	}
+	e.setLastStats(s)
+	return est, nil
 }

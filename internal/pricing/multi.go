@@ -22,9 +22,9 @@ import (
 // whatever k and live are, so per query the bitmap and Stats are
 // bit-identical alone or batched, and those of disjoint covering masks
 // sum (bitwise OR / integer add) exactly to the unmasked sweep's — the
-// invariant behind sharded pricing. LastStats is left holding the sum
-// over all k queries. Every path polls ctx between elements and aborts
-// with ctx.Err().
+// invariant behind sharded pricing. The engine state the sweep reads is
+// shared read-only, so any number of sweeps run concurrently. Every path
+// polls ctx between elements and aborts with ctx.Err().
 func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([][]bool, []Stats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
@@ -32,6 +32,7 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 	results := make([][]bool, len(qs))
 	stats := make([]Stats, len(qs))
 
+	workers := e.parallelWorkers()
 	var naiveIdx []int
 	var batched []*disagree.Checker // in qs order; their results[j] stay nil until the sweep
 	var naive []*exec.Query
@@ -53,14 +54,13 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 			naive = append(naive, q)
 			continue
 		}
-		c.Stats = disagree.CheckStats{}
-		c.Workers = e.parallelWorkers()
 		if e.Opts.Batching {
 			batched = append(batched, c)
 			continue
 		}
 		// The "no batching" mode of Figure 5: one Check per live element.
 		results[j] = make([]bool, e.Set.Size())
+		var cs disagree.CheckStats
 		for i, u := range e.Set.Updates {
 			if live != nil && !live[i] {
 				continue
@@ -68,25 +68,26 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			d, err := c.Check(u)
+			d, s, err := c.Check(u)
 			if err != nil {
 				return nil, nil, err
 			}
 			results[j][i] = d
+			cs.Add(s)
 		}
-		stats[j] = e.checkerStats(c)
+		stats[j] = e.checkerStats(cs)
 	}
 
 	// Shared §4.2 sweep across all batched fast-path queries.
 	if len(batched) > 0 {
-		res, err := disagree.CheckBatch(ctx, batched, e.Set.Updates, live)
+		res, cstats, err := disagree.CheckBatch(ctx, batched, e.Set.Updates, live, workers)
 		if err != nil {
 			return nil, nil, err
 		}
 		k := 0
 		for j := range qs {
 			if results[j] == nil {
-				results[j], stats[j] = res[k], e.checkerStats(batched[k])
+				results[j], stats[j] = res[k], e.checkerStats(cstats[k])
 				k++
 			}
 		}
@@ -109,11 +110,6 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 			stats[j].Naive = n
 		}
 	}
-
-	e.LastStats = Stats{}
-	for _, s := range stats {
-		e.LastStats.Add(s)
-	}
 	return results, stats, nil
 }
 
@@ -122,26 +118,28 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 // and runs all k queries, returning per-query element hashes and base
 // hashes in exactly the encoding an OutputHashesLiveCtx call on the
 // single-query bundle {q} produces (so entropy prices derived from them
-// are bit-identical); see there for the fold invariant and stats
-// accounting.
-func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([][]uint64, []uint64, error) {
+// are bit-identical), plus each query's Stats; see there for the fold
+// invariant and stats accounting.
+func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([][]uint64, []uint64, []Stats, error) {
 	if len(qs) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	elems := make([][]uint64, len(qs))
 	for j := range elems {
 		elems[j] = make([]uint64, e.Set.Size())
 	}
-	bases, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) {
+	bases, n, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) {
 		for j := range hs {
 			elems[j][i] = combine(hs[j : j+1])
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	stats := make([]Stats, len(qs))
 	for j := range bases {
 		bases[j] = combine(bases[j : j+1])
+		stats[j].Naive = n
 	}
-	return elems, bases, nil
+	return elems, bases, stats, nil
 }

@@ -149,7 +149,7 @@ func TestOutputHashesMultiMatchesSolo(t *testing.T) {
 	e := newEngine(t, benchDB(11, 80), 100, 100)
 	qs := compileAll(t, e, multiTestQueries[:4])
 
-	elems, bases, err := e.OutputHashesMultiLiveCtx(context.Background(), qs, nil)
+	elems, bases, _, err := e.OutputHashesMultiLiveCtx(context.Background(), qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,15 @@ func TestMultiMixedUnderDisjointMasks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.LastStats = Stats{}
-				elems, _, err := e.OutputHashesMultiLiveCtx(ctx, qs, live)
+				elems, _, hstats, err := e.OutputHashesMultiLiveCtx(ctx, qs, live)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return e, dis, stats, elems, e.LastStats.Naive
+				naive := 0
+				for _, s := range hstats {
+					naive += s.Naive
+				}
+				return e, dis, stats, elems, naive
 			}
 			e, full, fullStats, fullElems, fullNaive := sweep(nil)
 			lo, hi := make([]bool, e.Set.Size()), make([]bool, e.Set.Size())

@@ -17,7 +17,7 @@ import (
 // worker, and peak memory no longer scales with workers × |D|.
 //
 // The same pool.RunWorkers scheduler drives the disagreement checker's
-// batched fast path (disagree.Checker.Workers), so Options.Workers is the
+// batched fast path (disagree.CheckBatch's workers), so Options.Workers is the
 // single parallelism knob for the whole engine. Work is handed out through
 // an atomic index (work stealing), so skewed elements cannot idle workers.
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"qirana/internal/disagree"
 	"qirana/internal/obs"
@@ -98,8 +99,8 @@ func DefaultOptions() Options {
 	return Options{FastPath: true, Batching: true, InstanceReduction: true}
 }
 
-// Stats reports how the last pricing call decided each (element, query)
-// pair; experiments use it to show the effect of each optimization.
+// Stats reports how one pricing call decided each (element, query) pair;
+// experiments use it to show the effect of each optimization.
 type Stats struct {
 	Static   int // decided without any database access
 	Batched  int // decided by a batched tagged query
@@ -131,9 +132,15 @@ type Engine struct {
 	Weights []float64
 	Opts    Options
 
-	checkers    map[*exec.Query]*disagree.Checker
-	uncheckable map[*exec.Query]bool
-	LastStats   Stats
+	reg checkerRegistry
+
+	// LastStats holds the Stats of the last completed call of a probe
+	// entry point — DisagreementsCtx, OutputHashesCtx, PriceCtx,
+	// ApproxPriceCtx and their context-free forms — stored once at the
+	// end of the call under statsMu. It is not meaningful under concurrent
+	// callers; they use the Stats the Live and Multi forms return.
+	LastStats Stats
+	statsMu   sync.Mutex
 
 	// Obs, when non-nil, receives per-stage latency observations from the
 	// engine and its checkers (stage_classify, stage_tagged_batch,
@@ -149,9 +156,7 @@ type Engine struct {
 // NewEngine builds an engine with uniform weights w_i = Total/|S| (the
 // default of §3.3 when the seller provides only the full-database price).
 func NewEngine(db *storage.Database, set *support.Set, total float64) *Engine {
-	e := &Engine{DB: db, Set: set, Total: total, Opts: DefaultOptions(),
-		checkers:    make(map[*exec.Query]*disagree.Checker),
-		uncheckable: make(map[*exec.Query]bool)}
+	e := &Engine{DB: db, Set: set, Total: total, Opts: DefaultOptions()}
 	e.Weights = make([]float64, set.Size())
 	for i := range e.Weights {
 		e.Weights[i] = total / float64(set.Size())
@@ -197,11 +202,27 @@ func (e *Engine) RestoreWeights(w []float64, epoch uint64) error {
 	return nil
 }
 
-// maxCheckers bounds the per-query checker map: a long-lived broker fed a
-// stream of unique queries would otherwise grow it without limit. Beyond
-// the bound the maps reset wholesale — checkers are cheap to rebuild and
-// correctness never depends on them being cached.
-const maxCheckers = 256
+// maxCheckers bounds the per-query checker registry: a long-lived broker
+// fed a stream of unique queries would otherwise grow it without limit.
+// Beyond the bound the registry resets wholesale — checkers are cheap to
+// rebuild and correctness never depends on them being cached. Each
+// checker keeps its query's execution index cache (join indexes, filtered
+// sources) alive, about 1.4 MB per SSB query at scale 0.002, and a
+// broker compiles fresh SQL into a fresh query, so most entries are never
+// asked for again: the bound is what caps the engine's retained heap.
+const maxCheckers = 64
+
+// checkerRegistry caches, per compiled query, its disagreement checker —
+// or nil when the query is outside the fast path — for concurrent sweeps.
+// Lookups and stores take mu; checkers are built outside it and the first
+// one stored wins (as in exec/cache.go), so concurrent sweeps of one query
+// share one read-only checker. dbVersion is the summed table version the
+// cached checkers were built against.
+type checkerRegistry struct {
+	mu        sync.Mutex
+	checkers  map[*exec.Query]*disagree.Checker
+	dbVersion uint64
+}
 
 // checker returns (and caches) the disagreement checker for q, or nil when
 // q is outside the fast path.
@@ -209,34 +230,63 @@ func (e *Engine) checker(q *exec.Query) *disagree.Checker {
 	if !e.Opts.FastPath || e.Set.Updates == nil {
 		return nil
 	}
-	if e.uncheckable[q] {
-		return nil
-	}
-	if c, ok := e.checkers[q]; ok {
+	r := &e.reg
+	r.mu.Lock()
+	c, ok := r.checkers[q]
+	r.mu.Unlock()
+	if ok {
 		return c
-	}
-	if len(e.checkers) >= maxCheckers || len(e.uncheckable) >= maxCheckers {
-		e.InvalidateCache()
 	}
 	build := disagree.New
 	if e.Opts.DisableDeltaTiers {
 		build = disagree.NewUntiered
 	}
-	c, err := build(q, e.DB)
-	if err != nil {
-		e.uncheckable[q] = true
-		return nil
+	c, err := build(q, e.DB) // nil when q is outside the fast path
+	if err == nil {
+		c.Obs = e.Obs
 	}
-	c.Obs = e.Obs
-	e.checkers[q] = c
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.checkers[q]; ok {
+		return prev
+	}
+	if r.checkers == nil || len(r.checkers) >= maxCheckers {
+		r.checkers = make(map[*exec.Query]*disagree.Checker)
+	}
+	r.checkers[q] = c
 	return c
 }
 
 // InvalidateCache drops cached per-query state; call after mutating the
-// underlying database outside the pricing engine.
+// underlying database outside the pricing engine. Sweeps in flight keep
+// the checkers they already hold.
 func (e *Engine) InvalidateCache() {
-	e.checkers = make(map[*exec.Query]*disagree.Checker)
-	e.uncheckable = make(map[*exec.Query]bool)
+	e.reg.mu.Lock()
+	e.reg.checkers = nil
+	e.reg.mu.Unlock()
+}
+
+// RefreshCache invalidates the cached per-query state when the summed
+// table version counters moved since the last call — the database was
+// mutated outside the engine. Safe under concurrent sweeps.
+func (e *Engine) RefreshCache() {
+	var v uint64
+	for _, t := range e.DB.Tables {
+		v += t.Version()
+	}
+	e.reg.mu.Lock()
+	if v != e.reg.dbVersion {
+		e.reg.checkers = nil
+		e.reg.dbVersion = v
+	}
+	e.reg.mu.Unlock()
+}
+
+// setLastStats stores a probe entry point's Stats at the end of its call.
+func (e *Engine) setLastStats(s Stats) {
+	e.statsMu.Lock()
+	e.LastStats = s
+	e.statsMu.Unlock()
 }
 
 // Disagreements computes, for each live support element, whether it
@@ -247,15 +297,27 @@ func (e *Engine) Disagreements(qs []*exec.Query, live []bool) ([]bool, error) {
 	return e.DisagreementsCtx(context.Background(), qs, live)
 }
 
-// DisagreementsCtx is Disagreements under a context. The bundle is a fold
-// over the single-query sweep (DisagreementsMultiLiveCtx at k = 1): the
-// first query's bitmap starts the bundle's, each later query sweeps only
-// the live elements no earlier one already told apart, and LastStats sums
-// the per-query Stats. Every evaluation path polls ctx between elements
-// and aborts mid-sweep with ctx.Err(); a cancelled call leaves no partial
-// state behind — the next call recomputes from scratch.
+// DisagreementsCtx is Disagreements under a context, leaving the call's
+// Stats in LastStats; see DisagreementsLiveCtx.
 func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, error) {
-	e.LastStats = Stats{}
+	dis, s, err := e.DisagreementsLiveCtx(ctx, qs, live)
+	if err != nil {
+		return nil, err
+	}
+	e.setLastStats(s)
+	return dis, nil
+}
+
+// DisagreementsLiveCtx computes the bundle's disagreement bitmap over the
+// live elements (nil live = all) and returns it with the summed Stats.
+// The bundle is a fold over the single-query sweep
+// (DisagreementsMultiLiveCtx at k = 1): the first query's bitmap starts
+// the bundle's, each later query sweeps only the live elements no earlier
+// one already told apart, and the Stats sum the per-query Stats. Every
+// evaluation path polls ctx between elements and aborts mid-sweep with
+// ctx.Err(); a cancelled call leaves no partial state behind — the next
+// call recomputes from scratch.
+func (e *Engine) DisagreementsLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, Stats, error) {
 	var sum Stats
 	var out []bool
 	for n := range qs {
@@ -273,7 +335,7 @@ func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []
 		}
 		res, stats, err := e.DisagreementsMultiLiveCtx(ctx, qs[n:n+1], mask)
 		if err != nil {
-			return nil, err
+			return nil, Stats{}, err
 		}
 		if n == 0 {
 			out = res[0]
@@ -287,15 +349,13 @@ func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []
 	if out == nil {
 		out = make([]bool, e.Set.Size())
 	}
-	e.LastStats = sum
-	return out, nil
+	return out, sum, nil
 }
 
-// checkerStats converts the counts a checker accumulated over one sweep
-// and exports its per-tier residual-check counts to the observability
-// registry (nil-safe); the counters feed the broker's /metrics endpoint.
-func (e *Engine) checkerStats(c *disagree.Checker) Stats {
-	s := c.Stats
+// checkerStats converts the counts of one checker sweep and exports its
+// per-tier residual-check counts to the observability registry
+// (nil-safe); the counters feed the broker's /metrics endpoint.
+func (e *Engine) checkerStats(s disagree.CheckStats) Stats {
 	e.Obs.Add("checker_delta_full", uint64(s.DeltaFullRuns))
 	e.Obs.Add("checker_delta_partial", uint64(s.DeltaPartialRuns))
 	e.Obs.Add("checker_delta_fallback", uint64(s.FullRuns))
@@ -432,40 +492,41 @@ func (e *Engine) OutputHashes(qs []*exec.Query) (elems []uint64, base uint64, er
 	return e.OutputHashesCtx(context.Background(), qs)
 }
 
-// OutputHashesCtx is OutputHashes under a context: the per-element sweep
-// polls ctx and aborts mid-sweep with ctx.Err().
+// OutputHashesCtx is OutputHashes under a context, leaving the call's
+// Stats in LastStats: the per-element sweep polls ctx and aborts
+// mid-sweep with ctx.Err().
 func (e *Engine) OutputHashesCtx(ctx context.Context, qs []*exec.Query) (elems []uint64, base uint64, err error) {
-	return e.OutputHashesLiveCtx(ctx, qs, nil)
-}
-
-// OutputHashesLiveCtx is OutputHashesCtx restricted to the live elements
-// (nil live = all). Skipped elements keep a zero hash, and only the live
-// ones count toward LastStats.Naive, so the stats of disjoint covering
-// masks sum exactly to one full sweep's — the invariant the sharded
-// cluster's fold relies on. Each live element's hash is computed by the
-// identical code against the identical inputs, so elems[i] is
-// bit-identical to the full sweep's for every live i.
-func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]uint64, uint64, error) {
-	elems := make([]uint64, e.Set.Size())
-	bases, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) { elems[i] = combine(hs) })
+	elems, base, s, err := e.OutputHashesLiveCtx(ctx, qs, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return elems, combine(bases), nil
+	e.setLastStats(s)
+	return elems, base, nil
+}
+
+// OutputHashesLiveCtx is OutputHashesCtx restricted to the live elements
+// (nil live = all), returning the call's Stats. Skipped elements keep a
+// zero hash, and only the live ones count toward Stats.Naive, so the
+// stats of disjoint covering masks sum exactly to one full sweep's — the
+// invariant the sharded cluster's fold relies on. Each live element's
+// hash is computed by the identical code against the identical inputs, so
+// elems[i] is bit-identical to the full sweep's for every live i.
+func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]uint64, uint64, Stats, error) {
+	elems := make([]uint64, e.Set.Size())
+	bases, n, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) { elems[i] = combine(hs) })
+	if err != nil {
+		return nil, 0, Stats{}, err
+	}
+	return elems, combine(bases), Stats{Naive: n * len(qs)}, nil
 }
 
 // entropySweep is the sweep behind both output-hash forms: visit receives
 // every live element's raw per-query hashes — the bundle form combines all
 // of them into one hash, the independent form each one on its own — and
-// the raw base hashes come back. Adds live×k to LastStats.Naive.
-func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) ([]uint64, error) {
+// the raw base hashes come back with the number of live elements swept.
+func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) ([]uint64, int, error) {
 	defer e.Obs.Timer("stage_entropy")()
-	bases, n, err := e.sweepElements(ctx, qs, live, visit)
-	if err != nil {
-		return nil, err
-	}
-	e.LastStats.Naive += n * len(qs)
-	return bases, nil
+	return e.sweepElements(ctx, qs, live, visit)
 }
 
 func combine(hs []uint64) uint64 {
@@ -486,28 +547,35 @@ func (e *Engine) Price(fn Func, qs ...*exec.Query) (float64, error) {
 	return e.PriceCtx(context.Background(), fn, qs...)
 }
 
-// PriceCtx is Price under a context; see DisagreementsCtx for the
-// cancellation contract.
+// PriceCtx is Price under a context, leaving the call's Stats in
+// LastStats; see DisagreementsLiveCtx for the cancellation contract.
 func (e *Engine) PriceCtx(ctx context.Context, fn Func, qs ...*exec.Query) (float64, error) {
 	if len(qs) == 0 {
 		return 0, fmt.Errorf("empty query bundle")
 	}
+	var p float64
+	var s Stats
 	switch fn {
 	case WeightedCoverage, UniformEntropyGain:
-		dis, err := e.DisagreementsCtx(ctx, qs, nil)
+		dis, stats, err := e.DisagreementsLiveCtx(ctx, qs, nil)
 		if err != nil {
 			return 0, err
 		}
-		return e.PriceFromDisagreements(fn, dis)
-
+		if p, err = e.PriceFromDisagreements(fn, dis); err != nil {
+			return 0, err
+		}
+		s = stats
 	case ShannonEntropy, QEntropy:
-		hashes, _, err := e.OutputHashesCtx(ctx, qs)
+		hashes, _, stats, err := e.OutputHashesLiveCtx(ctx, qs, nil)
 		if err != nil {
 			return 0, err
 		}
-		return e.entropyPrice(fn, hashes), nil
+		p, s = e.entropyPrice(fn, hashes), stats
+	default:
+		return 0, fmt.Errorf("unknown pricing function %v", fn)
 	}
-	return 0, fmt.Errorf("unknown pricing function %v", fn)
+	e.setLastStats(s)
+	return p, nil
 }
 
 // PriceFromDisagreements turns a disagreement bitmap into a price under a

@@ -51,10 +51,10 @@ const maxBoundQueries = 128
 // for concurrent use.
 type Stmt struct {
 	b    *Broker
-	sql  string           // template text as given to Prepare
-	stmt *ast.SelectStmt  // parsed template; never mutated after Prepare
-	tmpl *ast.Template    // literal-stripped canonical form + sites
-	tbls []string         // referenced relations (binding-independent)
+	sql  string          // template text as given to Prepare
+	stmt *ast.SelectStmt // parsed template; never mutated after Prepare
+	tmpl *ast.Template   // literal-stripped canonical form + sites
+	tbls []string        // referenced relations (binding-independent)
 
 	mu    sync.Mutex
 	bound map[string]*exec.Query // param signature → bound compiled query
@@ -206,9 +206,9 @@ func (s *Stmt) PriceWith(ctx context.Context, fn PricingFunc, params ...Value) (
 // durability replay is oblivious to how the query was submitted.
 //
 // The query is bound fresh per purchase rather than served from the
-// bound-query cache: purchases execute the query outside the engine
-// mutex, and the executor's index cache on a shared query must not race
-// a concurrent pricing sweep.
+// bound-query cache: purchases execute the query outside any sweep slot,
+// and the executor's index cache on a shared query must not race a
+// concurrent pricing sweep.
 func (s *Stmt) Purchase(ctx context.Context, buyer string, params ...Value) (rec *Receipt, err error) {
 	return s.purchase(ctx, buyer, false, params)
 }

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -63,7 +64,7 @@ type (
 	// PricingFunc selects one of the four arbitrage-aware pricing
 	// functions.
 	PricingFunc = pricing.Func
-	// Stats describes how the last pricing call was computed.
+	// Stats describes how one pricing computation was carried out.
 	Stats = pricing.Stats
 	// CacheStats reports the broker's quote-cache counters.
 	CacheStats = quotecache.Stats
@@ -227,10 +228,12 @@ func (o Options) Validate() error {
 //     construction; nothing is ever served stale.
 //   - Concurrent misses on the same key coalesce: one caller computes,
 //     the rest wait and share the result bit-for-bit (singleflight).
-//   - Distinct cold quotes serialize on the engine (whose per-call state
-//     is single-threaded by design) but parallelize internally per
-//     Options.Workers; warm quotes bypass the engine entirely and only
-//     touch the cache and the (read-locked) weight vector.
+//   - Distinct cold quotes sweep concurrently, up to GOMAXPROCS at once
+//     (the sweep semaphore), each parallelizing internally per
+//     Options.Workers; a sweep is a pure function of the read-only engine
+//     state and returns its own Stats. Warm quotes bypass the engine
+//     entirely and only touch the cache and the (read-locked) weight
+//     vector.
 //   - Buyer histories lock per buyer, so purchases by different buyers
 //     never contend.
 //
@@ -250,13 +253,13 @@ type Broker struct {
 	opts   Options
 	total  float64
 
-	// engineMu serializes cold pricing: the engine's per-call scratch
-	// state (LastStats, checker cache, base hashes) is single-threaded.
-	// Held after mu, never the other way around. dbVersion is the sum of
-	// table version counters last seen; movement means the database was
-	// mutated externally and per-query engine state must be rebuilt.
-	engineMu  sync.Mutex
-	dbVersion uint64
+	// sweepSlots is the sweep semaphore: GOMAXPROCS slots, sized at
+	// construction, one taken by every local cold sweep (foreground
+	// quotes, batch misses, shard slices, approximate sweeps and the
+	// refiner) for its duration, waited for under the caller's ctx.
+	// Taken after mu, never the other way around; its length is the
+	// number of sweeps in flight. See localSweep.
+	sweepSlots chan struct{}
 
 	// qc is the cross-query quote cache (nil when disabled). supportGen
 	// counts resamples; keys embed it so a resample orphans every entry.
@@ -296,9 +299,6 @@ type Broker struct {
 	// machine behind Options.ShedTargetP99. Both live in approx.go.
 	ref  refiner
 	shed shedState
-
-	statsMu   sync.Mutex
-	lastStats pricing.Stats
 }
 
 // buyerState is one buyer's purchase history behind its own lock, so
@@ -324,11 +324,7 @@ func NewBroker(db *Database, totalPrice float64, opt Options) (*Broker, error) {
 	if opt.SwapFraction == 0 {
 		opt.SwapFraction = 0.5
 	}
-	b := &Broker{db: db, fn: opt.Func, buyers: make(map[string]*buyerState),
-		seed: opt.Seed, opts: opt, total: totalPrice, qc: newQuoteCache(opt), obs: obs.New()}
-	if b.qc != nil {
-		b.qc.AttachObs(b.obs)
-	}
+	b := newBroker(db, totalPrice, opt)
 	if err := b.resample(opt.Seed); err != nil {
 		return nil, err
 	}
@@ -338,6 +334,30 @@ func NewBroker(db *Database, totalPrice float64, opt Options) (*Broker, error) {
 		}
 	}
 	return b, nil
+}
+
+// newBroker builds the broker shell every constructor shares: the
+// configuration, quote cache, metrics registry and sweep semaphore. The
+// caller installs the engine (installEngine).
+func newBroker(db *Database, total float64, opt Options) *Broker {
+	b := &Broker{db: db, fn: opt.Func, buyers: make(map[string]*buyerState),
+		seed: opt.Seed, opts: opt, total: total, qc: newQuoteCache(opt), obs: obs.New(),
+		sweepSlots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	if b.qc != nil {
+		b.qc.AttachObs(b.obs)
+	}
+	return b
+}
+
+// installEngine prices over set from now on: a fresh engine configured
+// from the broker's options, and the set's checksum.
+func (b *Broker) installEngine(set *support.Set) {
+	b.engine = pricing.NewEngine(b.db, set, b.total)
+	b.engine.Opts.FastPath = !b.opts.DisableFastPath
+	b.engine.Opts.Batching = !b.opts.DisableBatching
+	b.engine.Opts.Workers = b.opts.Workers
+	b.engine.Obs = b.obs
+	b.supportSum = set.Checksum()
 }
 
 func newQuoteCache(opt Options) *quotecache.Cache {
@@ -366,12 +386,7 @@ func (b *Broker) resample(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("generate support set: %w", err)
 	}
-	b.engine = pricing.NewEngine(b.db, set, b.total)
-	b.engine.Opts.FastPath = !b.opts.DisableFastPath
-	b.engine.Opts.Batching = !b.opts.DisableBatching
-	b.engine.Opts.Workers = b.opts.Workers
-	b.engine.Obs = b.obs
-	b.supportSum = set.Checksum()
+	b.installEngine(set)
 	// A new support set means new prices: bump the generation so every
 	// cached quote key goes dead, and drop the dead entries eagerly.
 	b.supportGen++
@@ -545,14 +560,12 @@ func (b *Broker) disagreements(ctx context.Context, qs []*exec.Query, key string
 			}
 			return disEntry{dis: dis[0], stats: stats[0]}, nil
 		}
-		b.engineMu.Lock()
-		defer b.engineMu.Unlock()
-		b.refreshEngineLocked()
-		dis, err := b.engine.DisagreementsCtx(ctx, qs, nil)
-		if err != nil {
-			return nil, err
-		}
-		return disEntry{dis: dis, stats: b.engine.LastStats}, nil
+		var ent disEntry
+		err := b.localSweep(ctx, func() (err error) {
+			ent.dis, ent.stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, nil)
+			return err
+		})
+		return ent, err
 	})
 	if err != nil {
 		return disEntry{}, false, err
@@ -590,15 +603,17 @@ func (b *Broker) entropyPrice(ctx context.Context, fn PricingFunc, qs []*exec.Qu
 			}
 			return priceEntry{price: p, stats: stats[0]}, nil
 		}
-		b.engineMu.Lock()
-		defer b.engineMu.Unlock()
-		b.refreshEngineLocked()
-		b.engine.LastStats = pricing.Stats{}
-		p, err := b.engine.PriceCtx(ctx, fn, qs...)
-		if err != nil {
+		var elems []uint64
+		var ent priceEntry
+		if err := b.localSweep(ctx, func() (err error) {
+			elems, _, ent.stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, nil)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		return priceEntry{price: p, stats: b.engine.LastStats}, nil
+		var err error
+		ent.price, err = b.engine.EntropyPriceFromHashes(fn, elems)
+		return ent, err
 	})
 	if err != nil {
 		return priceEntry{}, false, err
@@ -606,25 +621,24 @@ func (b *Broker) entropyPrice(ctx context.Context, fn PricingFunc, qs []*exec.Qu
 	return v.(priceEntry), cached, nil
 }
 
-// refreshEngineLocked rebuilds per-query engine state (disagreement
-// checkers, cached base hashes) after an external database mutation,
-// detected by movement of the summed table version counters. Callers hold
-// engineMu.
-func (b *Broker) refreshEngineLocked() {
-	var v uint64
-	for _, t := range b.db.Tables {
-		v += t.Version()
+// localSweep runs one local cold sweep in a slot of the sweep semaphore,
+// waiting for the slot under ctx (a cancelled wait returns ctx.Err()
+// without sweeping). The wait is timed as sweep_wait and the number of
+// sweeps in flight feeds the sweeps_inflight_max high-water mark. Before
+// sweeping it rebuilds the engine's per-query state if the database was
+// mutated externally. Callers hold mu.RLock and never hold a slot already.
+func (b *Broker) localSweep(ctx context.Context, sweep func() error) error {
+	start := time.Now()
+	select {
+	case b.sweepSlots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if v != b.dbVersion {
-		b.engine.InvalidateCache()
-		b.dbVersion = v
-	}
-}
-
-func (b *Broker) setLastStats(s pricing.Stats) {
-	b.statsMu.Lock()
-	b.lastStats = s
-	b.statsMu.Unlock()
+	b.obs.Observe("sweep_wait", time.Since(start))
+	b.obs.Counter("sweeps_inflight_max").Max(uint64(len(b.sweepSlots)))
+	defer func() { <-b.sweepSlots }()
+	b.engine.RefreshCache()
+	return sweep()
 }
 
 // quoteLocked prices a compiled bundle under fn, reporting the stats of
@@ -650,7 +664,6 @@ func (b *Broker) quoteKeyedLocked(ctx context.Context, fn PricingFunc, qs []*exe
 		if err != nil {
 			return 0, Stats{}, false, err
 		}
-		b.setLastStats(ent.stats)
 		// Summing the current weights over the cached bitmap is the exact
 		// summation the cold path performs — bit-identical, and correct
 		// across weight refits because the bitmap is weight-independent.
@@ -661,7 +674,6 @@ func (b *Broker) quoteKeyedLocked(ctx context.Context, fn PricingFunc, qs []*exe
 		if err != nil {
 			return 0, Stats{}, false, err
 		}
-		b.setLastStats(ent.stats)
 		return ent.price, ent.stats, cached, nil
 	}
 	return 0, Stats{}, false, fmt.Errorf("unknown pricing function %v", fn)
@@ -766,17 +778,8 @@ func NewBrokerFromSupport(db *Database, totalPrice float64, r io.Reader, opt Opt
 	if err != nil {
 		return nil, err
 	}
-	b := &Broker{db: db, fn: opt.Func, buyers: make(map[string]*buyerState),
-		seed: opt.Seed, opts: opt, total: totalPrice, qc: newQuoteCache(opt), obs: obs.New()}
-	if b.qc != nil {
-		b.qc.AttachObs(b.obs)
-	}
-	b.engine = pricing.NewEngine(db, set, totalPrice)
-	b.engine.Opts.FastPath = !opt.DisableFastPath
-	b.engine.Opts.Batching = !opt.DisableBatching
-	b.engine.Opts.Workers = opt.Workers
-	b.engine.Obs = b.obs
-	b.supportSum = set.Checksum()
+	b := newBroker(db, totalPrice, opt)
+	b.installEngine(set)
 	b.supportGen = 1
 	if opt.DataDir != "" {
 		if err := b.initDurability(opt.DataDir); err != nil {
@@ -886,15 +889,6 @@ func (b *Broker) SetWeights(w []float64) error {
 		return b.checkpointLocked()
 	}
 	return nil
-}
-
-// LastStats reports how the last pricing call was computed. A quote
-// served from the cache reports the stats of the cold computation that
-// populated the entry.
-func (b *Broker) LastStats() Stats {
-	b.statsMu.Lock()
-	defer b.statsMu.Unlock()
-	return b.lastStats
 }
 
 // QuoteCacheStats reports the quote cache's hit/miss/coalescing counters
