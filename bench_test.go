@@ -245,8 +245,9 @@ func BenchmarkAblationNaivePaths(b *testing.B) {
 }
 
 // BenchmarkParallelNaive measures the parallel-workers extension on the
-// naive path (entropy pricing must run the query on every element). The
-// worker count clamps to GOMAXPROCS, so single-core hosts show no gain.
+// naive path (with the fast path off, entropy pricing runs the query on
+// every element). The worker count clamps to GOMAXPROCS, so single-core
+// hosts show no gain.
 func BenchmarkParallelNaive(b *testing.B) {
 	f := worldFix(b, 400)
 	q := exec.MustCompile("SELECT Continent, count(*) FROM Country GROUP BY Continent", f.db.Schema)

@@ -317,14 +317,18 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr 
 			jr.nFull++
 		}
 	}
-	decide := func(i int, m, p [][]value.Value) {
+	decide := func(i int, m, p [][]value.Value) error {
 		switch {
 		case c.SPJ.IsAgg:
 			o, usedCand := c.aggDelta(gv, m, p)
-			if o == NeedFull {
-				jr.escalated = append(jr.escalated, i)
-			} else {
+			if o != NeedFull {
 				settle(i, o == Disagree, usedCand)
+			} else if same, err := c.unmoved(us[i]); err != nil {
+				return err
+			} else if same {
+				settle(i, false, false)
+			} else {
+				jr.escalated = append(jr.escalated, i)
 			}
 		case c.SPJ.Distinct:
 			settle(i, distinctFlips(mv, m, p), true)
@@ -333,6 +337,7 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr 
 		default:
 			settle(i, !equalMultiset(m, p), false)
 		}
+		return nil
 	}
 	var outMinus map[int64][][]value.Value
 	if j.compare {
@@ -345,7 +350,9 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr 
 		return jr, err
 	}
 	for _, i := range j.idxs {
-		decide(i, outMinus[int64(i)], outPlus[int64(i)])
+		if err := decide(i, outMinus[int64(i)], outPlus[int64(i)]); err != nil {
+			return jr, err
+		}
 	}
 	return jr, nil
 }

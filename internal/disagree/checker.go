@@ -245,6 +245,25 @@ func (c *Checker) Classify(u *support.Update) Outcome {
 	return c.classify(u, &plus)
 }
 
+// StaticAgree reports whether every checker of cs classifies u as a static
+// Agree, building u⁺ at most once for all of them. A static Agree means
+// the update hits no relation of the query, or its old rows contributed
+// nothing and every new row fails a single-relation conjunct at every
+// occurrence. Either way the query combines the same contributing rows in
+// the same order on u(D) as on D, so its output, floats and Result.Hash
+// included, is bit-identical. Agreement decided by the delta tiers carries
+// no such guarantee: it nets contributions arithmetically, while exec
+// re-sums floats in row order.
+func StaticAgree(cs []*Checker, u *support.Update) bool {
+	var plus [][]value.Value
+	for _, c := range cs {
+		if c.classify(u, &plus) != Agree {
+			return false
+		}
+	}
+	return true
+}
+
 // classify is Classify with the update's u⁺ tuples held in a caller-owned
 // slot: the first satisfiability check that needs them fills *plus, every
 // later one — of this or of another checker of the same sweep — reuses it,
@@ -490,7 +509,32 @@ func (c *Checker) decide(u *support.Update, compare bool) (dis, esc, partial boo
 	case Disagree:
 		return true, false, multi || usedCand, nil
 	}
+	if same, err := c.unmoved(u); err != nil || same {
+		return false, false, false, err
+	}
 	return false, true, false, nil
+}
+
+// unmoved reports whether u leaves every row it touches contributing to a
+// single-source aggregate query exactly what the row contributed before.
+// The scan meets each row at its own position, so the groups then fold the
+// same inputs in the same order and the output is bit-identical, floats
+// included. It is the cheap exact answer, one delta run per touched row,
+// for what aggDelta's netting leaves undecided, such as a swap of rows
+// whose read columns are equal or a row update of columns Q never reads.
+func (c *Checker) unmoved(u *support.Update) (bool, error) {
+	q := c.unrolledQ
+	if q == nil || len(c.SPJ.RelOfSource) != 1 || q.DeltaTier(u.Rel) == analyze.DeltaNone {
+		return false, nil
+	}
+	minus, plus := u.MinusRows(c.db), u.PlusRows(c.db)
+	for k := range minus {
+		m, p, err := q.RunDelta(c.db, u.Rel, minus[k:k+1], plus[k:k+1])
+		if err != nil || !equalMultiset(m, p) {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // distinctFlips nets the core-row correction terms against the base
@@ -576,14 +620,21 @@ type deltaAcc struct {
 	addSum, remSum   []float64
 	addVals          [][]value.Value // per agg, added values (MIN/MAX)
 	remVals          [][]value.Value
+	// floats marks the SUM/AVG aggregates that saw a float value added or
+	// removed. Exec sums floats in row order, so a float net of exactly
+	// zero may still be a reordering that moves the result's last bit;
+	// integer sums are exact in any order.
+	floats []bool
 }
 
 // aggDelta decides whether applying an update whose removed contributions
 // are minus and added contributions are plus (rows of the unrolled query)
 // changes the aggregation output, given the maintained group view of the
-// base state. It is exact except for floating-point borderline cases,
-// inconsistencies between the correction terms and the view (possible
-// only through overshooting self-join terms), and — without candidate
+// base state. It is exact except for floating-point borderline cases
+// (including float SUM/AVG inputs that move but net to zero: exec re-sums
+// them in row order, which can change the last bit), inconsistencies
+// between the correction terms and the view (possible only through
+// overshooting self-join terms), and — without candidate
 // multisets — extremum removals; those return NeedFull. usedCand reports
 // whether a candidate multiset resolved an extremum removal (the partial
 // tier).
@@ -597,7 +648,8 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 		if d == nil {
 			d = &deltaAcc{addN: make([]int64, na), remN: make([]int64, na),
 				addSum: make([]float64, na), remSum: make([]float64, na),
-				addVals: make([][]value.Value, na), remVals: make([][]value.Value, na)}
+				addVals: make([][]value.Value, na), remVals: make([][]value.Value, na),
+				floats: make([]bool, na)}
 			deltas[k] = d
 			order = append(order, k)
 		}
@@ -615,6 +667,7 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 			switch ag.Fn.Name {
 			case "SUM", "AVG":
 				d.remSum[j] += v.AsFloat()
+				d.floats[j] = d.floats[j] || v.K == value.KindFloat
 			case "MIN", "MAX":
 				d.remVals[j] = append(d.remVals[j], v)
 			}
@@ -632,6 +685,7 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 			switch ag.Fn.Name {
 			case "SUM", "AVG":
 				d.addSum[j] += v.AsFloat()
+				d.floats[j] = d.floats[j] || v.K == value.KindFloat
 			case "MIN", "MAX":
 				d.addVals[j] = append(d.addVals[j], v)
 			}
@@ -679,6 +733,7 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 				}
 				ds := d.addSum[j] - d.remSum[j]
 				if ds == 0 {
+					uncertain = uncertain || d.floats[j] // moved floats may re-sum differently
 					continue
 				}
 				scale := math.Abs(st.Sum[j]) + math.Abs(d.addSum[j]) + math.Abs(d.remSum[j]) + 1
@@ -698,8 +753,10 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 				if math.Abs(newAvg-oldAvg) > floatEps*(1+math.Abs(oldAvg)) {
 					return Disagree, usedCand
 				}
-				if dn != 0 || d.addSum[j]-d.remSum[j] != 0 {
-					uncertain = true // count/sum moved but mean may be equal
+				if dn != 0 || d.addSum[j]-d.remSum[j] != 0 || d.floats[j] {
+					// Count/sum moved but the mean may be equal, or floats
+					// moved and may re-sum to a different last bit.
+					uncertain = true
 				}
 			case "MIN":
 				o, uc := extremumDelta(st.Min[j], d.addVals[j], d.remVals[j], -1, candOf(st, j))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"qirana/internal/result"
 	"qirana/internal/schema"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
@@ -17,13 +18,25 @@ import (
 // testDB builds a small random two-relation database (orders referencing
 // customers) for differential testing.
 func testDB(seed int64, nCust, nOrd int) *storage.Database {
+	return custOrdDB(seed, nCust, nOrd, nil)
+}
+
+// custOrdDB is testDB, optionally with a trailing float column Cust.bal
+// whose values are drawn from bals by a second generator, so the other
+// columns are the same with or without it.
+func custOrdDB(seed int64, nCust, nOrd int, bals []float64) *storage.Database {
 	rng := rand.New(rand.NewSource(seed))
-	cust := schema.MustRelation("Cust", []schema.Attribute{
+	balRng := rand.New(rand.NewSource(seed + 1))
+	custAttrs := []schema.Attribute{
 		{Name: "cid", Type: value.KindInt},
 		{Name: "city", Type: value.KindString},
 		{Name: "tier", Type: value.KindInt},
 		{Name: "score", Type: value.KindInt},
-	}, []int{0})
+	}
+	if bals != nil {
+		custAttrs = append(custAttrs, schema.Attribute{Name: "bal", Type: value.KindFloat})
+	}
+	cust := schema.MustRelation("Cust", custAttrs, []int{0})
 	ord := schema.MustRelation("Ord", []schema.Attribute{
 		{Name: "oid", Type: value.KindInt},
 		{Name: "cid", Type: value.KindInt},
@@ -34,12 +47,16 @@ func testDB(seed int64, nCust, nOrd int) *storage.Database {
 	cities := []string{"ny", "sf", "la", "chi"}
 	statuses := []string{"open", "shipped", "lost"}
 	for i := 0; i < nCust; i++ {
-		db.Table("Cust").MustAppend([]value.Value{
+		row := []value.Value{
 			value.NewInt(int64(i)),
 			value.NewString(cities[rng.Intn(len(cities))]),
 			value.NewInt(int64(rng.Intn(3))),
 			value.NewInt(int64(rng.Intn(50))),
-		})
+		}
+		if bals != nil {
+			row = append(row, value.NewFloat(bals[balRng.Intn(len(bals))]))
+		}
+		db.Table("Cust").MustAppend(row)
 	}
 	for i := 0; i < nOrd; i++ {
 		db.Table("Ord").MustAppend([]value.Value{
@@ -93,17 +110,24 @@ var fastPathQueries = []string{
 // naiveDisagree is the ground truth: apply the update, re-run, compare.
 func naiveDisagree(t *testing.T, q *exec.Query, db *storage.Database, u *support.Update) bool {
 	t.Helper()
+	base, after := rerun(t, q, db, u)
+	return !base.Equal(after)
+}
+
+// rerun returns q's output on db and on db with u applied in place.
+func rerun(t *testing.T, q *exec.Query, db *storage.Database, u *support.Update) (base, after *result.Result) {
+	t.Helper()
 	base, err := q.Run(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u.Apply(db)
-	res, err := q.Run(db)
+	after, err = q.Run(db)
 	u.Undo(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return !base.Equal(res)
+	return base, after
 }
 
 func TestDifferentialFastPath(t *testing.T) {

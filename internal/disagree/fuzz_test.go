@@ -8,16 +8,24 @@ import (
 	"qirana/internal/value"
 )
 
+// fuzzBals are Cust.bal's values in FuzzDeltaTiers: binary fractions
+// whose float sums depend on the order they are added in.
+var fuzzBals = []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.5}
+
 // FuzzDeltaTiers is the coverage-guided twin of the differential tests: it
-// synthesizes single-row ± updates from fuzz input (relation, row, column,
-// new value) and checks that the tiered checker — first-order deltas,
-// multiplicity views, candidate views, higher-order self-join expansion —
-// answers identically to the full re-run ground truth on a query catalog
-// spanning every tier. The fuzzer owns the input space, so it explores
-// update shapes the generated support sets never produce (no-op writes,
-// value collisions, repeated extremum duplicates).
+// synthesizes single-row ± updates and two-row swaps from fuzz input
+// (relation, rows, columns, new value) and checks that the tiered checker
+// — first-order deltas, multiplicity views, candidate views, higher-order
+// self-join expansion — answers identically to the full re-run ground
+// truth on a query catalog spanning every tier, float SUM/AVG included.
+// Where the query's checker classifies the update as a static Agree, the
+// re-run's Result.Hash must also equal the base hash bit for bit: entropy
+// pricing hands such elements the base hash without running them. The
+// fuzzer owns the input space, so it explores update shapes the generated
+// support sets never produce (no-op writes, value collisions, repeated
+// extremum duplicates, swaps that reorder float contributions).
 func FuzzDeltaTiers(f *testing.F) {
-	db := testDB(99, 25, 60)
+	db := custOrdDB(99, 25, 60, fuzzBals)
 	queries := []string{
 		"SELECT city, tier FROM Cust WHERE score > 25",
 		"SELECT C.city, O.amount FROM Cust C, Ord O WHERE C.cid = O.cid",
@@ -27,6 +35,9 @@ func FuzzDeltaTiers(f *testing.F) {
 		"SELECT city, min(score), max(score) FROM Cust GROUP BY city",
 		"SELECT min(score), max(score) FROM Cust",
 		"SELECT a.city, max(b.score) FROM Cust a, Cust b WHERE a.tier = b.tier GROUP BY a.city",
+		"SELECT city, count(*), avg(bal) FROM Cust WHERE score > 10 GROUP BY city",
+		"SELECT tier, sum(bal) FROM Cust GROUP BY tier",
+		"SELECT C.city, sum(C.bal), avg(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city",
 	}
 	checkers := make([]*Checker, len(queries))
 	qs := make([]*exec.Query, len(queries))
@@ -41,34 +52,63 @@ func FuzzDeltaTiers(f *testing.F) {
 	cities := []string{"ny", "sf", "la", "chi", "zz"}
 	statuses := []string{"open", "shipped", "lost", "new"}
 
-	f.Add(uint8(0), false, uint16(0), uint8(1), int64(7))
-	f.Add(uint8(2), false, uint16(3), uint8(1), int64(0))
-	f.Add(uint8(4), false, uint16(9), uint8(3), int64(49))
-	f.Add(uint8(5), true, uint16(2), uint8(2), int64(12))
-	f.Add(uint8(7), false, uint16(17), uint8(3), int64(-3))
+	f.Add(uint8(0), false, uint16(0), uint8(1), int64(7), false, uint16(0))
+	f.Add(uint8(2), false, uint16(3), uint8(1), int64(0), false, uint16(0))
+	f.Add(uint8(4), false, uint16(9), uint8(3), int64(49), false, uint16(0))
+	f.Add(uint8(5), true, uint16(2), uint8(2), int64(12), false, uint16(0))
+	f.Add(uint8(7), false, uint16(17), uint8(3), int64(-3), false, uint16(0))
+	// Swaps of (city, bal) between two contributing rows: each group keeps
+	// its multiset of bal values in a new row order, and the float SUM/AVG
+	// re-sums to a different last bit (the delta tiers once said Agree).
+	f.Add(uint8(8), false, uint16(0), uint8(0x9), int64(0), true, uint16(22))
+	f.Add(uint8(9), false, uint16(0), uint8(0x9), int64(0), true, uint16(15))
+	f.Add(uint8(10), false, uint16(10), uint8(0x9), int64(0), true, uint16(21))
+	f.Add(uint8(1), true, uint16(5), uint8(0x3), int64(0), true, uint16(40))
 
-	f.Fuzz(func(t *testing.T, qPick uint8, onOrd bool, row uint16, attr uint8, nv int64) {
-		rel := "Cust"
+	f.Fuzz(func(t *testing.T, qPick uint8, onOrd bool, row uint16, attr uint8, nv int64, swap bool, row2 uint16) {
+		rel, ncols := "Cust", 4
 		if onOrd {
-			rel = "Ord"
+			rel, ncols = "Ord", 3
 		}
 		tbl := db.Table(rel)
 		ri := int(row) % tbl.Len()
-		ai := 1 + int(attr)%3 // never touch the PK column
-		var newVal value.Value
-		switch {
-		case rel == "Cust" && ai == 1:
-			newVal = value.NewString(cities[int(uint64(nv)%uint64(len(cities)))])
-		case rel == "Ord" && ai == 3:
-			newVal = value.NewString(statuses[int(uint64(nv)%uint64(len(statuses)))])
-		case rel == "Ord" && ai == 1:
-			newVal = value.NewInt(nv % 25) // keep cid joinable
-		default:
-			newVal = value.NewInt(nv % 100)
+		var u *support.Update
+		if r2 := int(row2) % tbl.Len(); swap && r2 != ri {
+			// A swap exchanges the columns whose bits are set in attr (one
+			// column when none is), as the support generator's swaps do.
+			u = &support.Update{Rel: rel, Swap: true, Row1: ri, Row2: r2}
+			for c := 0; c < ncols; c++ {
+				if attr&(1<<c) != 0 {
+					u.Attrs = append(u.Attrs, 1+c)
+				}
+			}
+			if len(u.Attrs) == 0 {
+				u.Attrs = []int{1 + int(attr)%ncols}
+			}
+			for _, a := range u.Attrs {
+				v1, v2 := tbl.Get(ri, a), tbl.Get(r2, a)
+				u.Old1, u.New1 = append(u.Old1, v1), append(u.New1, v2)
+				u.Old2, u.New2 = append(u.Old2, v2), append(u.New2, v1)
+			}
+		} else {
+			ai := 1 + int(attr)%ncols // never touch the PK column
+			var newVal value.Value
+			switch {
+			case rel == "Cust" && ai == 1:
+				newVal = value.NewString(cities[int(uint64(nv)%uint64(len(cities)))])
+			case rel == "Cust" && ai == 4:
+				newVal = value.NewFloat(fuzzBals[int(uint64(nv)%uint64(len(fuzzBals)))])
+			case rel == "Ord" && ai == 3:
+				newVal = value.NewString(statuses[int(uint64(nv)%uint64(len(statuses)))])
+			case rel == "Ord" && ai == 1:
+				newVal = value.NewInt(nv % 25) // keep cid joinable
+			default:
+				newVal = value.NewInt(nv % 100)
+			}
+			u = &support.Update{Rel: rel, Row1: ri, Attrs: []int{ai},
+				Old1: []value.Value{tbl.Get(ri, ai)},
+				New1: []value.Value{newVal}}
 		}
-		u := &support.Update{Rel: rel, Row1: ri, Attrs: []int{ai},
-			Old1: []value.Value{tbl.Get(ri, ai)},
-			New1: []value.Value{newVal}}
 		k := int(qPick) % len(checkers)
 		got, _, err := checkers[k].Check(u)
 		if err != nil {
@@ -76,6 +116,11 @@ func FuzzDeltaTiers(f *testing.F) {
 		}
 		if want := naiveDisagree(t, qs[k], db, u); got != want {
 			t.Fatalf("%q / %+v: tiered says %v, full re-run says %v", queries[k], u, got, want)
+		}
+		if StaticAgree(checkers[k:k+1], u) {
+			if base, after := rerun(t, qs[k], db, u); base.Hash() != after.Hash() {
+				t.Fatalf("%q / %+v: static Agree, but the re-run's hash %x differs from the base hash %x", queries[k], u, after.Hash(), base.Hash())
+			}
 		}
 	})
 }

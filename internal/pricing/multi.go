@@ -37,7 +37,7 @@ func (e *Engine) DisagreementsMultiLiveCtx(ctx context.Context, qs []*exec.Query
 	var batched []*disagree.Checker // in qs order; their results[j] stay nil until the sweep
 	var naive []*exec.Query
 	for j, q := range qs {
-		c := e.checker(q)
+		c := e.checker(q, true)
 		if c == nil {
 			results[j] = make([]bool, e.Set.Size())
 			if e.Opts.InstanceReduction && e.Set.Updates != nil {
@@ -128,7 +128,7 @@ func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query,
 	for j := range elems {
 		elems[j] = make([]uint64, e.Set.Size())
 	}
-	bases, n, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) {
+	bases, static, naive, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) {
 		for j := range hs {
 			elems[j][i] = combine(hs[j : j+1])
 		}
@@ -139,7 +139,7 @@ func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query,
 	stats := make([]Stats, len(qs))
 	for j := range bases {
 		bases[j] = combine(bases[j : j+1])
-		stats[j].Naive = n
+		stats[j] = Stats{Static: static, Naive: naive}
 	}
 	return elems, bases, stats, nil
 }

@@ -196,7 +196,7 @@ func TestMultiMixedUnderDisjointMasks(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			// Each sweep gets a cold engine: Stats never depend on cache
 			// state, but this keeps the three runs symmetric.
-			sweep := func(live []bool) (*Engine, [][]bool, []Stats, [][]uint64, int) {
+			sweep := func(live []bool) (*Engine, [][]bool, []Stats, [][]uint64, Stats) {
 				e := newEngine(t, benchDB(21, 110), 140, 100)
 				e.Opts.Workers = workers
 				mode(&e.Opts)
@@ -209,20 +209,20 @@ func TestMultiMixedUnderDisjointMasks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				naive := 0
+				var hsum Stats
 				for _, s := range hstats {
-					naive += s.Naive
+					hsum.Add(s)
 				}
-				return e, dis, stats, elems, naive
+				return e, dis, stats, elems, hsum
 			}
-			e, full, fullStats, fullElems, fullNaive := sweep(nil)
+			e, full, fullStats, fullElems, fullH := sweep(nil)
 			lo, hi := make([]bool, e.Set.Size()), make([]bool, e.Set.Size())
 			for i := range lo {
 				lo[i] = i%3 == 1
 				hi[i] = !lo[i]
 			}
-			_, disLo, statsLo, elemsLo, naiveLo := sweep(lo)
-			_, disHi, statsHi, elemsHi, naiveHi := sweep(hi)
+			_, disLo, statsLo, elemsLo, hLo := sweep(lo)
+			_, disHi, statsHi, elemsHi, hHi := sweep(hi)
 
 			fast := 0
 			for j, q := range compileAll(t, e, mixedTestQueries) {
@@ -251,8 +251,11 @@ func TestMultiMixedUnderDisjointMasks(t *testing.T) {
 					fast++
 				}
 			}
-			if naiveLo+naiveHi != fullNaive || fullNaive != e.Set.Size()*len(mixedTestQueries) {
-				t.Errorf("%s workers=%d: hash sweeps ran %d + %d elements, unmasked %d", name, workers, naiveLo, naiveHi, fullNaive)
+			// Every live (element, query) pair of a hash sweep counts once,
+			// as Static (skipped) or Naive (re-executed).
+			hLo.Add(hHi)
+			if hLo != fullH || fullH.Static+fullH.Naive != e.Set.Size()*len(mixedTestQueries) {
+				t.Errorf("%s workers=%d: hash sweep stats %+v over the masks, %+v unmasked", name, workers, hLo, fullH)
 			}
 			if wantFast := map[string]int{"batched": 5, "unbatched": 5, "reduced": 0}[name]; fast != wantFast {
 				t.Errorf("%s workers=%d: %d queries took the fast path, want %d", name, workers, fast, wantFast)

@@ -8,7 +8,9 @@
 // Q(D_i) ≠ Q(D). The weighted coverage and uniform entropy gain functions
 // need only this disagreement bit (and can therefore use the optimized
 // checker); the Shannon and Tsallis entropy functions need the full
-// partition of S by output and always execute the query per element.
+// partition of S by output. They execute the query on every element
+// except those on which the checker's static classification proves the
+// output unchanged: those take Q(D)'s hash without running the query.
 package pricing
 
 import (
@@ -224,9 +226,12 @@ type checkerRegistry struct {
 	dbVersion uint64
 }
 
-// checker returns (and caches) the disagreement checker for q, or nil when
-// q is outside the fast path.
-func (e *Engine) checker(q *exec.Query) *disagree.Checker {
+// checker returns the disagreement checker for q, or nil when q is outside
+// the fast path. A checker it has to build is cached only when keep is
+// set: the entropy sweep, which needs just the static classification,
+// reuses a cached checker but does not pin a new one — with its query's
+// execution caches — in the registry.
+func (e *Engine) checker(q *exec.Query, keep bool) *disagree.Checker {
 	if !e.Opts.FastPath || e.Set.Updates == nil {
 		return nil
 	}
@@ -244,6 +249,9 @@ func (e *Engine) checker(q *exec.Query) *disagree.Checker {
 	c, err := build(q, e.DB) // nil when q is outside the fast path
 	if err == nil {
 		c.Obs = e.Obs
+	}
+	if !keep {
+		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -506,27 +514,84 @@ func (e *Engine) OutputHashesCtx(ctx context.Context, qs []*exec.Query) (elems [
 
 // OutputHashesLiveCtx is OutputHashesCtx restricted to the live elements
 // (nil live = all), returning the call's Stats. Skipped elements keep a
-// zero hash, and only the live ones count toward Stats.Naive, so the
-// stats of disjoint covering masks sum exactly to one full sweep's — the
-// invariant the sharded cluster's fold relies on. Each live element's
-// hash is computed by the identical code against the identical inputs, so
+// zero hash, and only the live ones count toward Stats — each live
+// (element, query) pair exactly once, as Static or Naive — so the stats of
+// disjoint covering masks sum exactly to one full sweep's, the invariant
+// the sharded cluster's fold relies on. Each live element's hash is
+// computed by the identical code against the identical inputs, so
 // elems[i] is bit-identical to the full sweep's for every live i.
 func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]uint64, uint64, Stats, error) {
 	elems := make([]uint64, e.Set.Size())
-	bases, n, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) { elems[i] = combine(hs) })
+	bases, static, naive, err := e.entropySweep(ctx, qs, live, func(i int, hs, _ []uint64) { elems[i] = combine(hs) })
 	if err != nil {
 		return nil, 0, Stats{}, err
 	}
-	return elems, combine(bases), Stats{Naive: n * len(qs)}, nil
+	return elems, combine(bases), Stats{Static: static * len(qs), Naive: naive * len(qs)}, nil
 }
 
 // entropySweep is the sweep behind both output-hash forms: visit receives
 // every live element's raw per-query hashes — the bundle form combines all
 // of them into one hash, the independent form each one on its own — and
-// the raw base hashes come back with the number of live elements swept.
-func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) ([]uint64, int, error) {
+// the raw base hashes come back with the number of live elements decided
+// statically and by re-execution.
+//
+// An element on which every query's checker returns a static Agree
+// (disagree.StaticAgree) is not re-executed: each query combines the same
+// contributing rows in the same order on it as on D, so its output hashes
+// are the base hashes bit for bit, and visit receives hs = bases. Only the other live
+// elements go through the overlay pass. When some query has no checker
+// (fast path off, or a shape outside it) every live element is re-executed.
+func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool, visit func(i int, hs, bases []uint64)) (bases []uint64, static, naive int, err error) {
 	defer e.Obs.Timer("stage_entropy")()
-	return e.sweepElements(ctx, qs, live, visit)
+	agree, err := e.staticAgree(ctx, qs, live)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	rerun := live
+	if agree != nil {
+		rerun = make([]bool, len(agree))
+		for i, a := range agree {
+			if a {
+				static++
+			} else {
+				rerun[i] = live == nil || live[i]
+			}
+		}
+	}
+	if bases, naive, err = e.sweepElements(ctx, qs, rerun, visit); err != nil {
+		return nil, 0, 0, err
+	}
+	for i, a := range agree {
+		if a {
+			visit(i, bases, bases)
+		}
+	}
+	return bases, static, naive, nil
+}
+
+// staticAgree marks the live elements (nil live = all) on which every
+// query of qs has a checker that returns a static Agree. It returns nil
+// when some query has no checker or the support set holds no updates.
+func (e *Engine) staticAgree(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, error) {
+	if e.Set.Updates == nil {
+		return nil, nil
+	}
+	cs := make([]*disagree.Checker, len(qs))
+	for j, q := range qs {
+		if cs[j] = e.checker(q, false); cs[j] == nil {
+			return nil, nil
+		}
+	}
+	us := e.Set.Updates
+	agree := make([]bool, len(us))
+	err := pool.RunCtx(ctx, e.parallelWorkers(), len(us), func(i int) error {
+		agree[i] = (live == nil || live[i]) && disagree.StaticAgree(cs, us[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return agree, nil
 }
 
 func combine(hs []uint64) uint64 {
