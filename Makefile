@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build bench-build test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare serve cluster
+.PHONY: all build bench-build test race bench json-bench vet lint lint-dup lint-quote-path fuzz crash chaos bench-compare serve cluster
 
 all: build vet test
 
@@ -28,7 +28,7 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-vet: lint-dup
+vet: lint-dup lint-quote-path
 	$(GO) vet ./...
 
 # The lowercase-name helper lives in internal/sqlengine/ast (LowerName);
@@ -37,6 +37,19 @@ vet: lint-dup
 lint-dup:
 	@if grep -rn 'func lower(' internal/disagree internal/sqlengine/exec internal/sqlengine/plan --include='*.go'; then \
 		echo 'duplicate lower() helper: use ast.LowerName'; exit 1; fi
+
+# Every quote mode is one sweep, one fold and one cache key (DESIGN.md
+# §7, "One quote path"). Fail if a non-test root-package file other than
+# sweep.go calls an engine sweep entry point, an engine fold or a
+# RemoteSweeper/DegradedSweeper method, or if a file other than key.go
+# spells a cache-key prefix literal.
+QUOTE_FILES = $(filter-out %_test.go,$(wildcard *.go))
+lint-quote-path:
+	@if grep -nE '\.((Disagreements|OutputHashes)(Multi)?LiveCtx|Sweep(Bits|Hashes)(Degraded)?|PriceFromDisagreements|EntropyPriceFromHashes|EstimateFromSampled(Disagreements|Hashes))\(' \
+		$(filter-out sweep.go,$(QUOTE_FILES)); then \
+		echo 'quote path: only Broker.sweep and Broker.fold (sweep.go) call the sweeps and folds'; exit 1; fi
+	@if grep -nE '"(d|td|e|te|a|ss|sh)\|' $(filter-out key.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'quote path: only Broker.key (key.go) renders cache keys'; exit 1; fi
 
 # staticcheck runs when installed; locally without it the target degrades
 # to lint-dup (CI installs and runs it).

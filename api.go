@@ -169,90 +169,76 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 		maxErr = floor
 	}
 
+	if fn < WeightedCoverage || fn > QEntropy {
+		return nil, fmt.Errorf("unknown pricing function %v", fn)
+	}
+
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-
 	if req.Bundle || len(qs) == 1 {
-		var info QuoteInfo
-		if maxErr > 0 {
-			info, err = b.approxQuoteLocked(ctx, fn, qs, maxErr)
-		} else {
-			info.Price, info.Stats, info.Cached, err = b.quoteLocked(ctx, fn, qs)
-		}
+		info, err := b.quote(ctx, fn, qs, maxErr, false)
 		if err != nil {
-			// A shard outage past the retry budget degrades instead of
-			// failing: the dead slices are priced at their upper bound
-			// and the quote carries degraded provenance (degraded.go).
-			if !b.canDegrade(ctx, err) {
-				return nil, err
-			}
-			info, err = b.degradedQuoteLocked(ctx, fn, qs, maxErr)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &PriceResponse{
-			Prices:   []float64{info.Price},
-			Total:    info.Price,
-			Stats:    info.Stats,
-			PerQuery: []QuoteInfo{info},
-		}, nil
-	}
-
-	if maxErr > 0 {
-		// Approximate batches price each query through the solo sampled
-		// path: per-query "a|" entries must exist for refinement and
-		// purchase reconciliation, and the sampled sweep is already a
-		// fraction of the full one, so the shared-sweep saving matters
-		// far less than on the exact path.
-		resp = &PriceResponse{Prices: make([]float64, len(qs)), PerQuery: make([]QuoteInfo, len(qs))}
-		for j := range qs {
-			info, err := b.approxQuoteLocked(ctx, fn, qs[j:j+1], maxErr)
-			if err != nil {
-				if !b.canDegrade(ctx, err) {
-					return nil, err
-				}
-				info, err = b.degradedQuoteLocked(ctx, fn, qs[j:j+1], maxErr)
-				if err != nil {
-					return nil, err
-				}
-			}
-			resp.Prices[j] = info.Price
-			resp.Total += info.Price
-			resp.PerQuery[j] = info
-			resp.Stats.Add(info.Stats)
-		}
-		return resp, nil
-	}
-
-	prices, stats, cached, err := b.priceBatchLocked(ctx, fn, qs)
-	if err != nil {
-		if !b.canDegrade(ctx, err) {
 			return nil, err
 		}
-		// Degraded batches fall back to per-query quotes: each query
-		// needs its own "a|" entry so each settles exact independently
-		// at purchase, same as the approximate batch path above.
-		resp = &PriceResponse{Prices: make([]float64, len(qs)), PerQuery: make([]QuoteInfo, len(qs))}
-		for j := range qs {
-			info, derr := b.degradedQuoteLocked(ctx, fn, qs[j:j+1], 0)
-			if derr != nil {
-				return nil, derr
-			}
-			resp.Prices[j] = info.Price
-			resp.Total += info.Price
-			resp.PerQuery[j] = info
-			resp.Stats.Add(info.Stats)
+		return respond([]QuoteInfo{info}), nil
+	}
+	// Exact batches price every miss in one shared sweep. Approximate
+	// batches, and exact ones whose shared sweep met a shard outage,
+	// price each query through the solo path: each query needs its own
+	// "a|" entry for refinement and purchase reconciliation, and a sampled
+	// sweep is already a fraction of the full one.
+	degraded := false
+	if maxErr == 0 {
+		resp, err := b.priceBatchLocked(ctx, fn, qs)
+		if err == nil || !b.canDegrade(ctx, err) {
+			return resp, err
 		}
-		return resp, nil
+		degraded = true
 	}
-	resp = &PriceResponse{Prices: prices, PerQuery: make([]QuoteInfo, len(qs))}
+	infos := make([]QuoteInfo, len(qs))
 	for j := range qs {
-		resp.Total += prices[j]
-		resp.PerQuery[j] = QuoteInfo{Price: prices[j], Stats: stats[j], Cached: cached[j]}
-		resp.Stats.Add(stats[j])
+		if infos[j], err = b.quote(ctx, fn, qs[j:j+1], maxErr, degraded); err != nil {
+			return nil, err
+		}
 	}
-	return resp, nil
+	return respond(infos), nil
+}
+
+// quote prices qs as one bundle under fn: exactly when maxErr is 0 (or
+// its sample would cover the whole set), from a sample sized by maxErr
+// otherwise (approx.go). With degraded set — or when the sweep fails on
+// a shard outage — the slices a partial fan-out could not reach are
+// priced at their upper bound instead (degraded.go). Callers hold
+// mu.RLock.
+func (b *Broker) quote(ctx context.Context, fn PricingFunc, qs []*exec.Query, maxErr float64, degraded bool) (QuoteInfo, error) {
+	if degraded {
+		return b.estimate(ctx, fn, qs, maxErr, 1, true)
+	}
+	n := b.engine.Set.Size()
+	var info QuoteInfo
+	var err error
+	if frac := fracForMaxError(maxErr, n); frac < 1 {
+		info, err = b.estimate(ctx, fn, qs, maxErr, frac, false)
+	} else if info, err = b.exact(ctx, quoteKey{fn: fn, qs: qs}); err == nil && maxErr > 0 {
+		// The requested precision needs (nearly) the whole set: the
+		// exact path is both cheaper to cache and strictly better.
+		info.Estimate = &EstimateInfo{Approx: true, Point: info.Price, SampleFrac: 1, SampleN: n, MaxError: maxErr, Refined: true}
+	}
+	if err != nil && b.canDegrade(ctx, err) {
+		return b.quote(ctx, fn, qs, maxErr, true)
+	}
+	return info, err
+}
+
+// respond assembles a response from its priced entries.
+func respond(infos []QuoteInfo) *PriceResponse {
+	resp := &PriceResponse{Prices: make([]float64, len(infos)), PerQuery: infos}
+	for j, info := range infos {
+		resp.Prices[j] = info.Price
+		resp.Total += info.Price
+		resp.Stats.Add(info.Stats)
+	}
+	return resp
 }
 
 // Purchase runs the query for the buyer and applies the incremental
@@ -278,15 +264,17 @@ func (b *Broker) Purchase(ctx context.Context, req PurchaseRequest) (rec *Receip
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.purchaseLocked(ctx, req, q, b.disKey([]*exec.Query{q}))
+	return b.purchaseLocked(ctx, req, q, quoteKey{fn: WeightedCoverage, qs: []*exec.Query{q}})
 }
 
 // purchaseLocked runs the compiled query, prices it under the given
-// disagreement-bitmap cache key, and commits the history-aware charge.
+// disagreement-bitmap key k (a coverage key: the charge folds the
+// bitmap whatever the broker's pricing function), and commits the
+// history-aware charge.
 // It is the shared back half of Purchase and Stmt.Purchase (which enters
 // with a bound query and a precomputed template key). Callers hold
 // mu.RLock; q must be placeholder-free.
-func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exec.Query, disK string) (rec *Receipt, err error) {
+func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exec.Query, k quoteKey) (rec *Receipt, err error) {
 	if b.readOnly {
 		return nil, ErrReadOnly
 	}
@@ -294,7 +282,7 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 	if err != nil {
 		return nil, err
 	}
-	ent, cached, err := b.disagreements(ctx, []*exec.Query{q}, disK)
+	ent, cached, err := b.exactEntry(ctx, k)
 	if err != nil {
 		return nil, err
 	}
@@ -310,13 +298,14 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 	// (refining it for later quotes) and the over-estimate is reported.
 	// Only the bitmap-derivable functions have an exact quote derivable
 	// here; entropy-priced brokers reconcile through the refiner alone.
-	// The charge below is computed from ent.dis exactly as on a broker
+	// The charge below is computed from ent.bits exactly as on a broker
 	// that never served an estimate — Quoted/ReconcileDelta never touch
 	// the money fold.
 	var quoted, reconcileDelta float64
-	if b.fn == WeightedCoverage || b.fn == UniformEntropyGain {
-		if exactQuote, err := b.engine.PriceFromDisagreements(b.fn, ent.dis); err == nil {
-			if prior, wasApprox := b.markRefined(b.fn, []*exec.Query{q}, exactQuote); wasApprox {
+	if !hashed(b.fn) {
+		if est, err := b.fold(b.fn, ent, nil); err == nil {
+			exactQuote := est.Price
+			if prior, wasApprox := b.markRefined(b.fn, k.qs, exactQuote); wasApprox {
 				quoted = prior
 				if d := prior - exactQuote; d > 0 {
 					reconcileDelta = d
@@ -335,15 +324,15 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 	// committed unconditionally — recovery replays it even if the
 	// process dies before the next line runs.
 	if b.dur != nil {
-		if err := b.logPurchase(req, q, ent.dis, bs.h, quoted, reconcileDelta); err != nil {
+		if err := b.logPurchase(req, q, ent.bits, bs.h, quoted, reconcileDelta); err != nil {
 			return nil, err
 		}
 	}
 	rec = &Receipt{Result: res, Cached: cached, Quoted: quoted, ReconcileDelta: reconcileDelta}
 	if req.Refund {
-		rec.Gross, rec.Refund, err = b.engine.RefundFromDisagreements(bs.h, ent.dis, q.SQL)
+		rec.Gross, rec.Refund, err = b.engine.RefundFromDisagreements(bs.h, ent.bits, q.SQL)
 	} else {
-		rec.Gross, err = b.engine.ChargeFromDisagreements(bs.h, ent.dis, q.SQL)
+		rec.Gross, err = b.engine.ChargeFromDisagreements(bs.h, ent.bits, q.SQL)
 	}
 	if err != nil {
 		return nil, err
@@ -370,97 +359,27 @@ func (b *Broker) compileAll(sqls []string) ([]*exec.Query, error) {
 	return qs, nil
 }
 
-// priceBatchLocked prices k independent queries in one shared sweep with
-// per-entry cache provenance. Callers hold mu.RLock.
-func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query) ([]float64, []Stats, []bool, error) {
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		entries, cached, err := batchEntries(ctx, b, qs, b.disKey,
-			func(ctx context.Context, miss []*exec.Query) ([]disEntry, error) {
-				var res [][]bool
-				var stats []Stats
-				var err error
-				if rs := b.sweeper; rs != nil {
-					res, stats, err = rs.SweepBits(ctx, sqlsOf(miss), SweepSpec{SupportGen: b.supportGen})
-				} else {
-					err = b.localSweep(ctx, func() (err error) {
-						res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, nil)
-						return err
-					})
-				}
-				if err != nil {
-					return nil, err
-				}
-				out := make([]disEntry, len(miss))
-				for x := range miss {
-					out[x] = disEntry{dis: res[x], stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prices := make([]float64, len(qs))
-		stats := make([]Stats, len(qs))
-		for j := range qs {
-			p, err := b.engine.PriceFromDisagreements(fn, entries[j].dis)
-			if err != nil {
-				return nil, nil, nil, err
+// priceBatchLocked prices k independent queries exactly, each entry
+// from the cache when possible and every miss in one shared sweep.
+// Callers hold mu.RLock.
+func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query) (*PriceResponse, error) {
+	entries, cached, err := batchEntries(ctx, b, qs,
+		func(qs []*exec.Query) string { return b.key(quoteKey{fn: fn, qs: qs}) },
+		func(ctx context.Context, miss []*exec.Query) ([]vector, error) {
+			out, _, err := b.sweep(ctx, sweepReq{qs: miss, hashes: hashed(fn), spec: SweepSpec{SupportGen: b.supportGen}})
+			for x := 0; err == nil && x < len(out); x++ {
+				out[x], err = b.entry(fn, out[x])
 			}
-			prices[j] = p
-			stats[j] = entries[j].stats
-		}
-		return prices, stats, cached, nil
-
-	case ShannonEntropy, QEntropy:
-		entries, cached, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string { return b.entropyKey(fn, qs) },
-			func(ctx context.Context, miss []*exec.Query) ([]priceEntry, error) {
-				if rs := b.sweeper; rs != nil {
-					elems, stats, err := rs.SweepHashes(ctx, sqlsOf(miss), SweepSpec{SupportGen: b.supportGen})
-					if err != nil {
-						return nil, err
-					}
-					out := make([]priceEntry, len(miss))
-					for x := range miss {
-						p, err := b.engine.EntropyPriceFromHashes(fn, elems[x])
-						if err != nil {
-							return nil, err
-						}
-						out[x] = priceEntry{price: p, stats: stats[x]}
-					}
-					return out, nil
-				}
-				var elems [][]uint64
-				var stats []Stats
-				if err := b.localSweep(ctx, func() (err error) {
-					elems, _, stats, err = b.engine.OutputHashesMultiLiveCtx(ctx, miss, nil)
-					return err
-				}); err != nil {
-					return nil, err
-				}
-				out := make([]priceEntry, len(miss))
-				for x := range miss {
-					// Identical to the solo path: the price is a function
-					// of the element-hash partition alone.
-					p, err := b.engine.EntropyPriceFromHashes(fn, elems[x])
-					if err != nil {
-						return nil, err
-					}
-					out[x] = priceEntry{price: p, stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prices := make([]float64, len(qs))
-		stats := make([]Stats, len(qs))
-		for j := range qs {
-			prices[j] = entries[j].price
-			stats[j] = entries[j].stats
-		}
-		return prices, stats, cached, nil
+			return out, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil, nil, fmt.Errorf("unknown pricing function %v", fn)
+	infos := make([]QuoteInfo, len(qs))
+	for j := range qs {
+		if infos[j], err = b.served(fn, entries[j], cached[j]); err != nil {
+			return nil, err
+		}
+	}
+	return respond(infos), nil
 }

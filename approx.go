@@ -22,18 +22,14 @@ package qirana
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"qirana/internal/obs"
 	"qirana/internal/pricing"
-	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
-	"qirana/internal/support"
 )
 
 // zApprox is the normal quantile behind the MaxError→sample-size rule
@@ -90,25 +86,6 @@ type approxEntry struct {
 	missing  float64 // fraction of elements in unreachable slices
 }
 
-// approxKey keys an approximate quote. Like entropyKey it embeds the
-// pricing function, weights epoch, support generation and data versions
-// — but NOT the sample fraction, so re-quotes at any error target and
-// the purchase-time reconcile all find the same entry. Callers hold
-// mu.RLock.
-func (b *Broker) approxKey(fn PricingFunc, qs []*exec.Query) string {
-	if len(qs) == 1 {
-		suffix, _ := templateSuffix(qs[0].Stmt)
-		return fmt.Sprintf("a|%d|%d|%d|%d|%s", int(fn), b.engine.WeightsEpoch(), b.supportGen, b.maxVersion(qs), suffix)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "a|%d|%d|%d|%d", int(fn), b.engine.WeightsEpoch(), b.supportGen, b.maxVersion(qs))
-	for _, q := range qs {
-		sb.WriteByte('\x01')
-		sb.WriteString(ast.Fingerprint(q.Stmt))
-	}
-	return sb.String()
-}
-
 // fracForMaxError converts a target relative standard error into a
 // sample fraction over a support set of n elements: a binomial-worst-
 // case m = z²/(4·maxErr²) keeps the point estimate's relative standard
@@ -130,28 +107,32 @@ func fracForMaxError(maxErr float64, n int) float64 {
 	return float64(m) / float64(n)
 }
 
-// approxQuoteLocked serves one approximate quote: cache hit (refined
-// entries serve the exact price), or a sampled sweep at the fraction
-// maxErr implies. A freshly computed entry is handed to the background
-// refiner. Callers hold mu.RLock.
-func (b *Broker) approxQuoteLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, maxErr float64) (QuoteInfo, error) {
-	n := b.engine.Set.Size()
-	frac := fracForMaxError(maxErr, n)
-	if frac >= 1 {
-		// The requested precision needs (nearly) the whole set: the
-		// exact path is both cheaper to cache and strictly better.
-		price, stats, cached, err := b.quoteLocked(ctx, fn, qs)
-		if err != nil {
-			return QuoteInfo{}, err
-		}
-		return QuoteInfo{Price: price, Stats: stats, Cached: cached, Estimate: &EstimateInfo{
-			Approx: true, Point: price, SampleFrac: 1, SampleN: n, MaxError: maxErr, Refined: true,
-		}}, nil
+// estimate serves one upper-bound quote from its "a|" entry: a cache hit
+// (refined entries serve the exact price), or a sweep over a mask — the
+// sample at fraction frac, or with degraded set the slices a partial
+// shard fan-out reached — folded into an estimate. Entries not yet
+// refined are handed to the background refiner. Callers hold mu.RLock.
+func (b *Broker) estimate(ctx context.Context, fn PricingFunc, qs []*exec.Query, maxErr, frac float64, degraded bool) (QuoteInfo, error) {
+	key := b.key(quoteKey{fn: fn, approx: true, qs: qs})
+	spec := SweepSpec{Bundle: true, SupportGen: b.supportGen}
+	if !degraded {
+		b.obs.Add("approx_quotes", 1)
+		spec.SampleFrac, spec.SampleSeed = frac, b.seed
 	}
-	b.obs.Add("approx_quotes", 1)
-	key := b.approxKey(fn, qs)
 	compute := func() (any, error) {
-		return b.approxSweepLocked(ctx, fn, qs, frac)
+		out, mask, err := b.sweep(ctx, sweepReq{qs: qs, hashes: hashed(fn), spec: spec, degraded: degraded})
+		if err != nil {
+			return nil, err
+		}
+		est, err := b.fold(fn, out[0], mask)
+		if err != nil {
+			return nil, err
+		}
+		ent := approxEntry{est: est, stats: out[0].stats, degraded: degraded}
+		if degraded {
+			ent.missing = missingFrac(mask)
+		}
+		return ent, nil
 	}
 	v, cached, err := b.cached(ctx, key, compute)
 	if err != nil {
@@ -162,7 +143,7 @@ func (b *Broker) approxQuoteLocked(ctx context.Context, fn PricingFunc, qs []*ex
 	// asks for would under-deliver precision: recompute at the finer
 	// fraction and overwrite (the refined exact price beats any sample,
 	// so refined entries always serve).
-	if cached && !ent.refined && ent.est.SampleFrac < frac-1e-12 {
+	if !degraded && cached && !ent.refined && ent.est.SampleFrac < frac-1e-12 {
 		v, err := compute()
 		if err != nil {
 			return QuoteInfo{}, err
@@ -173,12 +154,11 @@ func (b *Broker) approxQuoteLocked(ctx context.Context, fn PricingFunc, qs []*ex
 		}
 		cached = false
 	}
-	if !cached && !ent.refined {
-		b.enqueueRefine(key, fn, sqlsOf(qs))
-	}
-	if cached && ent.degraded && !ent.refined {
-		// A degraded entry must not outlive the outage: re-arm the
-		// refiner so a hit after the cluster heals upgrades it to exact.
+	// Arm the refiner for a fresh entry, and on every serve of a
+	// degraded one: it must not outlive the outage, the upgrade to exact
+	// only succeeds once the cluster heals, and a failed attempt is
+	// dropped, not requeued.
+	if !ent.refined && (degraded || !cached || ent.degraded) {
 		b.enqueueRefine(key, fn, sqlsOf(qs))
 	}
 	return b.approxInfo(ent, cached, maxErr), nil
@@ -211,64 +191,6 @@ func (b *Broker) approxInfo(ent approxEntry, cached bool, maxErr float64) QuoteI
 		b.obs.Add("router_degraded_quotes", 1)
 	}
 	return info
-}
-
-// approxSweepLocked runs the sampled sweep — remotely through the shard
-// fan-out when a sweeper is installed (every shard recomputes the same
-// mask from the forwarded spec), locally in a sweep slot through the
-// engine's live-mask machinery otherwise — and folds the sampled vector
-// into the estimate. Callers hold mu.RLock.
-func (b *Broker) approxSweepLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, frac float64) (approxEntry, error) {
-	n := b.engine.Set.Size()
-	mask := support.SampleMask(n, frac, b.seed, b.supportGen)
-	rs := b.sweeper
-	spec := SweepSpec{Bundle: true, SupportGen: b.supportGen, SampleFrac: frac, SampleSeed: b.seed}
-	var ent approxEntry
-	var err error
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		var dis []bool
-		if rs != nil {
-			var bits [][]bool
-			var stats []Stats
-			if bits, stats, err = rs.SweepBits(ctx, sqlsOf(qs), spec); err == nil {
-				dis, ent.stats = bits[0], stats[0]
-			}
-		} else {
-			err = b.localSweep(ctx, func() (err error) {
-				dis, ent.stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, mask)
-				return err
-			})
-		}
-		if err != nil {
-			return approxEntry{}, err
-		}
-		ent.est, err = b.engine.EstimateFromSampledDisagreements(fn, dis, mask)
-	case ShannonEntropy, QEntropy:
-		var elems []uint64
-		if rs != nil {
-			var hashes [][]uint64
-			var stats []Stats
-			if hashes, stats, err = rs.SweepHashes(ctx, sqlsOf(qs), spec); err == nil {
-				elems, ent.stats = hashes[0], stats[0]
-			}
-		} else {
-			err = b.localSweep(ctx, func() (err error) {
-				elems, _, ent.stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, mask)
-				return err
-			})
-		}
-		if err != nil {
-			return approxEntry{}, err
-		}
-		ent.est, err = b.engine.EstimateFromSampledHashes(fn, elems, mask)
-	default:
-		return approxEntry{}, fmt.Errorf("unknown pricing function %v", fn)
-	}
-	if err != nil {
-		return approxEntry{}, err
-	}
-	return ent, nil
 }
 
 // ---------------------------------------------------------------------
@@ -362,7 +284,7 @@ func (b *Broker) refineOne(job refineJob) {
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	price, _, _, err := b.quoteLocked(ctx, job.fn, qs)
+	info, err := b.exact(ctx, quoteKey{fn: job.fn, qs: qs})
 	if err != nil {
 		b.obs.Add("approx_refine_errors", 1)
 		return
@@ -371,7 +293,7 @@ func (b *Broker) refineOne(job refineJob) {
 		ent := v.(approxEntry)
 		if !ent.refined {
 			ent.refined = true
-			ent.exact = price
+			ent.exact = info.Price
 			b.qc.Put(job.key, ent)
 			b.obs.Add("approx_refined", 1)
 		}
@@ -387,7 +309,7 @@ func (b *Broker) markRefined(fn PricingFunc, qs []*exec.Query, exact float64) (q
 	if b.qc == nil {
 		return 0, false
 	}
-	key := b.approxKey(fn, qs)
+	key := b.key(quoteKey{fn: fn, approx: true, qs: qs})
 	v, ok := b.qc.Get(key)
 	if !ok {
 		return 0, false

@@ -217,15 +217,10 @@ type SweepSliceResponse struct {
 	Rows int `json:"rows"`
 }
 
-// sliceBitsEntry is one query's cached slice sweep: the packed bits of
-// [lo, hi) plus that slice's share of the Stats.
-type sliceBitsEntry struct {
+// sliceEntry is one output's cached slice sweep: the packed bits or the
+// hashes of [lo, hi) plus that slice's share of the Stats.
+type sliceEntry struct {
 	packed []byte
-	stats  pricing.Stats
-}
-
-// sliceHashEntry is the entropy-side equivalent of sliceBitsEntry.
-type sliceHashEntry struct {
 	hashes []uint64
 	stats  pricing.Stats
 }
@@ -236,7 +231,8 @@ type sliceHashEntry struct {
 // Slices are cached in the shard's quote cache under keys that embed
 // the slice bounds and the same generation/version discipline as local
 // quote keys, so repeated router misses for the same query cost zero
-// rows (Rows reports the true number swept).
+// rows (Rows reports the true number swept). The sweep is always local:
+// a shard never forwards its slice to a sweeper of its own.
 func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepSliceResponse, error) {
 	b.obs.Add("shard_sweep_requests", 1)
 	defer b.obs.Timer("shard_sweep")()
@@ -257,142 +253,70 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 	if req.Lo < 0 || req.Hi < req.Lo || req.Hi > size {
 		return nil, fmt.Errorf("sweep slice [%d, %d) out of range for support set of size %d", req.Lo, req.Hi, size)
 	}
+	// The mask is the slice, intersected for a sampled sweep with the
+	// caller's global sample mask — recomputed here from (frac, seed,
+	// gen), identical on every shard. The key's sample suffix keeps exact
+	// and sampled slices apart. The wire vectors keep the full slice
+	// width; rows and Stats count the swept elements only.
+	spec := SweepSpec{Bundle: req.Bundle, SupportGen: req.SupportGen, SampleFrac: req.SampleFrac, SampleSeed: req.SampleSeed}
+	var sample []bool
+	if spec.Sampled() {
+		sample = support.SampleMask(size, req.SampleFrac, req.SampleSeed, req.SupportGen)
+	}
 	live := make([]bool, size)
+	width := 0
 	for i := req.Lo; i < req.Hi; i++ {
-		live[i] = true
-	}
-	// A sampled sweep intersects the slice with the caller's global
-	// sample mask — recomputed here from (frac, seed, gen), identical on
-	// every shard — and caches under sample-suffixed keys so exact and
-	// sampled slices never alias. width stays the full slice width (the
-	// wire vectors keep their shape); rows/stats count sampled elements.
-	sampleSuffix := ""
-	sampledWidth := req.Hi - req.Lo
-	if req.SampleFrac > 0 && req.SampleFrac < 1 {
-		mask := support.SampleMask(size, req.SampleFrac, req.SampleSeed, req.SupportGen)
-		sampledWidth = 0
-		for i := req.Lo; i < req.Hi; i++ {
-			live[i] = mask[i]
-			if mask[i] {
-				sampledWidth++
-			}
+		live[i] = sample == nil || sample[i]
+		if live[i] {
+			width++
 		}
-		sampleSuffix = fmt.Sprintf("|smp:%g,%d", req.SampleFrac, req.SampleSeed)
 	}
-	resp := &SweepSliceResponse{SupportGen: b.supportGen, Lo: req.Lo, Hi: req.Hi}
-	width := sampledWidth
-	// rows counts elements swept by THIS call: the counters live inside
-	// the compute closures, which cache hits and coalesced flights skip.
+	// rows counts elements swept by THIS call: the counter lives inside
+	// the sweep, which cache hits and coalesced flights skip.
 	rows := 0
-	switch {
-	case req.Hashes && req.Bundle:
-		key := fmt.Sprintf("sh|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-		v, _, err := b.cached(ctx, key, func() (any, error) {
-			var elems []uint64
-			var stats Stats
-			if err := b.localSweep(ctx, func() (err error) {
-				elems, _, stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, live)
-				return err
-			}); err != nil {
+	sweepMisses := func(ctx context.Context, qs []*exec.Query) ([]sliceEntry, error) {
+		out, _, err := b.sweep(ctx, sweepReq{qs: qs, hashes: req.Hashes, spec: spec, slice: live})
+		if err != nil {
+			return nil, err
+		}
+		rows += width * len(out)
+		b.obs.Add("shard_rows_swept", uint64(width*len(out)))
+		ents := make([]sliceEntry, len(out))
+		for x, v := range out {
+			ents[x].stats = v.stats
+			if req.Hashes {
+				ents[x].hashes = append([]uint64(nil), v.hashes[req.Lo:req.Hi]...)
+			} else {
+				ents[x].packed = durable.PackBits(v.bits[req.Lo:req.Hi])
+			}
+		}
+		return ents, nil
+	}
+	keyOf := func(qs []*exec.Query) string { return b.key(quoteKey{qs: qs, slice: &req}) }
+	var ents []sliceEntry
+	if req.Bundle {
+		v, _, err := b.cached(ctx, keyOf(qs), func() (any, error) {
+			ents, err := sweepMisses(ctx, qs)
+			if err != nil {
 				return nil, err
 			}
-			rows += width
-			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceHashEntry{hashes: append([]uint64(nil), elems[req.Lo:req.Hi]...), stats: stats}, nil
+			return ents[0], nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		ent := v.(sliceHashEntry)
-		resp.Hashes = [][]uint64{ent.hashes}
-		resp.Stats = []Stats{ent.stats}
-
-	case req.Hashes:
-		entries, _, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string {
-				return fmt.Sprintf("sh|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-			},
-			func(ctx context.Context, miss []*exec.Query) ([]sliceHashEntry, error) {
-				var elems [][]uint64
-				var stats []Stats
-				if err := b.localSweep(ctx, func() (err error) {
-					elems, _, stats, err = b.engine.OutputHashesMultiLiveCtx(ctx, miss, live)
-					return err
-				}); err != nil {
-					return nil, err
-				}
-				rows += width * len(miss)
-				b.obs.Add("shard_rows_swept", uint64(width*len(miss)))
-				out := make([]sliceHashEntry, len(miss))
-				for x := range miss {
-					out[x] = sliceHashEntry{hashes: append([]uint64(nil), elems[x][req.Lo:req.Hi]...), stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		resp.Hashes = make([][]uint64, len(qs))
-		resp.Stats = make([]Stats, len(qs))
-		for j, ent := range entries {
-			resp.Hashes[j] = ent.hashes
-			resp.Stats[j] = ent.stats
-		}
-
-	case req.Bundle:
-		key := fmt.Sprintf("ss|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-		v, _, err := b.cached(ctx, key, func() (any, error) {
-			var dis []bool
-			var stats Stats
-			if err := b.localSweep(ctx, func() (err error) {
-				dis, stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, live)
-				return err
-			}); err != nil {
-				return nil, err
-			}
-			rows += width
-			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceBitsEntry{packed: durable.PackBits(dis[req.Lo:req.Hi]), stats: stats}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		ent := v.(sliceBitsEntry)
-		resp.Bits = [][]byte{ent.packed}
-		resp.Stats = []Stats{ent.stats}
-
-	default:
-		entries, _, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string {
-				return fmt.Sprintf("ss|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-			},
-			func(ctx context.Context, miss []*exec.Query) ([]sliceBitsEntry, error) {
-				var res [][]bool
-				var stats []Stats
-				if err := b.localSweep(ctx, func() (err error) {
-					res, stats, err = b.engine.DisagreementsMultiLiveCtx(ctx, miss, live)
-					return err
-				}); err != nil {
-					return nil, err
-				}
-				rows += width * len(miss)
-				b.obs.Add("shard_rows_swept", uint64(width*len(miss)))
-				out := make([]sliceBitsEntry, len(miss))
-				for x := range miss {
-					out[x] = sliceBitsEntry{packed: durable.PackBits(res[x][req.Lo:req.Hi]), stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		resp.Bits = make([][]byte, len(qs))
-		resp.Stats = make([]Stats, len(qs))
-		for j, ent := range entries {
-			resp.Bits[j] = ent.packed
-			resp.Stats[j] = ent.stats
+		ents = []sliceEntry{v.(sliceEntry)}
+	} else if ents, _, err = batchEntries(ctx, b, qs, keyOf, sweepMisses); err != nil {
+		return nil, err
+	}
+	resp := &SweepSliceResponse{SupportGen: b.supportGen, Lo: req.Lo, Hi: req.Hi, Stats: make([]Stats, len(ents)), Rows: rows}
+	for j, ent := range ents {
+		resp.Stats[j] = ent.stats
+		if req.Hashes {
+			resp.Hashes = append(resp.Hashes, ent.hashes)
+		} else {
+			resp.Bits = append(resp.Bits, ent.packed)
 		}
 	}
-	resp.Rows = rows
 	return resp, nil
 }

@@ -25,9 +25,6 @@ package qirana
 import (
 	"context"
 	"errors"
-	"fmt"
-
-	"qirana/internal/sqlengine/exec"
 )
 
 // canDegrade reports whether a failed sweep may fall back to a degraded
@@ -35,64 +32,8 @@ import (
 // shard outage (not a bad request), and the installed sweeper able to
 // deliver partial slices. Callers hold mu.RLock.
 func (b *Broker) canDegrade(ctx context.Context, err error) bool {
-	if b.opts.DisableDegradedQuotes || ctx.Err() != nil {
-		return false
-	}
-	if !errors.Is(err, ErrShardUnavailable) {
-		return false
-	}
 	_, ok := b.sweeper.(DegradedSweeper)
-	return ok
-}
-
-// degradedQuoteLocked prices qs as one bundle with part of the cluster
-// unreachable, serving the upper bound described above. An existing
-// "a|" entry (refined or sampled) short-circuits the sweep — a cached
-// sound answer beats re-walking a broken cluster. Callers hold mu.RLock.
-func (b *Broker) degradedQuoteLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, maxErr float64) (QuoteInfo, error) {
-	ds, ok := b.sweeper.(DegradedSweeper)
-	if !ok {
-		return QuoteInfo{}, ErrShardUnavailable
-	}
-	key := b.approxKey(fn, qs)
-	compute := func() (any, error) {
-		spec := SweepSpec{Bundle: true, SupportGen: b.supportGen}
-		switch fn {
-		case WeightedCoverage, UniformEntropyGain:
-			dis, stats, live, err := ds.SweepBitsDegraded(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return nil, err
-			}
-			est, err := b.engine.EstimateFromSampledDisagreements(fn, dis[0], live)
-			if err != nil {
-				return nil, err
-			}
-			return approxEntry{est: est, stats: stats[0], degraded: true, missing: missingFrac(live)}, nil
-		case ShannonEntropy, QEntropy:
-			elems, stats, live, err := ds.SweepHashesDegraded(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return nil, err
-			}
-			est, err := b.engine.EstimateFromSampledHashes(fn, elems[0], live)
-			if err != nil {
-				return nil, err
-			}
-			return approxEntry{est: est, stats: stats[0], degraded: true, missing: missingFrac(live)}, nil
-		}
-		return nil, fmt.Errorf("unknown pricing function %v", fn)
-	}
-	v, cached, err := b.cached(ctx, key, compute)
-	if err != nil {
-		return QuoteInfo{}, err
-	}
-	ent := v.(approxEntry)
-	if !ent.refined {
-		// Fresh or cached, keep the refiner armed: the upgrade to exact
-		// only succeeds once the cluster heals, and each failed attempt
-		// is dropped, not requeued.
-		b.enqueueRefine(key, fn, sqlsOf(qs))
-	}
-	return b.approxInfo(ent, cached, maxErr), nil
+	return ok && !b.opts.DisableDegradedQuotes && ctx.Err() == nil && errors.Is(err, ErrShardUnavailable)
 }
 
 // missingFrac is the fraction of support-set elements whose slice did

@@ -133,57 +133,96 @@ func (f *Fanout) AttachObs(r *obs.Registry) { f.obs = r }
 
 // SweepBits implements qirana.RemoteSweeper.
 func (f *Fanout) SweepBits(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]bool, []qirana.Stats, error) {
-	resps, err := f.sweep(ctx, sqls, spec, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.obs.Timer("router_merge")()
-	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]bool, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]bool, f.info.Size)
-	}
-	for i, resp := range resps {
-		r := f.ranges[i]
-		if len(resp.Bits) != nOut {
-			return nil, nil, fmt.Errorf("%w: shard %d returned %d bit vectors, want %d", qirana.ErrShardUnavailable, i, len(resp.Bits), nOut)
-		}
-		for j := 0; j < nOut; j++ {
-			copy(out[j][r.Lo:r.Hi], durable.UnpackBits(resp.Bits[j], r.Width()))
-			addStats(&stats[j], resp.Stats[j])
-		}
-	}
-	return out, stats, nil
+	m, err := f.merge(f.sweep(ctx, sqls, spec, false))
+	return m.bits, m.stats, err
 }
 
 // SweepHashes implements qirana.RemoteSweeper.
 func (f *Fanout) SweepHashes(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]uint64, []qirana.Stats, error) {
-	resps, err := f.sweep(ctx, sqls, spec, true)
+	m, err := f.merge(f.sweep(ctx, sqls, spec, true))
+	return m.hashes, m.stats, err
+}
+
+// fanned is one fan-out's replies: resps[i] is shard i's slice, nil
+// when the shard is dead (degraded sweeps only).
+type fanned struct {
+	resps    []*qirana.SweepSliceResponse
+	nOut     int
+	hashes   bool
+	degraded bool
+}
+
+// merged is a fan-out reassembled in global index order: the
+// full-length vectors, their summed Stats, and for a degraded sweep the
+// element-level live mask (dead slices zero-filled and left out of
+// Stats).
+type merged struct {
+	bits   [][]bool
+	hashes [][]uint64
+	stats  []qirana.Stats
+	live   []bool
+}
+
+// merge checks every reply's shape — the vector count, the Stats count
+// and each vector's width ((w+7)/8 packed bytes for bits, w hashes) —
+// and assembles the slices. A malformed reply fails an exact sweep with
+// ErrShardUnavailable; a degraded sweep counts that shard as dead:
+// soundness beats coverage.
+func (f *Fanout) merge(fo fanned, err error) (merged, error) {
 	if err != nil {
-		return nil, nil, err
+		return merged{}, err
 	}
 	defer f.obs.Timer("router_merge")()
-	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]uint64, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]uint64, f.info.Size)
+	m := merged{stats: make([]qirana.Stats, fo.nOut)}
+	for j := 0; j < fo.nOut; j++ {
+		if fo.hashes {
+			m.hashes = append(m.hashes, make([]uint64, f.info.Size))
+		} else {
+			m.bits = append(m.bits, make([]bool, f.info.Size))
+		}
 	}
-	for i, resp := range resps {
+	if fo.degraded {
+		m.live = make([]bool, f.info.Size)
+	}
+	alive := 0
+	for i, resp := range fo.resps {
+		if resp == nil {
+			continue
+		}
 		r := f.ranges[i]
-		if len(resp.Hashes) != nOut {
-			return nil, nil, fmt.Errorf("%w: shard %d returned %d hash vectors, want %d", qirana.ErrShardUnavailable, i, len(resp.Hashes), nOut)
+		vecs, width := len(resp.Bits), (r.Width()+7)/8
+		if fo.hashes {
+			vecs, width = len(resp.Hashes), r.Width()
 		}
-		for j := 0; j < nOut; j++ {
-			if len(resp.Hashes[j]) != r.Width() {
-				return nil, nil, fmt.Errorf("%w: shard %d returned %d hashes for slice of width %d", qirana.ErrShardUnavailable, i, len(resp.Hashes[j]), r.Width())
+		ok := vecs == fo.nOut && len(resp.Stats) == fo.nOut
+		for j := 0; ok && j < fo.nOut; j++ {
+			ok = fo.hashes && len(resp.Hashes[j]) == width || !fo.hashes && len(resp.Bits[j]) == width
+		}
+		if !ok && !fo.degraded {
+			return merged{}, fmt.Errorf("%w: shard %d returned %d vectors and %d stats for %d outputs, or a vector that does not cover [%d, %d)",
+				qirana.ErrShardUnavailable, i, vecs, len(resp.Stats), fo.nOut, r.Lo, r.Hi)
+		}
+		if !ok {
+			f.obs.Add("router_shard_errors", 1)
+			continue
+		}
+		for j := 0; j < fo.nOut; j++ {
+			if fo.hashes {
+				copy(m.hashes[j][r.Lo:r.Hi], resp.Hashes[j])
+			} else {
+				copy(m.bits[j][r.Lo:r.Hi], durable.UnpackBits(resp.Bits[j], r.Width()))
 			}
-			copy(out[j][r.Lo:r.Hi], resp.Hashes[j])
-			addStats(&stats[j], resp.Stats[j])
+			m.stats[j].Add(resp.Stats[j])
 		}
+		for x := r.Lo; fo.degraded && x < r.Hi; x++ {
+			m.live[x] = true
+		}
+		alive++
 	}
-	return out, stats, nil
+	if alive == 0 {
+		return merged{}, fmt.Errorf("%w: no shard returned a usable slice", qirana.ErrShardUnavailable)
+	}
+	return m, nil
 }
 
 func outputs(sqls []string, bundle bool) int {
@@ -197,9 +236,9 @@ func outputs(sqls []string, bundle bool) int {
 // under the fault policy's retry/hedge/breaker budget (call, in
 // call.go). The first exhausted budget cancels the outstanding
 // requests: an exact sweep either returns every slice or nothing.
-func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepSpec, hashes bool) ([]*qirana.SweepSliceResponse, error) {
+func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepSpec, hashes bool) (fanned, error) {
 	if spec.SupportGen != f.info.SupportGen {
-		return nil, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
+		return fanned{}, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
 			qirana.ErrSupportMismatch, spec.SupportGen, f.info.SupportGen)
 	}
 	f.obs.Add("router_fanout_rpcs", uint64(len(f.urls)))
@@ -236,7 +275,7 @@ func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepS
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return fanned{}, firstErr
 	}
 	min, max := durs[0], durs[0]
 	for _, d := range durs[1:] {
@@ -249,7 +288,7 @@ func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepS
 	}
 	f.obs.Observe("router_straggler_gap", max-min)
 	f.gap.observe(max - min)
-	return resps, nil
+	return fanned{resps: resps, nOut: outputs(sqls, spec.Bundle), hashes: hashes}, nil
 }
 
 // post sends one shard its slice request and classifies the outcome:
@@ -340,13 +379,4 @@ func readErrorMessage(r io.Reader) string {
 		return flat.Error
 	}
 	return string(bytes.TrimSpace(data))
-}
-
-func addStats(sum *qirana.Stats, s qirana.Stats) {
-	sum.Static += s.Static
-	sum.Batched += s.Batched
-	sum.FullRuns += s.FullRuns
-	sum.Naive += s.Naive
-	sum.DeltaFull += s.DeltaFull
-	sum.DeltaPartial += s.DeltaPartial
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"qirana"
-	"qirana/internal/durable"
 )
 
 // Degraded sweeps implement qirana.DegradedSweeper: the same slice
@@ -20,17 +19,17 @@ import (
 // (400/409) and the caller's own cancellation still abort: degrading
 // cannot fix a bad request, and a partial answer would only hide it.
 
-// sweepDegraded fans out with per-shard fault isolation and returns the
-// responses plus a per-shard liveness vector.
-func (f *Fanout) sweepDegraded(ctx context.Context, sqls []string, spec qirana.SweepSpec, hashes bool) ([]*qirana.SweepSliceResponse, []bool, error) {
+// sweepDegraded fans out with per-shard fault isolation; the replies of
+// dead shards are nil.
+func (f *Fanout) sweepDegraded(ctx context.Context, sqls []string, spec qirana.SweepSpec, hashes bool) (fanned, error) {
 	if spec.SupportGen != f.info.SupportGen {
-		return nil, nil, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
+		return fanned{}, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
 			qirana.ErrSupportMismatch, spec.SupportGen, f.info.SupportGen)
 	}
 	if spec.Sampled() {
 		// The live mask marks whole slices as fully swept; intersecting
 		// it with a per-shard sample would double-discount coverage.
-		return nil, nil, errors.New("degraded sweeps are exact per slice; sampled specs are not supported")
+		return fanned{}, errors.New("degraded sweeps are exact per slice; sampled specs are not supported")
 	}
 	f.obs.Add("router_fanout_rpcs", uint64(len(f.urls)))
 	defer f.obs.Timer("router_fanout")()
@@ -45,18 +44,17 @@ func (f *Fanout) sweepDegraded(ctx context.Context, sqls []string, spec qirana.S
 		}(i)
 	}
 	wg.Wait()
-	live := make([]bool, len(f.urls))
 	alive := 0
 	var firstFault error
 	for i, err := range errs {
 		if err == nil {
-			live[i] = true
 			alive++
 			continue
 		}
+		resps[i] = nil
 		f.obs.Add("router_shard_errors", 1)
 		if !errors.Is(err, qirana.ErrShardUnavailable) {
-			return nil, nil, fmt.Errorf("shard %d (%s): %w", i, f.urls[i], err)
+			return fanned{}, fmt.Errorf("shard %d (%s): %w", i, f.urls[i], err)
 		}
 		if firstFault == nil {
 			// Keep the first real fault: it may carry a breaker's
@@ -65,99 +63,25 @@ func (f *Fanout) sweepDegraded(ctx context.Context, sqls []string, spec qirana.S
 		}
 	}
 	if alive == 0 {
-		return nil, nil, firstFault
+		return fanned{}, firstFault
 	}
 	if alive < len(f.urls) {
 		f.obs.Add("router_degraded_sweeps", 1)
 	}
-	return resps, live, nil
+	return fanned{resps: resps, nOut: outputs(sqls, spec.Bundle), hashes: hashes, degraded: true}, nil
 }
 
 // SweepBitsDegraded implements qirana.DegradedSweeper. The returned
 // element-level live mask marks exactly the slices that answered; dead
 // slices are zero-filled and contribute nothing to Stats.
 func (f *Fanout) SweepBitsDegraded(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]bool, []qirana.Stats, []bool, error) {
-	resps, liveShards, err := f.sweepDegraded(ctx, sqls, spec, false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer f.obs.Timer("router_merge")()
-	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]bool, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]bool, f.info.Size)
-	}
-	live := make([]bool, f.info.Size)
-	alive := 0
-	for i, resp := range resps {
-		if !liveShards[i] {
-			continue
-		}
-		if len(resp.Bits) != nOut {
-			// A malformed answer from a "live" shard is treated like a
-			// dead one: soundness beats coverage.
-			f.obs.Add("router_shard_errors", 1)
-			continue
-		}
-		r := f.ranges[i]
-		for j := 0; j < nOut; j++ {
-			copy(out[j][r.Lo:r.Hi], durable.UnpackBits(resp.Bits[j], r.Width()))
-			addStats(&stats[j], resp.Stats[j])
-		}
-		for x := r.Lo; x < r.Hi; x++ {
-			live[x] = true
-		}
-		alive++
-	}
-	if alive == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: no shard returned a usable slice", qirana.ErrShardUnavailable)
-	}
-	return out, stats, live, nil
+	m, err := f.merge(f.sweepDegraded(ctx, sqls, spec, false))
+	return m.bits, m.stats, m.live, err
 }
 
 // SweepHashesDegraded implements qirana.DegradedSweeper; the hash
 // analogue of SweepBitsDegraded.
 func (f *Fanout) SweepHashesDegraded(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]uint64, []qirana.Stats, []bool, error) {
-	resps, liveShards, err := f.sweepDegraded(ctx, sqls, spec, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer f.obs.Timer("router_merge")()
-	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]uint64, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]uint64, f.info.Size)
-	}
-	live := make([]bool, f.info.Size)
-	alive := 0
-	for i, resp := range resps {
-		if !liveShards[i] {
-			continue
-		}
-		r := f.ranges[i]
-		usable := len(resp.Hashes) == nOut
-		for j := 0; usable && j < nOut; j++ {
-			if len(resp.Hashes[j]) != r.Width() {
-				usable = false
-			}
-		}
-		if !usable {
-			f.obs.Add("router_shard_errors", 1)
-			continue
-		}
-		for j := 0; j < nOut; j++ {
-			copy(out[j][r.Lo:r.Hi], resp.Hashes[j])
-			addStats(&stats[j], resp.Stats[j])
-		}
-		for x := r.Lo; x < r.Hi; x++ {
-			live[x] = true
-		}
-		alive++
-	}
-	if alive == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: no shard returned a usable slice", qirana.ErrShardUnavailable)
-	}
-	return out, stats, live, nil
+	m, err := f.merge(f.sweepDegraded(ctx, sqls, spec, true))
+	return m.hashes, m.stats, m.live, err
 }

@@ -56,33 +56,38 @@ func newFakeShard(t *testing.T, size int) *fakeShard {
 			http.Error(w, `{"error":"bad body"}`, http.StatusBadRequest)
 			return
 		}
-		resp := qirana.SweepSliceResponse{SupportGen: req.SupportGen, Lo: req.Lo, Hi: req.Hi}
-		nOut := len(req.SQLs)
-		if req.Bundle {
-			nOut = 1
-		}
-		resp.Stats = make([]qirana.Stats, nOut)
-		for j := 0; j < nOut; j++ {
-			resp.Stats[j] = qirana.Stats{Naive: req.Hi - req.Lo}
-			if req.Hashes {
-				hs := make([]uint64, req.Hi-req.Lo)
-				for x := req.Lo; x < req.Hi; x++ {
-					hs[x-req.Lo] = fakeHash(x, j)
-				}
-				resp.Hashes = append(resp.Hashes, hs)
-			} else {
-				bits := make([]bool, req.Hi-req.Lo)
-				for x := req.Lo; x < req.Hi; x++ {
-					bits[x-req.Lo] = fakeDisagree(x, j)
-				}
-				resp.Bits = append(resp.Bits, durable.PackBits(bits))
-			}
-		}
-		json.NewEncoder(w).Encode(resp)
+		json.NewEncoder(w).Encode(fakeReply(req))
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// fakeReply is the well-formed answer to a sweep request.
+func fakeReply(req qirana.SweepSliceRequest) qirana.SweepSliceResponse {
+	resp := qirana.SweepSliceResponse{SupportGen: req.SupportGen, Lo: req.Lo, Hi: req.Hi}
+	nOut := len(req.SQLs)
+	if req.Bundle {
+		nOut = 1
+	}
+	resp.Stats = make([]qirana.Stats, nOut)
+	for j := 0; j < nOut; j++ {
+		resp.Stats[j] = qirana.Stats{Naive: req.Hi - req.Lo}
+		if req.Hashes {
+			hs := make([]uint64, req.Hi-req.Lo)
+			for x := req.Lo; x < req.Hi; x++ {
+				hs[x-req.Lo] = fakeHash(x, j)
+			}
+			resp.Hashes = append(resp.Hashes, hs)
+		} else {
+			bits := make([]bool, req.Hi-req.Lo)
+			for x := req.Lo; x < req.Hi; x++ {
+				bits[x-req.Lo] = fakeDisagree(x, j)
+			}
+			resp.Bits = append(resp.Bits, durable.PackBits(bits))
+		}
+	}
+	return resp
 }
 
 // newFakeCluster connects a Fanout over n fake shards with the given
@@ -455,5 +460,100 @@ func TestDegradedSweepRejectsInputError(t *testing.T) {
 	_, _, _, err := f.SweepBitsDegraded(context.Background(), []string{"q"}, testSpec())
 	if err == nil || errors.Is(err, qirana.ErrShardUnavailable) {
 		t.Fatalf("a 400 must abort the degraded sweep as an input error, got %v", err)
+	}
+}
+
+// tamper makes a fake shard answer every sweep with a well-formed reply
+// that mut then corrupts.
+func tamper(mut func(*qirana.SweepSliceResponse)) func(int64, http.ResponseWriter, *http.Request) bool {
+	return func(_ int64, w http.ResponseWriter, r *http.Request) bool {
+		var req qirana.SweepSliceRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, `{"error":"bad body"}`, http.StatusBadRequest)
+			return true
+		}
+		resp := fakeReply(req)
+		mut(&resp)
+		json.NewEncoder(w).Encode(resp)
+		return true
+	}
+}
+
+// malformedReplies are shard answers of the wrong shape: the router must
+// never index past them or zero-fill them into a merged vector.
+var malformedReplies = []struct {
+	name   string
+	hashes bool
+	mut    func(*qirana.SweepSliceResponse)
+}{
+	{"no stats", false, func(r *qirana.SweepSliceResponse) { r.Stats = nil }},
+	{"no stats/hashes", true, func(r *qirana.SweepSliceResponse) { r.Stats = nil }},
+	{"extra stats", false, func(r *qirana.SweepSliceResponse) { r.Stats = append(r.Stats, qirana.Stats{}) }},
+	// A 20-element slice sent as 1 packed byte: zero-filling the other
+	// 12 elements would read disagreements as agreements.
+	{"short bits", false, func(r *qirana.SweepSliceResponse) { r.Bits[0] = r.Bits[0][:1] }},
+	{"long bits", false, func(r *qirana.SweepSliceResponse) { r.Bits[0] = append(r.Bits[0], 0xff) }},
+	{"missing vector", false, func(r *qirana.SweepSliceResponse) { r.Bits = r.Bits[:1] }},
+	{"short hashes", true, func(r *qirana.SweepSliceResponse) { r.Hashes[1] = r.Hashes[1][:19] }},
+}
+
+func sweepEither(f *Fanout, hashes bool, degraded bool) ([]qirana.Stats, []bool, error) {
+	sqls, ctx := []string{"q0", "q1"}, context.Background()
+	switch {
+	case degraded && hashes:
+		_, stats, live, err := f.SweepHashesDegraded(ctx, sqls, testSpec())
+		return stats, live, err
+	case degraded:
+		_, stats, live, err := f.SweepBitsDegraded(ctx, sqls, testSpec())
+		return stats, live, err
+	case hashes:
+		_, stats, err := f.SweepHashes(ctx, sqls, testSpec())
+		return stats, nil, err
+	default:
+		_, stats, err := f.SweepBits(ctx, sqls, testSpec())
+		return stats, nil, err
+	}
+}
+
+func TestMalformedReplyFailsExactSweep(t *testing.T) {
+	for _, tc := range malformedReplies {
+		t.Run(tc.name, func(t *testing.T) {
+			shards, f, _ := newFakeCluster(t, 2, 40, noHedge(DefaultFaultPolicy()))
+			shards[1].behave = tamper(tc.mut)
+			_, _, err := sweepEither(f, tc.hashes, false)
+			if !errors.Is(err, qirana.ErrShardUnavailable) {
+				t.Fatalf("malformed reply: want ErrShardUnavailable, got %v", err)
+			}
+		})
+	}
+}
+
+func TestMalformedReplyDegradedMarksShardDead(t *testing.T) {
+	for _, tc := range malformedReplies {
+		t.Run(tc.name, func(t *testing.T) {
+			shards, f, reg := newFakeCluster(t, 2, 40, noHedge(DefaultFaultPolicy()))
+			shards[1].behave = tamper(tc.mut)
+			stats, live, err := sweepEither(f, tc.hashes, true)
+			if err != nil {
+				t.Fatalf("degraded sweep: %v", err)
+			}
+			dead := f.ranges[1]
+			for x := range live {
+				if inDead := x >= dead.Lo && x < dead.Hi; live[x] == inDead {
+					t.Fatalf("element %d: live=%v but the malformed slice is [%d,%d)", x, live[x], dead.Lo, dead.Hi)
+				}
+			}
+			if want := 40 - dead.Width(); stats[0].Naive != want || stats[1].Naive != want {
+				t.Fatalf("stats %+v, want Naive %d (healthy slice only)", stats, want)
+			}
+			if v := reg.Counter("router_shard_errors").Value(); v != 1 {
+				t.Fatalf("router_shard_errors = %d, want 1", v)
+			}
+			// Every shard malformed: nothing usable survives.
+			shards[0].behave = tamper(tc.mut)
+			if _, _, err := sweepEither(f, tc.hashes, true); !errors.Is(err, qirana.ErrShardUnavailable) {
+				t.Fatalf("all replies malformed: want ErrShardUnavailable, got %v", err)
+			}
+		})
 	}
 }

@@ -139,19 +139,11 @@ func (s *Stmt) bindFresh(params []Value) (*exec.Query, error) {
 	return exec.CompileStmt(stmt, s.b.db.Schema)
 }
 
-// keys assembles the template cache keys for one parameter signature —
-// identical, by construction, to what the ad-hoc path's disKey /
-// entropyKey produce for the substituted statement, so both paths share
-// entries. Callers hold b.mu.RLock.
-func (s *Stmt) keys(fn PricingFunc, sig string) (disK string, entK func() string) {
-	b := s.b
-	ver := b.maxVersionTables(s.tbls)
-	suffix := s.tmpl.Canon + "\x02" + sig
-	disK = fmt.Sprintf("td|%d|%d|%s", b.supportGen, ver, suffix)
-	entK = func() string {
-		return fmt.Sprintf("te|%d|%d|%d|%d|%s", int(fn), b.engine.WeightsEpoch(), b.supportGen, ver, suffix)
-	}
-	return disK, entK
+// key is the cache key of one bound query under fn, from the
+// precomputed template and relation list: the key the ad-hoc path
+// renders for the substituted statement, so both paths share entries.
+func (s *Stmt) key(fn PricingFunc, sig string, q *exec.Query) quoteKey {
+	return quoteKey{fn: fn, qs: []*exec.Query{q}, suffix: s.tmpl.Canon + "\x02" + sig, tables: s.tbls}
 }
 
 // Price prices one instance of the template under the broker's default
@@ -177,26 +169,17 @@ func (s *Stmt) PriceWith(ctx context.Context, fn PricingFunc, params ...Value) (
 		return nil, err
 	}
 
+	if fn < WeightedCoverage || fn > QEntropy {
+		return nil, fmt.Errorf("unknown pricing function %v", fn)
+	}
+
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	disK, entK := s.keys(fn, sig)
-	price, stats, cached, err := b.quoteKeyedLocked(ctx, fn, []*exec.Query{q}, func() string {
-		if fn == WeightedCoverage || fn == UniformEntropyGain {
-			return disK
-		}
-		return entK()
-	})
+	info, err := b.exact(ctx, s.key(fn, sig, q))
 	if err != nil {
 		return nil, err
 	}
-	return &PriceResponse{
-		Prices: []float64{price},
-		Total:  price,
-		Stats:  stats,
-		PerQuery: []QuoteInfo{
-			{Price: price, Stats: stats, Cached: cached},
-		},
-	}, nil
+	return respond([]QuoteInfo{info}), nil
 }
 
 // Purchase runs one instance of the template for the buyer and applies
@@ -235,7 +218,6 @@ func (s *Stmt) purchase(ctx context.Context, buyer string, refund bool, params [
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	disK, _ := s.keys(b.fn, sig)
 	req := PurchaseRequest{Buyer: buyer, SQL: q.SQL, Refund: refund}
-	return b.purchaseLocked(ctx, req, q, disK)
+	return b.purchaseLocked(ctx, req, q, s.key(WeightedCoverage, sig, q))
 }

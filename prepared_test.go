@@ -114,7 +114,9 @@ func TestPreparedBitIdenticalToAdHoc(t *testing.T) {
 }
 
 // Prepared and ad-hoc traffic share one template-keyed cache, in both
-// directions, observable through the kind-split stats.
+// directions, observable through the kind-split stats — under every
+// pricing function: "td" bitmaps for coverage and uniform gain, "te"
+// prices for the entropies.
 func TestPreparedSharesCacheWithAdHoc(t *testing.T) {
 	b := worldBroker(t, 200)
 	ctx := context.Background()
@@ -122,54 +124,60 @@ func TestPreparedSharesCacheWithAdHoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, fn := range []PricingFunc{WeightedCoverage, UniformEntropyGain, ShannonEntropy, QEntropy} {
+		// Constants distinct per function: coverage and uniform gain
+		// share one bitmap entry per instance.
+		c := int64(1000 * i)
+		adhoc := func(v int64) (*PriceResponse, error) {
+			sql := fmt.Sprintf("SELECT Name FROM Country WHERE Population > %d", v)
+			return b.Price(ctx, PriceRequest{SQLs: []string{sql}, Func: &fn})
+		}
 
-	// Cold prepared quote: a template miss.
-	if _, err := s.Price(ctx, NewInt(7)); err != nil {
-		t.Fatal(err)
-	}
-	st := b.QuoteCacheStats()
-	if st.TemplateMisses == 0 {
-		t.Fatalf("cold prepared quote recorded no template miss: %+v", st)
-	}
-	misses := st.TemplateMisses
+		// Cold prepared quote: a template miss.
+		st := b.QuoteCacheStats()
+		if _, err := s.PriceWith(ctx, fn, NewInt(c+7)); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.QuoteCacheStats(); got.TemplateMisses != st.TemplateMisses+1 {
+			t.Fatalf("%v: cold prepared quote recorded %d template misses, want 1: %+v", fn, got.TemplateMisses-st.TemplateMisses, got)
+		}
+		st = b.QuoteCacheStats()
 
-	// Ad-hoc quote of the substituted SQL: must hit the entry the
-	// prepared call wrote.
-	if _, err := quote(b, "SELECT Name FROM Country WHERE Population > 7"); err != nil {
-		t.Fatal(err)
-	}
-	st = b.QuoteCacheStats()
-	if st.TemplateHits == 0 {
-		t.Fatalf("ad-hoc quote did not hit the prepared entry: %+v", st)
-	}
-	if st.TemplateMisses != misses {
-		t.Fatalf("ad-hoc quote missed (%d → %d misses)", misses, st.TemplateMisses)
-	}
-	hits := st.TemplateHits
+		// Ad-hoc quote of the substituted SQL: must hit the entry the
+		// prepared call wrote.
+		r, err := adhoc(c + 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.QuoteCacheStats(); !r.PerQuery[0].Cached || got.TemplateHits != st.TemplateHits+1 || got.TemplateMisses != st.TemplateMisses {
+			t.Fatalf("%v: ad-hoc quote did not hit the prepared entry: %+v", fn, got)
+		}
 
-	// Ad-hoc quote with a NEW constant seeds the entry for a later
-	// prepared call: sharing works in the other direction too.
-	if _, err := quote(b, "SELECT Name FROM Country WHERE Population > 11"); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Price(ctx, NewInt(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.PerQuery[0].Cached {
-		t.Fatal("prepared quote after ad-hoc quote of the same instance was not cached")
-	}
-	if st = b.QuoteCacheStats(); st.TemplateHits != hits+1 {
-		t.Fatalf("template hits %d, want %d: %+v", st.TemplateHits, hits+1, st)
-	}
+		// Ad-hoc quote with a NEW constant seeds the entry for a later
+		// prepared call: sharing works in the other direction too.
+		if _, err := adhoc(c + 11); err != nil {
+			t.Fatal(err)
+		}
+		st = b.QuoteCacheStats()
+		r, err = s.PriceWith(ctx, fn, NewInt(c+11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.PerQuery[0].Cached {
+			t.Fatalf("%v: prepared quote after ad-hoc quote of the same instance was not cached", fn)
+		}
+		if got := b.QuoteCacheStats(); got.TemplateHits != st.TemplateHits+1 {
+			t.Fatalf("%v: template hits %d, want %d: %+v", fn, got.TemplateHits, st.TemplateHits+1, got)
+		}
 
-	// Distinct parameter values must never share an entry.
-	a, err := s.Price(ctx, NewInt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PerQuery[0].Cached {
-		t.Fatal("fresh parameter vector served from cache")
+		// Distinct parameter values must never share an entry.
+		a, err := s.PriceWith(ctx, fn, NewInt(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.PerQuery[0].Cached {
+			t.Fatalf("%v: fresh parameter vector served from cache", fn)
+		}
 	}
 }
 

@@ -421,95 +421,6 @@ func (b *Broker) Compile(sql string) (*exec.Query, error) {
 	return q, nil
 }
 
-// templateSuffix renders the template-keyed identity of a single
-// constant query: the literal-stripped canonical form plus the exact
-// constant vector in site order. Prepared statements compute the same
-// suffix from their cached template, so an ad-hoc quote of a template
-// instance and a prepared quote of the same instance share one cache
-// entry (and coalesce). The bool reports whether templating succeeded;
-// on the (pathological) fallback the full-constant Fingerprint is
-// returned instead.
-func templateSuffix(stmt *ast.SelectStmt) (string, bool) {
-	if tm, err := ast.NewTemplate(stmt); err == nil {
-		if pk, err2 := tm.ParamKey(nil); err2 == nil {
-			return tm.Canon + "\x02" + pk, true
-		}
-	}
-	return ast.Fingerprint(stmt), false
-}
-
-// disKey keys a bundle's disagreement bitmap: the bitmap depends on the
-// queries, the support set and the database contents — NOT on the pricing
-// function or the weight vector, so one cached bitmap serves coverage
-// quotes, uniform-gain quotes and every buyer's history-aware purchase,
-// across weight refits. Single queries are keyed by template ("td|",
-// canonical-form-with-'?' plus constant vector) so ad-hoc and prepared
-// paths share entries; bundles keep full-constant fingerprints ("d|").
-func (b *Broker) disKey(qs []*exec.Query) string {
-	if len(qs) == 1 {
-		suffix, templated := templateSuffix(qs[0].Stmt)
-		p := "d"
-		if templated {
-			p = "td"
-		}
-		return fmt.Sprintf("%s|%d|%d|%s", p, b.supportGen, b.maxVersion(qs), suffix)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "d|%d|%d", b.supportGen, b.maxVersion(qs))
-	for _, q := range qs {
-		sb.WriteByte('\x01')
-		sb.WriteString(ast.Fingerprint(q.Stmt))
-	}
-	return sb.String()
-}
-
-// entropyKey keys a final entropy price, which additionally depends on
-// the pricing function and the weight vector (via its epoch). Single
-// queries use template keys ("te|") like disKey.
-func (b *Broker) entropyKey(fn PricingFunc, qs []*exec.Query) string {
-	if len(qs) == 1 {
-		suffix, templated := templateSuffix(qs[0].Stmt)
-		p := "e"
-		if templated {
-			p = "te"
-		}
-		return fmt.Sprintf("%s|%d|%d|%d|%d|%s", p, int(fn), b.engine.WeightsEpoch(), b.supportGen, b.maxVersion(qs), suffix)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "e|%d|%d|%d|%d", int(fn), b.engine.WeightsEpoch(), b.supportGen, b.maxVersion(qs))
-	for _, q := range qs {
-		sb.WriteByte('\x01')
-		sb.WriteString(ast.Fingerprint(q.Stmt))
-	}
-	return sb.String()
-}
-
-// maxVersion returns the largest mutation counter over the relations the
-// bundle references: a point update to any of them moves the key, so a
-// cached price can never outlive the data it priced.
-func (b *Broker) maxVersion(qs []*exec.Query) uint64 {
-	var v uint64
-	for _, q := range qs {
-		if w := b.maxVersionTables(ast.ReferencedTables(q.Stmt)); w > v {
-			v = w
-		}
-	}
-	return v
-}
-
-// maxVersionTables is maxVersion over a precomputed relation list — the
-// prepared-statement fast path, whose referenced tables never change
-// across bindings.
-func (b *Broker) maxVersionTables(tables []string) uint64 {
-	var v uint64
-	for _, rel := range tables {
-		if t := b.db.Table(rel); t != nil && t.Version() > v {
-			v = t.Version()
-		}
-	}
-	return v
-}
-
 // cached runs compute through the quote cache's singleflight (or directly
 // when caching is disabled). The second return reports provenance: true
 // when the value came from the cache or another caller's flight, false
@@ -529,48 +440,58 @@ func (b *Broker) cached(ctx context.Context, key string, compute func() (any, er
 	return v, !computed, err
 }
 
-// disEntry is a cached disagreement bitmap plus the Stats of the cold
-// computation that produced it (restored on hits so warm and cold quotes
-// report identically). The bitmap is shared read-only by every consumer.
-type disEntry struct {
-	dis   []bool
-	stats pricing.Stats
-}
-
-// priceEntry is a cached final entropy price.
-type priceEntry struct {
-	price float64
-	stats pricing.Stats
-}
-
-// disagreements returns the bundle's full (history-oblivious)
-// disagreement bitmap under the given cache key, from the cache when
-// possible (the bool reports provenance). Callers hold mu.RLock and
-// compute key with disKey (or a prepared statement's precomputed
-// template key, which is identical by construction).
-func (b *Broker) disagreements(ctx context.Context, qs []*exec.Query, key string) (disEntry, bool, error) {
-	v, cached, err := b.cached(ctx, key, func() (any, error) {
-		if rs := b.sweeper; rs != nil {
-			// Remote cold sweep: the shards walk their slices and return
-			// per-element bits; the fold reproduces global index order, so
-			// the cached entry is indistinguishable from a local sweep's.
-			dis, stats, err := rs.SweepBits(ctx, sqlsOf(qs), SweepSpec{Bundle: true, SupportGen: b.supportGen})
-			if err != nil {
-				return nil, err
-			}
-			return disEntry{dis: dis[0], stats: stats[0]}, nil
+// exactEntry returns the bundle's exact cache entry under k, from the
+// cache when possible (the bool reports provenance): the full,
+// history-oblivious disagreement bitmap for a bit-derived k.fn, the
+// folded price for an entropy. Callers hold mu.RLock.
+func (b *Broker) exactEntry(ctx context.Context, k quoteKey) (vector, bool, error) {
+	v, cached, err := b.cached(ctx, b.key(k), func() (any, error) {
+		out, _, err := b.sweep(ctx, sweepReq{qs: k.qs, hashes: hashed(k.fn), spec: SweepSpec{Bundle: true, SupportGen: b.supportGen}})
+		if err != nil {
+			return nil, err
 		}
-		var ent disEntry
-		err := b.localSweep(ctx, func() (err error) {
-			ent.dis, ent.stats, err = b.engine.DisagreementsLiveCtx(ctx, qs, nil)
-			return err
-		})
-		return ent, err
+		return b.entry(k.fn, out[0])
 	})
 	if err != nil {
-		return disEntry{}, false, err
+		return vector{}, false, err
 	}
-	return v.(disEntry), cached, nil
+	return v.(vector), cached, nil
+}
+
+// entry is what the cache keeps of an exact sweep output under fn: the
+// bitmap itself (weight-independent, folded on every serve), or for the
+// entropies the folded price alone.
+func (b *Broker) entry(fn PricingFunc, v vector) (vector, error) {
+	if !hashed(fn) {
+		return v, nil
+	}
+	est, err := b.fold(fn, v, nil)
+	return vector{price: est.Price, stats: v.stats}, err
+}
+
+// served is the quote an exact entry serves under fn: the cached price,
+// or the fold of the bitmap under the current weights — the summation
+// the cold path performs, so warm and cold prices are bit-identical.
+func (b *Broker) served(fn PricingFunc, v vector, cached bool) (QuoteInfo, error) {
+	info := QuoteInfo{Price: v.price, Stats: v.stats, Cached: cached}
+	if hashed(fn) {
+		return info, nil
+	}
+	est, err := b.fold(fn, v, nil)
+	info.Price = est.Price
+	return info, err
+}
+
+// exact prices a compiled bundle exactly under k (a prepared
+// statement's key carries its precomputed template), reporting the
+// stats of the cold computation and whether it was served from the
+// cache. Callers hold mu.RLock.
+func (b *Broker) exact(ctx context.Context, k quoteKey) (QuoteInfo, error) {
+	v, cached, err := b.exactEntry(ctx, k)
+	if err != nil {
+		return QuoteInfo{}, err
+	}
+	return b.served(k.fn, v, cached)
 }
 
 // sqlsOf extracts the original SQL texts of a compiled bundle (the wire
@@ -581,102 +502,6 @@ func sqlsOf(qs []*exec.Query) []string {
 		out[i] = q.SQL
 	}
 	return out
-}
-
-// entropyPrice returns the bundle's price under an entropy pricing
-// function, from the cache when possible (the bool reports provenance).
-// Callers hold mu.RLock; key comes from entropyKey or a prepared
-// statement's precomputed equivalent.
-func (b *Broker) entropyPrice(ctx context.Context, fn PricingFunc, qs []*exec.Query, key string) (priceEntry, bool, error) {
-	v, cached, err := b.cached(ctx, key, func() (any, error) {
-		if rs := b.sweeper; rs != nil {
-			// Remote entropy sweep: shards return per-element output-hash
-			// slices; concatenated in shard order they reproduce the full
-			// vector, and the local block fold is the single-node one.
-			elems, stats, err := rs.SweepHashes(ctx, sqlsOf(qs), SweepSpec{Bundle: true, SupportGen: b.supportGen})
-			if err != nil {
-				return nil, err
-			}
-			p, err := b.engine.EntropyPriceFromHashes(fn, elems[0])
-			if err != nil {
-				return nil, err
-			}
-			return priceEntry{price: p, stats: stats[0]}, nil
-		}
-		var elems []uint64
-		var ent priceEntry
-		if err := b.localSweep(ctx, func() (err error) {
-			elems, _, ent.stats, err = b.engine.OutputHashesLiveCtx(ctx, qs, nil)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		var err error
-		ent.price, err = b.engine.EntropyPriceFromHashes(fn, elems)
-		return ent, err
-	})
-	if err != nil {
-		return priceEntry{}, false, err
-	}
-	return v.(priceEntry), cached, nil
-}
-
-// localSweep runs one local cold sweep in a slot of the sweep semaphore,
-// waiting for the slot under ctx (a cancelled wait returns ctx.Err()
-// without sweeping). The wait is timed as sweep_wait and the number of
-// sweeps in flight feeds the sweeps_inflight_max high-water mark. Before
-// sweeping it rebuilds the engine's per-query state if the database was
-// mutated externally. Callers hold mu.RLock and never hold a slot already.
-func (b *Broker) localSweep(ctx context.Context, sweep func() error) error {
-	start := time.Now()
-	select {
-	case b.sweepSlots <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	b.obs.Observe("sweep_wait", time.Since(start))
-	b.obs.Counter("sweeps_inflight_max").Max(uint64(len(b.sweepSlots)))
-	defer func() { <-b.sweepSlots }()
-	b.engine.RefreshCache()
-	return sweep()
-}
-
-// quoteLocked prices a compiled bundle under fn, reporting the stats of
-// the computation and whether it was served from the cache. Callers hold
-// mu.RLock.
-func (b *Broker) quoteLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query) (float64, Stats, bool, error) {
-	return b.quoteKeyedLocked(ctx, fn, qs, func() string {
-		if fn == WeightedCoverage || fn == UniformEntropyGain {
-			return b.disKey(qs)
-		}
-		return b.entropyKey(fn, qs)
-	})
-}
-
-// quoteKeyedLocked is quoteLocked with the cache key supplied by the
-// caller (computed lazily — only the branch that needs it pays for it).
-// The prepared-statement fast path enters here with precomputed template
-// keys, skipping every per-call canonical render. Callers hold mu.RLock.
-func (b *Broker) quoteKeyedLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, key func() string) (float64, Stats, bool, error) {
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		ent, cached, err := b.disagreements(ctx, qs, key())
-		if err != nil {
-			return 0, Stats{}, false, err
-		}
-		// Summing the current weights over the cached bitmap is the exact
-		// summation the cold path performs — bit-identical, and correct
-		// across weight refits because the bitmap is weight-independent.
-		p, err := b.engine.PriceFromDisagreements(fn, ent.dis)
-		return p, ent.stats, cached, err
-	case ShannonEntropy, QEntropy:
-		ent, cached, err := b.entropyPrice(ctx, fn, qs, key())
-		if err != nil {
-			return 0, Stats{}, false, err
-		}
-		return ent.price, ent.stats, cached, nil
-	}
-	return 0, Stats{}, false, fmt.Errorf("unknown pricing function %v", fn)
 }
 
 // batchEntries resolves one cache entry per query: hits from the LRU,

@@ -148,7 +148,7 @@ func TestConcurrentQuotesMatchColdSerial(t *testing.T) {
 // price against a solo cold quote, for a coverage and an entropy
 // function.
 func TestBatchQuoteMatchesSolo(t *testing.T) {
-	b, ref, _ := twinBrokers(t, 2)
+	b, ref, db := twinBrokers(t, 2)
 	batch := []string{
 		"SELECT Name FROM Country WHERE Continent = 'Asia'",
 		"SELECT Population FROM Country WHERE ID < 50",
@@ -156,18 +156,68 @@ func TestBatchQuoteMatchesSolo(t *testing.T) {
 		"SELECT Continent, count(*) FROM Country GROUP BY Continent",
 		"SELECT * FROM CountryLanguage WHERE IsOfficial = 'T'",
 	}
-	for _, fn := range []PricingFunc{WeightedCoverage, ShannonEntropy} {
-		got, err := b.Price(context.Background(), PriceRequest{SQLs: batch, Func: &fn})
+	ctx := context.Background()
+	fns := []PricingFunc{WeightedCoverage, UniformEntropyGain, ShannonEntropy, QEntropy}
+	for _, fn := range fns {
+		got, err := b.Price(ctx, PriceRequest{SQLs: batch, Func: &fn})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, sql := range batch {
-			want, err := ref.Price(context.Background(), PriceRequest{SQLs: []string{sql}, Func: &fn})
+			want, err := ref.Price(ctx, PriceRequest{SQLs: []string{sql}, Func: &fn})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Prices[j] != want.Total {
 				t.Errorf("%v batch[%d] = %g, solo cold = %g", fn, j, got.Prices[j], want.Total)
+			}
+			if got.PerQuery[j].Stats != want.Stats {
+				t.Errorf("%v batch[%d] stats %+v, solo cold %+v", fn, j, got.PerQuery[j].Stats, want.Stats)
+			}
+		}
+	}
+
+	// Approximate batches price each query through the solo sampled
+	// path. The sample mask is keyed by the broker seed, so the solo
+	// reference shares b's seed (and its support set). The refiner may
+	// upgrade a batch entry (the duplicate hits its twin's entry) to
+	// the exact price while the batch runs; such an entry must serve
+	// the exact price, with the sampled sweep's Stats.
+	var buf bytes.Buffer
+	if err := b.SaveSupportSet(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := NewBrokerFromSupport(db, 100, &buf, Options{QuoteCacheSize: -1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range fns {
+		got, err := b.Price(ctx, PriceRequest{SQLs: batch, Func: &fn, MaxError: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, sql := range batch {
+			want, err := sampled.Price(ctx, PriceRequest{SQLs: []string{sql}, Func: &fn, MaxError: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := got.PerQuery[j]
+			if info.Estimate == nil || want.PerQuery[0].Estimate == nil || want.PerQuery[0].Estimate.SampleFrac >= 1 {
+				t.Fatalf("%v batch[%d]: not a sampled quote: %+v vs solo %+v", fn, j, info.Estimate, want.PerQuery[0].Estimate)
+			}
+			wantPrice := want.Total
+			if info.Estimate.Refined {
+				exact, err := ref.Price(ctx, PriceRequest{SQLs: []string{sql}, Func: &fn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantPrice = exact.Total
+			}
+			if got.Prices[j] != wantPrice {
+				t.Errorf("%v approx batch[%d] = %g, solo = %g (refined %v)", fn, j, got.Prices[j], wantPrice, info.Estimate.Refined)
+			}
+			if info.Stats != want.Stats {
+				t.Errorf("%v approx batch[%d] stats %+v, solo %+v", fn, j, info.Stats, want.Stats)
 			}
 		}
 	}
