@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build bench-build test race bench json-bench vet lint lint-dup lint-quote-path fuzz crash chaos bench-compare serve cluster
+.PHONY: all build bench-build test race bench json-bench vet lint lint-dup lint-fmt lint-quote-path fuzz crash chaos bench-compare serve cluster
 
 all: build vet test
 
@@ -28,7 +28,7 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-vet: lint-dup lint-quote-path
+vet: lint-dup lint-fmt lint-quote-path
 	$(GO) vet ./...
 
 # The lowercase-name helper lives in internal/sqlengine/ast (LowerName);
@@ -37,6 +37,13 @@ vet: lint-dup lint-quote-path
 lint-dup:
 	@if grep -rn 'func lower(' internal/disagree internal/sqlengine/exec internal/sqlengine/plan --include='*.go'; then \
 		echo 'duplicate lower() helper: use ast.LowerName'; exit 1; fi
+
+# Every tracked Go file must be gofmt-clean. git ls-files lists tracked
+# sources only, so the module-cache copies under .bench_build/ are never
+# scanned.
+lint-fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then \
+		echo "$$out"; echo 'gofmt: run gofmt -w on the files above'; exit 1; fi
 
 # Every quote mode is one sweep, one fold and one cache key (DESIGN.md
 # §7, "One quote path"). Fail if a non-test root-package file other than

@@ -3,7 +3,10 @@ package disagree
 import (
 	"testing"
 
+	"qirana/internal/result"
+	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
+	"qirana/internal/storage"
 	"qirana/internal/support"
 	"qirana/internal/value"
 )
@@ -25,7 +28,12 @@ var fuzzBals = []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.5}
 // entries), the hash it derives must equal the re-run's as well. The
 // fuzzer owns the input space, so it explores update shapes the generated
 // support sets never produce (no-op writes, value collisions, repeated
-// extremum duplicates, swaps that reorder float contributions).
+// extremum duplicates, swaps that reorder float contributions). The
+// catalog ends with foldOnly queries: single-source group-bys plan.Extract
+// rejects (COUNT(DISTINCT)), so they have no checker; for them, and for
+// every single-source group-by with one, the fuzzer checks exec's group
+// fold directly: the relation's rows refolded with the update's new
+// tuples at their positions must hash as the re-run does.
 func FuzzDeltaTiers(f *testing.F) {
 	db := custOrdDB(99, 25, 60, fuzzBals)
 	queries := []string{
@@ -40,9 +48,13 @@ func FuzzDeltaTiers(f *testing.F) {
 		"SELECT city, count(*), avg(bal) FROM Cust WHERE score > 10 GROUP BY city",
 		"SELECT tier, sum(bal) FROM Cust GROUP BY tier",
 		"SELECT C.city, sum(C.bal), avg(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city",
+		"SELECT score / 10, count(*), sum(bal), min(city) FROM Cust WHERE score > 5 GROUP BY score / 10",
+	}
+	foldOnly := []string{
+		"SELECT tier, count(DISTINCT city), avg(bal) FROM Cust WHERE score < 40 GROUP BY tier",
 	}
 	checkers := make([]*Checker, len(queries))
-	qs := make([]*exec.Query, len(queries))
+	qs := make([]*exec.Query, len(queries)+len(foldOnly))
 	for i, sql := range queries {
 		qs[i] = exec.MustCompile(sql, db.Schema)
 		c, err := New(qs[i], db)
@@ -51,6 +63,10 @@ func FuzzDeltaTiers(f *testing.F) {
 		}
 		checkers[i] = c
 	}
+	for i, sql := range foldOnly {
+		qs[len(queries)+i] = exec.MustCompile(sql, db.Schema)
+	}
+	queries = append(queries, foldOnly...)
 	cities := []string{"ny", "sf", "la", "chi", "zz"}
 	statuses := []string{"open", "shipped", "lost", "new"}
 
@@ -111,12 +127,18 @@ func FuzzDeltaTiers(f *testing.F) {
 				Old1: []value.Value{tbl.Get(ri, ai)},
 				New1: []value.Value{newVal}}
 		}
-		k := int(qPick) % len(checkers)
+		k := int(qPick) % len(queries)
+		if k >= len(checkers) {
+			_, after := rerun(t, qs[k], db, u)
+			checkGroupFold(t, qs[k], db, u, after)
+			return
+		}
 		got, _, err := checkers[k].Check(u)
 		if err != nil {
 			t.Fatalf("%q / %+v: %v", queries[k], u, err)
 		}
 		base, after := rerun(t, qs[k], db, u)
+		checkGroupFold(t, qs[k], db, u, after)
 		if want := !base.Equal(after); got != want {
 			t.Fatalf("%q / %+v: tiered says %v, full re-run says %v", queries[k], u, got, want)
 		}
@@ -129,4 +151,37 @@ func FuzzDeltaTiers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkGroupFold checks exec's group fold on a single-source GROUP BY
+// query (any other query passes): the relation's rows refolded with u's
+// new tuples at their positions must hash as after, the re-run over u(D).
+func checkGroupFold(t *testing.T, q *exec.Query, db *storage.Database, u *support.Update, after *result.Result) {
+	t.Helper()
+	tbl, err := q.NewGroupTable(db)
+	if err != nil || tbl.Rel() != ast.LowerName(u.Rel) {
+		return
+	}
+	in := make([]*exec.FoldRow, tbl.Len())
+	for ri := range in {
+		in[ri] = tbl.Row(ri)
+	}
+	pos := []int{u.Row1}
+	if u.Swap {
+		pos = append(pos, u.Row2)
+	}
+	for x, plus := range u.PlusRows(db) {
+		fr, err := tbl.Eval(plus)
+		if err != nil {
+			t.Fatalf("%q / %+v: eval of the new tuple: %v", q.SQL, u, err)
+		}
+		in[pos[x]] = &fr
+	}
+	rows, err := tbl.Fold(in)
+	if err != nil {
+		t.Fatalf("%q / %+v: fold: %v", q.SQL, u, err)
+	}
+	if got := result.PartsOf(rows).Finish(); got != after.Hash() {
+		t.Fatalf("%q / %+v: fold hash %x, the re-run's hash %x", q.SQL, u, got, after.Hash())
+	}
 }

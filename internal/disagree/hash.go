@@ -29,11 +29,11 @@ type Hasher struct {
 }
 
 // groupIndex partitions the base rows of a single-source GROUP BY query's
-// relation by group key, as exec's groupPhase keys them. Rows a WHERE
-// conjunct drops still get a key: a refold runs the query, which drops
-// them again.
+// relation by group key, the key the query's exec.GroupTable gives each
+// row. Rows WHERE drops have a key too, so an update's new tuple is
+// folded at its own position even when the old row failed WHERE.
 type groupIndex struct {
-	rel     string         // lower-case relation name
+	t       *exec.GroupTable
 	of      []int          // group id of each base row
 	ids     map[string]int // group key -> id
 	members [][]int        // base rows of each group, ascending
@@ -42,10 +42,10 @@ type groupIndex struct {
 
 // NewHasher returns the delta hasher of the checker's query given its
 // output over D, or nil when every element the classification cannot
-// settle must be re-executed: plan.HashRerun shapes, and group keys that
-// do not evaluate on every base row. A group's base Parts come from the
-// base output: each output row carries its group key in the columns
-// plan.SPJ.GroupOut names.
+// settle must be re-executed: plan.HashRerun shapes, and group-by queries
+// whose fold input does not evaluate on every base row. A group's base
+// Parts come from the base output: each output row carries its group key
+// in the columns plan.SPJ.GroupOut names.
 func (c *Checker) NewHasher(base *result.Result) *Hasher {
 	kind := c.SPJ.HashDelta()
 	if kind == plan.HashRerun || base.Ordered {
@@ -53,14 +53,13 @@ func (c *Checker) NewHasher(base *result.Result) *Hasher {
 	}
 	h := &Hasher{c: c, kind: kind, base: result.PartsOf(base.Rows)}
 	if kind == plan.HashGroups {
-		rel := ast.LowerName(c.SPJ.RelOfSource[0])
-		rows := c.db.Table(rel).Rows
-		g := &groupIndex{rel: rel, of: make([]int, len(rows)), ids: make(map[string]int)}
-		for ri, row := range rows {
-			k, err := c.groupKey(row)
-			if err != nil {
-				return nil
-			}
+		t, err := c.Q.NewGroupTable(c.db)
+		if err != nil {
+			return nil
+		}
+		g := &groupIndex{t: t, of: make([]int, t.Len()), ids: make(map[string]int)}
+		for ri := range g.of {
+			k := t.Row(ri).Key
 			id, ok := g.ids[k]
 			if !ok {
 				id = len(g.members)
@@ -85,21 +84,6 @@ func (c *Checker) NewHasher(base *result.Result) *Hasher {
 		h.g = g
 	}
 	return h
-}
-
-// groupKey evaluates the GROUP BY expressions of a single-source query on
-// one row of its relation and keys them as exec's groupPhase does.
-func (c *Checker) groupKey(row []value.Value) (string, error) {
-	by := c.Q.A.Stmt.GroupBy
-	vals := make([]value.Value, len(by))
-	for i, e := range by {
-		v, err := c.Q.EvalSingleSource(c.db, 0, row, e)
-		if err != nil {
-			return "", err
-		}
-		vals[i] = v
-	}
-	return value.Key(vals), nil
 }
 
 // Hash returns Result.Hash of the query over u(D), with the tier it was
@@ -130,16 +114,19 @@ func (h *Hasher) Hash(u *support.Update) (hash uint64, s CheckStats, ok bool) {
 	return h.base.Sub(result.PartsOf(outMinus)).Add(result.PartsOf(outPlus)).Finish(), s, true
 }
 
-// refold hashes a single-source GROUP BY query over u(D) by running it
-// over the rows of the groups u touches only: the old group of every row
-// u rewrites and the group each new tuple joins, in base-row order with
-// the new tuples at their own positions. The run feeds every touched
-// group the row sequence a full run over u(D) feeds it and no other rows,
-// so its output is exactly the touched groups' new output rows, float
-// SUM/AVG included; the untouched groups keep their rows and their output.
+// refold hashes a single-source GROUP BY query over u(D) by folding the
+// rows of the groups u touches only: the old group of every row u
+// rewrites and the group each new tuple joins, in base-row order with the
+// new tuples at their own positions. The base rows bring the fold input
+// their GroupTable computed once; only the new tuples are evaluated. The
+// fold feeds every touched group the row sequence a full run over u(D)
+// feeds it and no other rows, through the executor's own accumulators and
+// projection, so its output is exactly the touched groups' new output
+// rows, float SUM/AVG included; the untouched groups keep their rows and
+// their output.
 func (h *Hasher) refold(u *support.Update) (uint64, CheckStats, bool) {
 	c, g := h.c, h.g
-	if ast.LowerName(u.Rel) != g.rel {
+	if ast.LowerName(u.Rel) != g.t.Rel() {
 		return 0, CheckStats{}, false
 	}
 	plus := u.PlusRows(c.db)
@@ -147,6 +134,7 @@ func (h *Hasher) refold(u *support.Update) (uint64, CheckStats, bool) {
 	if u.Swap {
 		pos = append(pos, u.Row2)
 	}
+	in := make([]exec.FoldRow, len(pos))
 	var touched []int
 	note := func(id int) {
 		for _, t := range touched {
@@ -158,11 +146,11 @@ func (h *Hasher) refold(u *support.Update) (uint64, CheckStats, bool) {
 	}
 	for x, ri := range pos {
 		note(g.of[ri])
-		k, err := c.groupKey(plus[x])
-		if err != nil {
+		var err error
+		if in[x], err = g.t.Eval(plus[x]); err != nil {
 			return 0, CheckStats{}, false
 		}
-		if id, ok := g.ids[k]; ok {
+		if id, ok := g.ids[in[x].Key]; ok {
 			note(id)
 		}
 	}
@@ -173,19 +161,18 @@ func (h *Hasher) refold(u *support.Update) (uint64, CheckStats, bool) {
 		idx = append(idx, g.members[id]...)
 	}
 	sort.Ints(idx)
-	base := c.db.Table(g.rel).Rows
-	rows := make([][]value.Value, len(idx))
+	rows := make([]*exec.FoldRow, len(idx))
 	for x, ri := range idx {
-		rows[x] = base[ri]
+		rows[x] = g.t.Row(ri)
 		for y, p := range pos {
 			if ri == p {
-				rows[x] = plus[y]
+				rows[x] = &in[y]
 			}
 		}
 	}
-	res, err := c.Q.RunOverride(c.db, exec.Overrides{g.rel: rows})
+	out, err := g.t.Fold(rows)
 	if err != nil {
 		return 0, CheckStats{}, false
 	}
-	return h.base.Sub(old).Add(result.PartsOf(res.Rows)).Finish(), CheckStats{Batched: 1, DeltaPartialRuns: 1}, true
+	return h.base.Sub(old).Add(result.PartsOf(out)).Finish(), CheckStats{Batched: 1, DeltaPartialRuns: 1}, true
 }

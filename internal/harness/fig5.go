@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"qirana/internal/datagen"
@@ -50,8 +51,14 @@ func scalability(cfg Config, id, title string, db *storage.Database, wqs []workl
 		}
 
 		batch := pricing.NewEngine(db, set, 100)
+		var stats pricing.Stats
 		dYes, err := timeIt(func() error {
-			_, err := batch.Price(pricing.WeightedCoverage, q)
+			dis, s, err := batch.DisagreementsLiveCtx(context.Background(), []*exec.Query{q}, nil)
+			if err != nil {
+				return err
+			}
+			stats = s
+			_, err = batch.PriceFromDisagreements(pricing.WeightedCoverage, dis)
 			return err
 		})
 		if err != nil {
@@ -59,7 +66,7 @@ func scalability(cfg Config, id, title string, db *storage.Database, wqs []workl
 		}
 
 		path := "fast"
-		if batch.LastStats.Naive > 0 {
+		if stats.Naive > 0 {
 			path = "naive"
 		}
 		t.Rows = append(t.Rows, []string{wq.Name, ms(dNo), ms(dYes), ms(dExec), path})

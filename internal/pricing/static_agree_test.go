@@ -87,24 +87,33 @@ func TestEntropyStaticAgreeMatchesFullSweep(t *testing.T) {
 }
 
 // groupRefoldQueries are single-source group-bys of the refold's domain
-// (an expression over aggregates, float AVG and SUM) and two shapes
-// plan.Extract rejects, so they keep the overlay pass: HAVING and a
-// MySQL-permissive non-grouped column.
+// (an expression over aggregates, float AVG and SUM, MIN/MAX over strings
+// and floats in one-row Name groups) and three shapes plan.Extract
+// rejects, so they keep the overlay pass: HAVING, a MySQL-permissive
+// non-grouped column and COUNT(DISTINCT).
 var groupRefoldQueries = []string{
 	"SELECT Continent, sum(Population) / count(*), avg(LifeExpectancy) FROM Country WHERE Population > 1000000 GROUP BY Continent",
 	"SELECT Region, sum(GNP), avg(LifeExpectancy) FROM Country GROUP BY Region",
+	"SELECT Name, min(Region), max(LifeExpectancy), min(GNP) FROM Country WHERE Population > 1000000 GROUP BY Name",
 	"SELECT Continent, count(*), avg(LifeExpectancy) FROM Country GROUP BY Continent HAVING count(*) > 30",
 	"SELECT Continent, Name, max(Population) FROM Country GROUP BY Continent",
+	"SELECT Continent, count(DISTINCT Region), count(*) FROM Country GROUP BY Continent",
 }
+
+// groupRefolds is the number of groupRefoldQueries with a checker.
+const groupRefolds = 3
 
 // TestEntropyGroupRefoldMatchesFullSweep checks the group refold on world
 // group-bys over a generated support set extended by hand-made updates:
 // LifeExpectancy swaps inside one continent and across two, a Continent
-// swap that moves two rows between groups, and a row update into a group
-// D does not have. Each query is checked alone (the refold shapes must
-// hash every element they are not static on by refold, counted as
-// Batched + DeltaPartial), and all four together, where the no-checker
-// shapes send every element through the overlay pass.
+// swap that moves two rows between groups, a row update into a group D
+// does not have, WHERE-failing rows made to pass into an existing group,
+// into their own group (which has no output row over D) and into a new
+// group, and a passing row made to fail, which empties its Name group.
+// Each query is checked alone (the refold shapes must hash every element
+// they are not static on by refold, counted as Batched + DeltaPartial),
+// and all of them together, where the no-checker shapes send every
+// element through the overlay pass.
 func TestEntropyGroupRefoldMatchesFullSweep(t *testing.T) {
 	forceParallel(t)
 	db := datagen.World(1)
@@ -118,11 +127,11 @@ func TestEntropyGroupRefoldMatchesFullSweep(t *testing.T) {
 	}
 	for j, sql := range groupRefoldQueries {
 		t.Run(fmt.Sprintf("q%d", j), func(t *testing.T) {
-			s := checkEntropySweep(t, db, set, []string{sql}, j < 2)
-			if j < 2 && (s.DeltaPartial == 0 || s.Batched != s.DeltaPartial || s.Naive != 0) {
+			s := checkEntropySweep(t, db, set, []string{sql}, j < groupRefolds)
+			if j < groupRefolds && (s.DeltaPartial == 0 || s.Batched != s.DeltaPartial || s.Naive != 0) {
 				t.Errorf("%q: stats %+v, want every non-static element refolded", sql, s)
 			}
-			if j >= 2 && s.Naive != set.Size() {
+			if j >= groupRefolds && s.Naive != set.Size() {
 				t.Errorf("%q: stats %+v, want every element re-executed", sql, s)
 			}
 		})
@@ -135,8 +144,22 @@ func TestEntropyGroupRefoldMatchesFullSweep(t *testing.T) {
 func groupUpdates(t *testing.T, db *storage.Database) []*support.Update {
 	t.Helper()
 	rel := db.Schema.Relation("Country")
-	cont, life := rel.AttrIndex("Continent"), rel.AttrIndex("LifeExpectancy")
+	cont, life, pop := rel.AttrIndex("Continent"), rel.AttrIndex("LifeExpectancy"), rel.AttrIndex("Population")
 	tbl := db.Table("Country")
+	// A row failing Population > 1000000 and one passing it.
+	fail, pass := -1, -1
+	for i := range tbl.Rows {
+		if p := tbl.Get(i, pop); p.IsNull() || p.I <= 1000000 {
+			if fail < 0 {
+				fail = i
+			}
+		} else if pass < 0 {
+			pass = i
+		}
+	}
+	if fail < 0 || pass < 0 {
+		t.Fatal("world has no rows on both sides of Population > 1000000")
+	}
 	// Two rows of one continent and one row of another, all with distinct
 	// non-NULL LifeExpectancy.
 	a, b, c := -1, -1, -1
@@ -161,12 +184,23 @@ func groupUpdates(t *testing.T, db *storage.Database) []*support.Update {
 		return &support.Update{Rel: "Country", Swap: true, Row1: r1, Row2: r2, Attrs: []int{attr},
 			Old1: []value.Value{v1}, New1: []value.Value{v2}, Old2: []value.Value{v2}, New2: []value.Value{v1}}
 	}
+	rewrite := func(r int, attrs []int, vals ...value.Value) *support.Update {
+		u := &support.Update{Rel: "Country", Row1: r, Attrs: attrs, New1: vals}
+		for _, at := range attrs {
+			u.Old1 = append(u.Old1, tbl.Get(r, at))
+		}
+		return u
+	}
 	return []*support.Update{
 		swap(a, b, life), // inside one group
 		swap(a, c, life), // across two groups
 		swap(a, c, cont), // rows change groups
 		{Rel: "Country", Row1: b, Attrs: []int{cont},
 			Old1: []value.Value{tbl.Get(b, cont)}, New1: []value.Value{value.NewString("Atlantis")}},
+		rewrite(fail, []int{pop, cont}, value.NewInt(2000000), tbl.Get(pass, cont)),        // fails -> passes, existing group
+		rewrite(fail, []int{pop}, value.NewInt(2000000)),                                   // fails -> passes, its own group
+		rewrite(fail, []int{pop, cont}, value.NewInt(2000000), value.NewString("Lemuria")), // fails -> passes, new group
+		rewrite(pass, []int{pop}, value.NewInt(0)),                                         // passes -> fails, its Name group empties
 	}
 }
 

@@ -32,10 +32,10 @@ type fakeShard struct {
 	srv    *httptest.Server
 }
 
-func fakeDisagree(x, j int) bool    { return (x+j)%3 == 0 }
-func fakeHash(x, j int) uint64      { return uint64(x)*2654435761 + uint64(j) }
-func testInfo(size int) Info        { return Info{SupportGen: 1, SupportSum: 42, Size: size} }
-func testSpec() qirana.SweepSpec    { return qirana.SweepSpec{SupportGen: 1} }
+func fakeDisagree(x, j int) bool        { return (x+j)%3 == 0 }
+func fakeHash(x, j int) uint64          { return uint64(x)*2654435761 + uint64(j) }
+func testInfo(size int) Info            { return Info{SupportGen: 1, SupportSum: 42, Size: size} }
+func testSpec() qirana.SweepSpec        { return qirana.SweepSpec{SupportGen: 1} }
 func noHedge(p FaultPolicy) FaultPolicy { p.DisableHedging = true; return p }
 
 func newFakeShard(t *testing.T, size int) *fakeShard {

@@ -27,8 +27,8 @@ type aggAcc struct {
 	distinct map[string]bool
 }
 
-func newAcc(fn *ast.FuncCall) *aggAcc {
-	a := &aggAcc{fn: fn, min: value.Null, max: value.Null}
+func newAcc(fn *ast.FuncCall) aggAcc {
+	a := aggAcc{fn: fn, min: value.Null, max: value.Null}
 	if fn.Distinct {
 		a.distinct = make(map[string]bool)
 	}
@@ -102,80 +102,128 @@ func (a *aggAcc) final() value.Value {
 
 type groupAcc struct {
 	rep  [][]value.Value
-	accs []*aggAcc
+	accs []aggAcc
+}
+
+// groupFold folds tuples into aggregation groups in first-appearance
+// order. It is the one accumulate-and-finish routine of aggregation:
+// groupPhase feeds it the joined tuples of a run, a GroupTable refold
+// (refold.go) the rows of the groups an update touches.
+type groupFold struct {
+	aggs  []*ast.FuncCall
+	byKey map[string]*groupAcc
+	order []*groupAcc
+}
+
+func newGroupFold(a *analyze.Analyzed) *groupFold {
+	return &groupFold{aggs: a.Aggs, byKey: make(map[string]*groupAcc)}
+}
+
+// open returns group k, opening it with representative tuple rep on k's
+// first appearance.
+func (f *groupFold) open(k string, rep [][]value.Value) *groupAcc {
+	ga := f.byKey[k]
+	if ga == nil {
+		ga = &groupAcc{rep: rep, accs: make([]aggAcc, len(f.aggs))}
+		for i, fn := range f.aggs {
+			ga.accs[i] = newAcc(fn)
+		}
+		f.byKey[k] = ga
+		f.order = append(f.order, ga)
+	}
+	return ga
+}
+
+// add folds one tuple into group k. args are the tuple's aggregate
+// arguments as foldArgs lays them out.
+func (f *groupFold) add(k string, rep [][]value.Value, args []value.Value) {
+	ga := f.open(k, rep)
+	for i := range ga.accs {
+		acc := &ga.accs[i]
+		if acc.fn.Star {
+			acc.addStar()
+			continue
+		}
+		n := len(acc.fn.Args)
+		acc.add(args[:n])
+		args = args[n:]
+	}
+}
+
+// finish computes every group's aggregate values, in first-appearance
+// order.
+func (f *groupFold) finish() []*group {
+	groups := make([]*group, len(f.order))
+	for x, ga := range f.order {
+		g := &group{rep: ga.rep, aggs: make(map[*ast.FuncCall]value.Value, len(ga.accs))}
+		for i := range ga.accs {
+			g.aggs[ga.accs[i].fn] = ga.accs[i].final()
+		}
+		groups[x] = g
+	}
+	return groups
+}
+
+// groupKey evaluates the GROUP BY expressions on the tuple bound in e and
+// keys them with value.Key; keyBuf holds one value per expression.
+func (r *runner) groupKey(a *analyze.Analyzed, e *env, keyBuf []value.Value) (string, error) {
+	for i, g := range a.Stmt.GroupBy {
+		v, err := r.eval(g, e)
+		if err != nil {
+			return "", err
+		}
+		keyBuf[i] = v
+	}
+	return value.Key(keyBuf), nil
+}
+
+// foldArgs appends to args the argument values of every non-star
+// aggregate of a, in order, evaluated on the tuple bound in e.
+func (r *runner) foldArgs(a *analyze.Analyzed, e *env, args []value.Value) ([]value.Value, error) {
+	for _, fn := range a.Aggs {
+		if fn.Star {
+			continue
+		}
+		if len(fn.Args) == 0 {
+			return nil, fmt.Errorf("aggregate %s requires an argument", fn.Name)
+		}
+		for _, arg := range fn.Args {
+			v, err := r.eval(arg, e)
+			if err != nil {
+				return nil, err
+			}
+			args = append(args, v)
+		}
+	}
+	return args, nil
 }
 
 // groupPhase partitions the joined tuples into groups and computes the
 // aggregate values. A query with aggregates but no GROUP BY forms a single
 // global group, which exists even over empty input (SQL semantics).
 func (r *runner) groupPhase(a *analyze.Analyzed, tuples [][][]value.Value, outer *env) ([]*group, error) {
-	accsByKey := make(map[string]*groupAcc)
-	var order []string
+	f := newGroupFold(a)
 	e := &env{a: a, outer: outer}
-
 	global := len(a.Stmt.GroupBy) == 0
 	if global {
-		ga := &groupAcc{rep: make([][]value.Value, len(a.Sources))}
-		for _, f := range a.Aggs {
-			ga.accs = append(ga.accs, newAcc(f))
-		}
-		accsByKey[""] = ga
-		order = append(order, "")
+		f.open("", make([][]value.Value, len(a.Sources)))
 	}
-
 	keyBuf := make([]value.Value, len(a.Stmt.GroupBy))
-	argBuf := make([]value.Value, 4)
+	var args []value.Value
 	for _, tup := range tuples {
 		e.tuples = tup
 		e.itemVals = nil
 		var k string
+		var err error
 		if !global {
-			for i, g := range a.Stmt.GroupBy {
-				v, err := r.eval(g, e)
-				if err != nil {
-					return nil, err
-				}
-				keyBuf[i] = v
+			if k, err = r.groupKey(a, e, keyBuf); err != nil {
+				return nil, err
 			}
-			k = value.Key(keyBuf)
 		}
-		ga := accsByKey[k]
-		if ga == nil {
-			ga = &groupAcc{rep: tup}
-			for _, f := range a.Aggs {
-				ga.accs = append(ga.accs, newAcc(f))
-			}
-			accsByKey[k] = ga
-			order = append(order, k)
+		if args, err = r.foldArgs(a, e, args[:0]); err != nil {
+			return nil, err
 		}
-		for _, acc := range ga.accs {
-			if acc.fn.Star {
-				acc.addStar()
-				continue
-			}
-			args := argBuf[:0]
-			for _, arg := range acc.fn.Args {
-				v, err := r.eval(arg, e)
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, v)
-			}
-			if len(args) == 0 {
-				return nil, fmt.Errorf("aggregate %s requires an argument", acc.fn.Name)
-			}
-			acc.add(args)
-		}
+		f.add(k, tup, args)
 	}
-
-	groups := make([]*group, 0, len(order))
-	for _, k := range order {
-		ga := accsByKey[k]
-		g := &group{rep: ga.rep, aggs: make(map[*ast.FuncCall]value.Value, len(ga.accs))}
-		for _, acc := range ga.accs {
-			g.aggs[acc.fn] = acc.final()
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
+	return f.finish(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"qirana/internal/datagen"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/support"
+	"qirana/internal/value"
 )
 
 // BenchmarkRunOverride measures the residual-check hot path of the
@@ -70,6 +71,73 @@ func BenchmarkRunDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := us[i%len(us)]
 		if _, _, err := q.RunDelta(db, "CountryLanguage", u.MinusRows(db), u.PlusRows(db)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGroupRefold measures one group refold of the entropy sweep:
+// the world per-continent group-by re-aggregated for a LifeExpectancy swap
+// between rows of two continents. Each op evaluates the two new tuples
+// and folds the two continents' rows, in base order with the new tuples
+// at their positions, through GroupTable.Fold; the other rows' fold input
+// comes from the table built once before the loop.
+func BenchmarkGroupRefold(b *testing.B) {
+	db := datagen.World(1)
+	q := exec.MustCompile(
+		"SELECT Continent, count(Code), avg(LifeExpectancy) FROM Country WHERE Population > 0 GROUP BY Continent",
+		db.Schema)
+	tbl, err := q.NewGroupTable(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := db.Schema.Relation("Country")
+	life := rel.AttrIndex("LifeExpectancy")
+	country := db.Table("Country")
+	// The first row and the first row of another continent.
+	r1, r2 := 0, -1
+	for i := range country.Rows {
+		if tbl.Row(i).Key != tbl.Row(r1).Key {
+			r2 = i
+			break
+		}
+	}
+	if r2 < 0 {
+		b.Fatal("world has one continent")
+	}
+	v1, v2 := country.Get(r1, life), country.Get(r2, life)
+	u := &support.Update{Rel: "Country", Swap: true, Row1: r1, Row2: r2, Attrs: []int{life},
+		Old1: []value.Value{v1}, New1: []value.Value{v2}, Old2: []value.Value{v2}, New2: []value.Value{v1}}
+	plus := u.PlusRows(db)
+	var idx []int
+	for i := range country.Rows {
+		if k := tbl.Row(i).Key; k == tbl.Row(r1).Key || k == tbl.Row(r2).Key {
+			idx = append(idx, i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p1, err := tbl.Eval(plus[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p2, err := tbl.Eval(plus[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]*exec.FoldRow, len(idx))
+		for x, ri := range idx {
+			switch ri {
+			case r1:
+				rows[x] = &p1
+			case r2:
+				rows[x] = &p2
+			default:
+				rows[x] = tbl.Row(ri)
+			}
+		}
+		if _, err := tbl.Fold(rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ type execCache struct {
 	mu sync.Mutex
 	db *storage.Database
 
-	sources map[int]*cachedSource      // top-level source index -> entry
+	sources map[int]*cachedSource       // top-level source index -> entry
 	parts   map[string]*cachedPartition // "rel#col" -> probe partition
 	views   map[string]*cachedView      // view key -> materialized intermediate
 

@@ -124,15 +124,15 @@ func TestDeltaTier(t *testing.T) {
 	}{
 		{"SELECT name FROM User u, Tweet t WHERE u.uid = t.uid", "Tweet", analyze.DeltaFull},
 		{"SELECT name FROM User u, Tweet t WHERE u.uid = t.uid", "User", analyze.DeltaFull},
-		{"SELECT count(*) FROM Tweet", "Tweet", analyze.DeltaNone},                                 // aggregate
-		{"SELECT DISTINCT location FROM Tweet", "Tweet", analyze.DeltaPartial},                     // DISTINCT
-		{"SELECT name FROM User ORDER BY name", "User", analyze.DeltaNone},                         // ORDER BY
-		{"SELECT name FROM User LIMIT 2", "User", analyze.DeltaNone},                               // LIMIT
-		{"SELECT a.name FROM User a, User b WHERE a.uid = b.uid", "User", analyze.DeltaPartial},    // self-join
+		{"SELECT count(*) FROM Tweet", "Tweet", analyze.DeltaNone},                                                       // aggregate
+		{"SELECT DISTINCT location FROM Tweet", "Tweet", analyze.DeltaPartial},                                           // DISTINCT
+		{"SELECT name FROM User ORDER BY name", "User", analyze.DeltaNone},                                               // ORDER BY
+		{"SELECT name FROM User LIMIT 2", "User", analyze.DeltaNone},                                                     // LIMIT
+		{"SELECT a.name FROM User a, User b WHERE a.uid = b.uid", "User", analyze.DeltaPartial},                          // self-join
 		{"SELECT a.name FROM User a, User b, Tweet t WHERE a.uid = b.uid AND a.uid = t.uid", "Tweet", analyze.DeltaFull}, // other rel of a self-join query
-		{"SELECT name FROM User u, Tweet t WHERE u.uid = t.uid", "Nope", analyze.DeltaNone},        // absent
-		{"SELECT name FROM User WHERE uid IN (SELECT uid FROM Tweet)", "User", analyze.DeltaNone},  // subquery
-		{"SELECT name FROM User WHERE uid IN (SELECT uid FROM Tweet)", "Tweet", analyze.DeltaNone}, // rel inside subquery
+		{"SELECT name FROM User u, Tweet t WHERE u.uid = t.uid", "Nope", analyze.DeltaNone},                              // absent
+		{"SELECT name FROM User WHERE uid IN (SELECT uid FROM Tweet)", "User", analyze.DeltaNone},                        // subquery
+		{"SELECT name FROM User WHERE uid IN (SELECT uid FROM Tweet)", "Tweet", analyze.DeltaNone},                       // rel inside subquery
 	}
 	for _, c := range cases {
 		q := MustCompile(c.sql, db.Schema)
