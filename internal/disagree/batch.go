@@ -7,7 +7,6 @@ import (
 
 	"qirana/internal/obs"
 	"qirana/internal/pool"
-	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
 	"qirana/internal/support"
@@ -111,7 +110,8 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 	n := len(us)
 	outcomes := make([]Outcome, len(cs)*n) // checker k's row is [k*n, (k+1)*n)
 	nBlocks := (n + classifyBlock - 1) / classifyBlock
-	if err := pool.RunCtx(ctx, workers, nBlocks, func(b int) error {
+	scratch := make([]Scratch, workers)
+	if err := pool.RunWorkersCtx(ctx, workers, nBlocks, func(w, b int) error {
 		lo, hi := b*classifyBlock, (b+1)*classifyBlock
 		if hi > n {
 			hi = n
@@ -123,9 +123,8 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 				}
 				continue
 			}
-			var plus [][]value.Value // u⁺, shared by the k classifications
 			for k, c := range cs {
-				outcomes[k*n+i] = c.classify(us[i], &plus)
+				outcomes[k*n+i] = c.classify(us[i], &scratch[w])
 			}
 		}
 		return nil
@@ -151,7 +150,7 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 				stats[k].Static++
 				results[k][i] = true
 			case NeedPlus, NeedCompare:
-				rel := ast.LowerName(us[i].Rel)
+				rel := us[i].LowerRel()
 				switch {
 				case c.multi[rel]:
 					deltas = append(deltas, check{k: k, i: i, compare: o == NeedCompare})
@@ -341,11 +340,11 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr 
 	}
 	var outMinus map[int64][][]value.Value
 	if j.compare {
-		if outMinus, err = q.RunTagged(c.db, j.rel, c.tagRows(us, j.idxs, (*support.Update).MinusRows)); err != nil {
+		if outMinus, err = q.RunTagged(c.db, j.rel, c.tagRows(us, j, false)); err != nil {
 			return jr, err
 		}
 	}
-	outPlus, err := q.RunTagged(c.db, j.rel, c.tagRows(us, j.idxs, (*support.Update).PlusRows))
+	outPlus, err := q.RunTagged(c.db, j.rel, c.tagRows(us, j, true))
 	if err != nil {
 		return jr, err
 	}
@@ -357,14 +356,28 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr 
 	return jr, nil
 }
 
-// tagRows builds the tagged replacement relation R⁺ (or R⁻) of §4.2: each
-// affected tuple of update i, as rowsOf (PlusRows or MinusRows) builds it,
-// extended with the trailing upid column i.
-func (c *Checker) tagRows(us []*support.Update, idxs []int, rowsOf func(*support.Update, *storage.Database) [][]value.Value) [][]value.Value {
-	var out [][]value.Value
-	for _, i := range idxs {
-		for _, r := range rowsOf(us[i], c.db) {
-			out = append(out, append(r, value.NewInt(int64(i))))
+// tagRows builds the tagged replacement relation R⁺ (plus) or R⁻ of §4.2
+// for job j: each affected tuple of update i of the job, in its updated
+// state for R⁺ and its original one for R⁻, extended with the trailing
+// upid column i. The rows are windows of one slab of arity+1 values each,
+// which dies with the job.
+func (c *Checker) tagRows(us []*support.Update, j batchJob, plus bool) [][]value.Value {
+	t := c.db.Table(j.rel)
+	n := 0
+	for _, i := range j.idxs {
+		n += us[i].NumRows()
+	}
+	w := t.Rel.Arity() + 1
+	slab := make([]value.Value, n*w)
+	out := make([][]value.Value, 0, n)
+	for _, i := range j.idxs {
+		u := us[i]
+		for k := 0; k < u.NumRows(); k++ {
+			row := slab[:w:w]
+			slab = slab[w:]
+			u.FillRow(row, t, k, plus)
+			row[w-1] = value.NewInt(int64(i))
+			out = append(out, row)
 		}
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 
 	"qirana/internal/result"
 	"qirana/internal/sqlengine/analyze"
-	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/sqlengine/plan"
 	"qirana/internal/support"
@@ -98,15 +97,16 @@ func (h *Hasher) Hash(u *support.Update) (hash uint64, s CheckStats, ok bool) {
 	if h.kind == plan.HashGroups {
 		return h.refold(u)
 	}
-	if c.Q.DeltaTier(u.Rel) == analyze.DeltaNone {
+	rel := u.LowerRel()
+	if c.Q.DeltaTier(rel) == analyze.DeltaNone {
 		return 0, s, false
 	}
 	// Q(u(D)) = Q(D) − outMinus + outPlus as signed multisets.
-	outMinus, outPlus, err := c.Q.RunDelta(c.db, u.Rel, u.MinusRows(c.db), u.PlusRows(c.db))
+	outMinus, outPlus, err := c.Q.RunDelta(c.db, rel, u.MinusRows(c.db), u.PlusRows(c.db))
 	if err != nil {
 		return 0, s, false
 	}
-	if c.multi[ast.LowerName(u.Rel)] {
+	if c.multi[rel] {
 		s.DeltaPartialRuns = 1
 	} else {
 		s.Batched, s.DeltaFullRuns = 1, 1
@@ -126,7 +126,7 @@ func (h *Hasher) Hash(u *support.Update) (hash uint64, s CheckStats, ok bool) {
 // their output.
 func (h *Hasher) refold(u *support.Update) (uint64, CheckStats, bool) {
 	c, g := h.c, h.g
-	if ast.LowerName(u.Rel) != g.t.Rel() {
+	if u.LowerRel() != g.t.Rel() {
 		return 0, CheckStats{}, false
 	}
 	plus := u.PlusRows(c.db)

@@ -438,7 +438,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, live, out [
 		if live != nil && !live[i] {
 			continue
 		}
-		rel := ast.LowerName(u.Rel)
+		rel := u.LowerRel()
 		if !inQuery[rel] {
 			continue // cannot disagree
 		}
@@ -478,7 +478,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, live, out [
 	err = pool.RunWorkersCtx(ctx, workers, len(idxs), func(w, k int) error {
 		i := idxs[k]
 		u := e.Set.Updates[i]
-		rel := ast.LowerName(u.Rel)
+		rel := u.LowerRel()
 		rr := reduced[rel]
 		if scratch[w] == nil {
 			scratch[w] = make(map[string][][]value.Value)
@@ -594,8 +594,8 @@ func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool
 // no checker or the support set holds no updates).
 //
 // Each live element is classified against the checkers of all queries
-// (disagree.StaticAgree, one u⁺ slot per element). A query classified as a
-// static Agree combines the same contributing rows in the same order on
+// (disagree.Scratch.StaticAgree, u⁺ built once per element). A query
+// classified as a static Agree combines the same contributing rows in the same order on
 // the element as on D, so its hash is the base hash and the pair counts as
 // Static. Every other query of the element is hashed by its
 // disagree.Hasher, built on first need, and counts as the hasher says. An
@@ -626,12 +626,13 @@ func (e *Engine) deltaSweep(ctx context.Context, qs []*exec.Query, res []*result
 	agree := make([]bool, workers*k)
 	tiers := make([]disagree.CheckStats, workers*k)
 	perWorker := make([]Stats, workers*k)
+	classify := make([]disagree.Scratch, workers)
 	err := pool.RunWorkersCtx(ctx, workers, n, func(w, i int) error {
 		if live != nil && !live[i] {
 			return nil
 		}
 		h, a, t := scratch[w*k:(w+1)*k], agree[w*k:(w+1)*k], tiers[w*k:(w+1)*k]
-		disagree.StaticAgree(cs, us[i], a)
+		classify[w].StaticAgree(cs, us[i], a)
 		for j := range qs {
 			if !a[j] && hasher(j) == nil {
 				rerun[i] = true

@@ -134,10 +134,18 @@ func (f *groupFold) open(k string, rep [][]value.Value) *groupAcc {
 	return ga
 }
 
-// add folds one tuple into group k. args are the tuple's aggregate
-// arguments as foldArgs lays them out.
-func (f *groupFold) add(k string, rep [][]value.Value, args []value.Value) {
-	ga := f.open(k, rep)
+// group is open for a key held in a reused buffer: only a group's first
+// appearance allocates its key string.
+func (f *groupFold) group(key []byte, rep [][]value.Value) *groupAcc {
+	if ga := f.byKey[string(key)]; ga != nil {
+		return ga
+	}
+	return f.open(string(key), rep)
+}
+
+// add folds one tuple's aggregate arguments, laid out as foldArgs lays
+// them out, into group ga.
+func (f *groupFold) add(ga *groupAcc, args []value.Value) {
 	for i := range ga.accs {
 		acc := &ga.accs[i]
 		if acc.fn.Star {
@@ -165,16 +173,17 @@ func (f *groupFold) finish() []*group {
 }
 
 // groupKey evaluates the GROUP BY expressions on the tuple bound in e and
-// keys them with value.Key; keyBuf holds one value per expression.
-func (r *runner) groupKey(a *analyze.Analyzed, e *env, keyBuf []value.Value) (string, error) {
-	for i, g := range a.Stmt.GroupBy {
+// returns their value.Key bytes, written over dst.
+func (r *runner) groupKey(a *analyze.Analyzed, e *env, dst []byte) ([]byte, error) {
+	key := dst[:0]
+	for _, g := range a.Stmt.GroupBy {
 		v, err := r.eval(g, e)
 		if err != nil {
-			return "", err
+			return key, err
 		}
-		keyBuf[i] = v
+		key = value.AppendKey(key, []value.Value{v})
 	}
-	return value.Key(keyBuf), nil
+	return key, nil
 }
 
 // foldArgs appends to args the argument values of every non-star
@@ -208,22 +217,22 @@ func (r *runner) groupPhase(a *analyze.Analyzed, tuples [][][]value.Value, outer
 	if global {
 		f.open("", make([][]value.Value, len(a.Sources)))
 	}
-	keyBuf := make([]value.Value, len(a.Stmt.GroupBy))
+	var key []byte
 	var args []value.Value
 	for _, tup := range tuples {
 		e.tuples = tup
 		e.itemVals = nil
-		var k string
 		var err error
 		if !global {
-			if k, err = r.groupKey(a, e, keyBuf); err != nil {
+			if key, err = r.groupKey(a, e, key); err != nil {
 				return nil, err
 			}
 		}
+		ga := f.group(key, tup)
 		if args, err = r.foldArgs(a, e, args[:0]); err != nil {
 			return nil, err
 		}
-		f.add(k, tup, args)
+		f.add(ga, args)
 	}
 	return f.finish(), nil
 }

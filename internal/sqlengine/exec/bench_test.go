@@ -76,6 +76,40 @@ func BenchmarkRunDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkRunTagged measures one §4.2 tagged batch query: the join query
+// run once with CountryLanguage replaced by the u⁺ tuples of every
+// CountryLanguage update of the support set, each extended by its upid,
+// and the output grouped per upid.
+func BenchmarkRunTagged(b *testing.B) {
+	db := datagen.World(1)
+	q := exec.MustCompile(
+		"SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
+		db.Schema)
+	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(256, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tagged [][]value.Value
+	for i, u := range set.Updates {
+		if !u.Touches("CountryLanguage") {
+			continue
+		}
+		for _, row := range u.PlusRows(db) {
+			tagged = append(tagged, append(row, value.NewInt(int64(i))))
+		}
+	}
+	if len(tagged) == 0 {
+		b.Fatal("no CountryLanguage updates in support set")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.RunTagged(db, "CountryLanguage", tagged); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGroupRefold measures one group refold of the entropy sweep:
 // the world per-continent group-by re-aggregated for a LifeExpectancy swap
 // between rows of two continents. Each op evaluates the two new tuples

@@ -73,7 +73,7 @@ type execCache struct {
 type cachedSource struct {
 	version uint64
 	rows    [][]value.Value
-	indexes map[string]map[string][]int // probe sig -> key -> row indexes
+	indexes map[string]*hashIndex // probe sig -> join index
 }
 
 // cachedPartition is a hash partition of a base relation by one column,
@@ -181,10 +181,8 @@ func (r *runner) cachedSourceRows(a *analyze.Analyzed, si int, conjs []conjunctI
 	if src.Rel == nil {
 		return nil, false, nil
 	}
-	if r.sov != nil {
-		if _, overridden := r.sov[si]; overridden {
-			return nil, false, nil
-		}
+	if r.sov != nil && r.sov[si] != nil {
+		return nil, false, nil
 	}
 	name := ast.LowerName(src.Rel.Name)
 	if r.ov != nil {
@@ -199,14 +197,12 @@ func (r *runner) cachedSourceRows(a *analyze.Analyzed, si int, conjs []conjunctI
 	if t == nil {
 		return nil, false, nil // surfaced as an error by the uncached path
 	}
-	var filters []ast.Expr
 	for x, ci := range conjs {
 		if ci.pushdown && !applied[x] && len(ci.srcs) == 1 && ci.srcs[0] == si {
-			filters = append(filters, ci.expr)
 			applied[x] = true
 		}
 	}
-	cs, err := q.cache.sourceEntry(r, a, si, t, filters)
+	cs, err := q.cache.sourceEntry(r, a, si, t, conjs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -214,8 +210,9 @@ func (r *runner) cachedSourceRows(a *analyze.Analyzed, si int, conjs []conjunctI
 }
 
 // sourceEntry returns (building or rebuilding as the version demands) the
-// cache entry for source si over table t.
-func (c *execCache) sourceEntry(r *runner, a *analyze.Analyzed, si int, t *storage.Table, filters []ast.Expr) (*cachedSource, error) {
+// cache entry for source si over table t: its rows that pass every
+// single-source pushdown conjunct, filtered in conjunct order.
+func (c *execCache) sourceEntry(r *runner, a *analyze.Analyzed, si int, t *storage.Table, conjs []conjunctInfo) (*cachedSource, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.resetLocked(r.db)
@@ -224,57 +221,47 @@ func (c *execCache) sourceEntry(r *runner, a *analyze.Analyzed, si int, t *stora
 		return cs, nil
 	}
 	c.misses++
-	rows := t.Rows
-	for _, f := range filters {
+	rows, filtered := t.Rows, false
+	e, one := &env{a: a}, make([][]value.Value, len(a.Sources))
+	for _, ci := range conjs {
+		if !ci.pushdown || len(ci.srcs) != 1 || ci.srcs[0] != si {
+			continue
+		}
 		var err error
-		rows, err = r.filterSource(a, f, si, rows, nil)
-		if err != nil {
+		if rows, err = r.filterSource(e, one, ci.expr, si, rows); err != nil {
 			return nil, err
 		}
+		filtered = true
 	}
-	cs := &cachedSource{version: t.Version(), rows: rows, indexes: make(map[string]map[string][]int)}
+	if filtered {
+		// filterSource grows its result by appending; the entry lives as
+		// long as the query, so it keeps the rows at exact length.
+		rows = append(make([][]value.Value, 0, len(rows)), rows...)
+	}
+	cs := &cachedSource{version: t.Version(), rows: rows, indexes: make(map[string]*hashIndex)}
 	c.sources[si] = cs
 	return cs, nil
 }
 
 // joinIndex returns (building if needed) cs's hash index keyed by the probe
-// expressions, mapping each key to the indexes of cs.rows carrying it, in
-// row order — exactly the build side hashJoin would construct. NULL keys
-// are absent (SQL equality never matches them).
-func (c *execCache) joinIndex(r *runner, a *analyze.Analyzed, cs *cachedSource, next int, probeExprs []ast.Expr) (map[string][]int, error) {
+// expressions: each key's rows of cs.rows in row order, exactly the index
+// joinPhase builds for an uncached source. NULL keys are absent (SQL
+// equality never matches them).
+func (c *execCache) joinIndex(r *runner, a *analyze.Analyzed, cs *cachedSource, next int, probeExprs []ast.Expr) (*hashIndex, error) {
 	sig := exprSig(probeExprs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ht, ok := cs.indexes[sig]; ok {
+	if ix, ok := cs.indexes[sig]; ok {
 		c.hits++
-		return ht, nil
+		return ix, nil
 	}
 	c.misses++
-	ht := make(map[string][]int, len(cs.rows))
-	e := &env{a: a, tuples: make([][]value.Value, len(a.Sources))}
-	keyBuf := make([]value.Value, len(probeExprs))
-	for ri, row := range cs.rows {
-		e.tuples[next] = row
-		null := false
-		for i, pe := range probeExprs {
-			v, err := r.eval(pe, e)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			keyBuf[i] = v
-		}
-		if null {
-			continue
-		}
-		k := value.Key(keyBuf)
-		ht[k] = append(ht[k], ri)
+	ix, err := r.buildIndex(&env{a: a}, make([][]value.Value, len(a.Sources)), cs.rows, next, probeExprs)
+	if err != nil {
+		return nil, err
 	}
-	cs.indexes[sig] = ht
-	return ht, nil
+	cs.indexes[sig] = ix
+	return ix, nil
 }
 
 // partition returns (building if needed) the shared hash partition of base

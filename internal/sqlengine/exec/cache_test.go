@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"qirana/internal/datagen"
 	"qirana/internal/sqlengine/analyze"
 	"qirana/internal/value"
 )
@@ -171,5 +172,29 @@ func TestRunDeltaBasic(t *testing.T) {
 	agg := MustCompile("SELECT count(*) FROM Tweet", db.Schema)
 	if _, _, err := agg.RunDelta(db, "Tweet", minus, plus); err == nil {
 		t.Fatal("aggregate RunDelta should fail")
+	}
+}
+
+// TestCachedSourceExactLength pins that a filtered source is cached at
+// exact length: the entry lives as long as its query, so the spare
+// capacity filterSource's appends leave would stay allocated with it.
+func TestCachedSourceExactLength(t *testing.T) {
+	db := datagen.World(1)
+	q := MustCompile("SELECT C.Name, T.Name FROM Country C, City T WHERE C.Code = T.CountryCode AND T.Population > 200000", db.Schema)
+	if _, err := q.Run(db); err != nil {
+		t.Fatal(err)
+	}
+	filtered := 0
+	for si, cs := range q.cache.sources {
+		if len(cs.rows) == db.Table(q.A.Sources[si].Rel.Name).Len() {
+			continue // unfiltered: the table's own rows
+		}
+		filtered++
+		if cap(cs.rows) != len(cs.rows) {
+			t.Errorf("source %d cached with cap %d for %d rows", si, cap(cs.rows), len(cs.rows))
+		}
+	}
+	if filtered == 0 {
+		t.Fatal("no filtered source was cached")
 	}
 }

@@ -58,8 +58,7 @@ func (q *Query) RunDelta(db *storage.Database, rel string, minus, plus [][]value
 	if q.DeltaTier(rel) == analyze.DeltaNone {
 		return nil, nil, fmt.Errorf("delta execution does not apply to %q for updates of %q", q.SQL, rel)
 	}
-	srcs := q.A.SourcesOf(rel)
-	if len(srcs) == 1 {
+	if q.A.RelOccurrences(rel) == 1 {
 		// Single occurrence: the two first-order terms, via a name-keyed
 		// override (equivalent to a sov on the only slot).
 		name := ast.LowerName(rel)
@@ -73,7 +72,7 @@ func (q *Query) RunDelta(db *storage.Database, rel string, minus, plus [][]value
 		}
 		return outMinus, outPlus, nil
 	}
-	return q.deltaExpand(db, srcs, minus, plus)
+	return q.deltaExpand(db, q.A.SourcesOf(rel), minus, plus)
 }
 
 // deltaSide runs the query with rel replaced by the given delta rows,
@@ -99,6 +98,7 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 		total *= 3
 	}
 	asn := make([]int, k) // 0 = base, 1 = minus, 2 = plus
+	sov := make([][][]value.Value, len(q.A.Sources))
 	for code := 1; code < total; code++ {
 		c := code
 		skip := false
@@ -121,9 +121,10 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 		if skip {
 			continue
 		}
-		sov := make(map[int][][]value.Value, k)
 		for i, s := range srcs {
 			switch asn[i] {
+			case 0:
+				sov[s] = nil
 			case 1:
 				sov[s] = minus
 			case 2:
@@ -147,22 +148,24 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 // the DISTINCT / ORDER BY / LIMIT epilogue: the raw core-row multiset the
 // delta rewrites and the materialized views are defined over. The query
 // must not aggregate.
-func (q *Query) rawRows(db *storage.Database, ov Overrides, sov map[int][][]value.Value) ([][]value.Value, error) {
+func (q *Query) rawRows(db *storage.Database, ov Overrides, sov [][][]value.Value) ([][]value.Value, error) {
 	r := &runner{q: q, db: db, ov: ov, sov: sov}
 	tuples, err := r.joinPhase(q.A, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]value.Value, 0, len(tuples))
+	out := make([][]value.Value, len(tuples))
+	w := len(q.A.OutCols)
+	slab := make([]value.Value, len(tuples)*w)
 	env := &env{a: q.A}
-	for _, tup := range tuples {
+	for i, tup := range tuples {
 		env.tuples = tup
 		env.itemVals = nil
-		row, err := r.projectRow(q.A, env)
+		row, err := r.projectInto(q.A, env, slab[i*w:(i+1)*w:(i+1)*w])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
+		out[i] = row
 	}
 	return out, nil
 }

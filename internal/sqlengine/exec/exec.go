@@ -121,11 +121,24 @@ func (q *Query) RunTagged(db *storage.Database, rel string, tagged [][]value.Val
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64][][]value.Value)
-	env := &env{a: q.A}
+	// Size every upid's row list first, so the lists are windows of one
+	// slice and the rows of one value slab.
+	counts := make(map[int64]int)
 	for _, tup := range tuples {
+		counts[tup[srcIdx][arity].I]++
+	}
+	out := make(map[int64][][]value.Value, len(counts))
+	rows := make([][]value.Value, len(tuples))
+	for upid, c := range counts {
+		out[upid], rows = rows[:0:c], rows[c:]
+	}
+	w := len(q.A.OutCols)
+	slab := make([]value.Value, len(tuples)*w)
+	env := &env{a: q.A}
+	for i, tup := range tuples {
 		env.tuples = tup
-		row, err := r.projectRow(q.A, env)
+		env.itemVals = nil
+		row, err := r.projectInto(q.A, env, slab[i*w:(i+1)*w:(i+1)*w])
 		if err != nil {
 			return nil, err
 		}
@@ -135,15 +148,31 @@ func (q *Query) RunTagged(db *storage.Database, rel string, tagged [][]value.Val
 	return out, nil
 }
 
-// EvalSingleSource evaluates an expression of this query with only source
-// si bound, to the given row. It is used by the disagreement checker's
-// conservative C[u⁺] satisfiability test (§4.1), which evaluates the WHERE
-// conjuncts that mention only the updated relation against the new tuple.
-func (q *Query) EvalSingleSource(db *storage.Database, si int, row []value.Value, e ast.Expr) (value.Value, error) {
-	r := &runner{q: q, db: db}
-	env := &env{a: q.A, tuples: make([][]value.Value, len(q.A.Sources))}
-	env.tuples[si] = row
-	return r.eval(e, env)
+// SourceEval evaluates expressions of a query with only one source bound,
+// to a given row. The disagreement checker's conservative C[u⁺]
+// satisfiability test (§4.1) uses it to evaluate the WHERE conjuncts that
+// mention only the updated relation against the new tuple. A SourceEval is
+// scratch a worker reuses from element to element, for any query: a call
+// keeps nothing of its row, and it is never shared between goroutines.
+type SourceEval struct {
+	r      runner
+	e      env
+	tuples [][]value.Value
+}
+
+// Eval evaluates expression x of query q with source si bound to row.
+func (s *SourceEval) Eval(q *Query, db *storage.Database, si int, row []value.Value, x ast.Expr) (value.Value, error) {
+	n := len(q.A.Sources)
+	if cap(s.tuples) < n {
+		s.tuples = make([][]value.Value, n)
+	}
+	s.tuples = s.tuples[:n]
+	s.tuples[si] = row
+	s.r = runner{q: q, db: db}
+	s.e = env{a: q.A, tuples: s.tuples}
+	v, err := s.r.eval(x, &s.e)
+	s.tuples[si] = nil
+	return v, err
 }
 
 // subResult caches a materialized subquery: the full result plus the
@@ -162,12 +191,12 @@ type runner struct {
 	q  *Query
 	db *storage.Database
 	ov Overrides
-	// sov overrides single top-level FROM sources by index. Unlike ov,
-	// which replaces every occurrence of a relation name, sov replaces
-	// exactly one occurrence — the per-slot substitution the higher-order
-	// delta expansion needs for self-joins. sov wins over ov for its
-	// source.
-	sov      map[int][][]value.Value
+	// sov overrides single top-level FROM sources by index (a nil entry
+	// overrides nothing). Unlike ov, which replaces every occurrence of a
+	// relation name, sov replaces exactly one occurrence — the per-slot
+	// substitution the higher-order delta expansion needs for self-joins.
+	// sov wins over ov for its source.
+	sov      [][][]value.Value
 	subCache map[*analyze.Analyzed]*subResult // lazily allocated by runSub
 	// partitions caches, per runner, pointers to the hash partitions of
 	// base tables by (rel, column) used for correlated equality filters.
@@ -265,12 +294,14 @@ func (r *runner) exec(a *analyze.Analyzed, outer *env) (*result.Result, error) {
 		if orderKeys != nil {
 			keptKeys = orderKeys[:0]
 		}
+		var buf [64]byte
+		key := buf[:0]
 		for i, row := range rows {
-			k := value.Key(row)
-			if seen[k] {
+			key = value.AppendKey(key[:0], row)
+			if seen[string(key)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(key)] = true
 			kept = append(kept, row)
 			if orderKeys != nil {
 				keptKeys = append(keptKeys, orderKeys[i])
@@ -339,7 +370,12 @@ func compareForSort(a, b value.Value) int {
 }
 
 func (r *runner) projectRow(a *analyze.Analyzed, e *env) ([]value.Value, error) {
-	row := make([]value.Value, len(a.OutCols))
+	return r.projectInto(a, e, make([]value.Value, len(a.OutCols)))
+}
+
+// projectInto is projectRow writing into row, which holds one value per
+// output column.
+func (r *runner) projectInto(a *analyze.Analyzed, e *env, row []value.Value) ([]value.Value, error) {
 	for i, oc := range a.OutCols {
 		v, err := r.eval(oc.Expr, e)
 		if err != nil {
@@ -361,10 +397,8 @@ func (r *runner) sourceRows(a *analyze.Analyzed, si int, outer *env) ([][]value.
 		}
 		return res.Rows, nil
 	}
-	if r.sov != nil {
-		if rows, ok := r.sov[si]; ok {
-			return rows, nil
-		}
+	if r.sov != nil && r.sov[si] != nil {
+		return r.sov[si], nil
 	}
 	name := ast.LowerName(src.Rel.Name)
 	if r.ov != nil {

@@ -199,12 +199,13 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 	}
 	na := len(spec.Aggs)
 	gv := &GroupView{Groups: make(map[string]*GroupAgg)}
+	var key []byte
 	for _, row := range rows {
 		if len(row) < spec.NumGroups {
 			return nil, fmt.Errorf("group view row narrower than its %d group columns", spec.NumGroups)
 		}
-		k := value.Key(row[:spec.NumGroups])
-		st := gv.Groups[k]
+		key = value.AppendKey(key[:0], row[:spec.NumGroups])
+		st := gv.Groups[string(key)]
 		if st == nil {
 			st = &GroupAgg{N: make([]int64, na), Sum: make([]float64, na),
 				Min: make([]value.Value, na), Max: make([]value.Value, na)}
@@ -219,7 +220,7 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 					}
 				}
 			}
-			gv.Groups[k] = st
+			gv.Groups[string(key)] = st
 		}
 		st.Rows++
 		for j, ag := range spec.Aggs {

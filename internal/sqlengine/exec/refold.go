@@ -73,10 +73,10 @@ func (q *Query) NewGroupTable(db *storage.Database) (*GroupTable, error) {
 		t.open = t.open && keep
 	}
 	t.rows = make([]FoldRow, len(tbl.Rows))
-	keyBuf := make([]value.Value, len(a.Stmt.GroupBy))
+	var key []byte
 	for ri, row := range tbl.Rows {
 		var err error
-		if t.rows[ri], err = t.eval(r, row, keyBuf); err != nil {
+		if t.rows[ri], key, err = t.eval(r, row, key); err != nil {
 			return nil, err
 		}
 	}
@@ -86,14 +86,16 @@ func (q *Query) NewGroupTable(db *storage.Database) (*GroupTable, error) {
 // eval computes the fold input of one row with runner r: the WHERE
 // conjuncts in joinPhase's order (a row stops at the first that does not
 // hold), the group key, and for a passing row the aggregate arguments.
-func (t *GroupTable) eval(r *runner, row []value.Value, keyBuf []value.Value) (FoldRow, error) {
+// key is the buffer to write the group key bytes over, handed back for
+// reuse.
+func (t *GroupTable) eval(r *runner, row []value.Value, key []byte) (FoldRow, []byte, error) {
 	a := t.q.A
 	e := &env{a: a, tuples: [][]value.Value{row}}
 	in := FoldRow{pass: true, tup: e.tuples}
 	for _, c := range t.where {
 		v, err := r.eval(c, e)
 		if err != nil {
-			return FoldRow{}, err
+			return FoldRow{}, key, err
 		}
 		if value.TristateOf(v) != value.True {
 			in.pass = false
@@ -102,15 +104,16 @@ func (t *GroupTable) eval(r *runner, row []value.Value, keyBuf []value.Value) (F
 	}
 	in.pass = in.pass && t.open
 	var err error
-	if in.Key, err = r.groupKey(a, e, keyBuf); err != nil {
-		return FoldRow{}, err
+	if key, err = r.groupKey(a, e, key); err != nil {
+		return FoldRow{}, key, err
 	}
+	in.Key = string(key)
 	if in.pass {
 		if in.args, err = r.foldArgs(a, e, nil); err != nil {
-			return FoldRow{}, err
+			return FoldRow{}, key, err
 		}
 	}
-	return in, nil
+	return in, key, nil
 }
 
 // Rel returns the lower-case name of the table's relation.
@@ -125,7 +128,9 @@ func (t *GroupTable) Row(ri int) *FoldRow { return &t.rows[ri] }
 // Eval computes the fold input of a row that is not a base row (a new
 // tuple u⁺ of an update), with the same evaluation the base rows had.
 func (t *GroupTable) Eval(row []value.Value) (FoldRow, error) {
-	return t.eval(&runner{q: t.q, db: t.db}, row, make([]value.Value, len(t.q.A.Stmt.GroupBy)))
+	var buf [64]byte
+	in, _, err := t.eval(&runner{q: t.q, db: t.db}, row, buf[:0])
+	return in, err
 }
 
 // Fold returns the output rows of the query over a relation whose rows
@@ -138,7 +143,7 @@ func (t *GroupTable) Fold(rows []*FoldRow) ([][]value.Value, error) {
 	f := newGroupFold(a)
 	for _, in := range rows {
 		if in.pass {
-			f.add(in.Key, in.tup, in.args)
+			f.add(f.open(in.Key, in.tup), in.args)
 		}
 	}
 	r := &runner{q: t.q, db: t.db}

@@ -195,6 +195,7 @@ func Load(r io.Reader, db *storage.Database) (*Set, error) {
 				u.New2 = append(u.New2, n2)
 			}
 		}
+		u.Resolve(db)
 		set.Updates = append(set.Updates, u)
 		set.Elements = append(set.Elements, u)
 	}
