@@ -142,7 +142,7 @@ func FuzzDeltaTiers(f *testing.F) {
 		if want := !base.Equal(after); got != want {
 			t.Fatalf("%q / %+v: tiered says %v, full re-run says %v", queries[k], u, got, want)
 		}
-		if StaticAgree(checkers[k:k+1], u, make([]bool, 1)) && base.Hash() != after.Hash() {
+		if new(Scratch).StaticAgree(checkers[k:k+1], u, make([]bool, 1)) && base.Hash() != after.Hash() {
 			t.Fatalf("%q / %+v: static Agree, but the re-run's hash %x differs from the base hash %x", queries[k], u, after.Hash(), base.Hash())
 		}
 		if h := checkers[k].NewHasher(base); h != nil {

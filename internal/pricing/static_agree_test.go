@@ -256,7 +256,7 @@ func checkEntropySweep(t *testing.T, db *storage.Database, set *support.Set, que
 	if cs != nil {
 		agree := make([]bool, k)
 		for i, u := range set.Updates {
-			all := disagree.StaticAgree(cs, u, agree)
+			all := new(disagree.Scratch).StaticAgree(cs, u, agree)
 			for j := range qs {
 				if agree[j] && fullElems[j][i] != fullBases[j] {
 					t.Fatalf("%q element %d: static Agree but re-execution changed the hash", queries[j], i)

@@ -32,16 +32,24 @@ import (
 func LowerName(s string) string {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; 'A' <= c && c <= 'Z' {
-			b := []byte(s)
-			for j := i; j < len(b); j++ {
-				if 'A' <= b[j] && b[j] <= 'Z' {
-					b[j] += 'a' - 'A'
-				}
-			}
-			return string(b)
+			var buf [64]byte
+			return string(AppendLowerName(buf[:0], s))
 		}
 	}
 	return s
+}
+
+// AppendLowerName appends LowerName(s) to dst, so a lookup can lower-case
+// a name into a buffer of its own without allocating a string.
+func AppendLowerName(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Fingerprint renders the canonical form of a statement. Applied

@@ -1,6 +1,9 @@
 package storage
 
-import "qirana/internal/value"
+import (
+	"qirana/internal/sqlengine/ast"
+	"qirana/internal/value"
+)
 
 // Overlay is a copy-on-write view over an immutable base Database. It is
 // the shared-read execution primitive of the pricing engine: instead of
@@ -52,7 +55,7 @@ func (o *Overlay) rows(rel string) [][]value.Value {
 // SetRow points row i of rel at the given row, activating the relation's
 // override. The row must not alias a base row that the caller mutates.
 func (o *Overlay) SetRow(rel string, i int, row []value.Value) {
-	rel = lower(rel)
+	rel = ast.LowerName(rel)
 	r := o.rows(rel)
 	r[i] = row
 	o.view[rel] = r
@@ -61,7 +64,7 @@ func (o *Overlay) SetRow(rel string, i int, row []value.Value) {
 // ResetRow restores row i of rel to the base row. The relation's override
 // stays active until Drop.
 func (o *Overlay) ResetRow(rel string, i int) {
-	rel = lower(rel)
+	rel = ast.LowerName(rel)
 	if r, ok := o.own[rel]; ok {
 		r[i] = o.db.Table(rel).Rows[i]
 	}
@@ -70,14 +73,14 @@ func (o *Overlay) ResetRow(rel string, i int) {
 // ReplaceTable overrides rel wholesale with the given rows (which must
 // keep the base cardinality contract of the support set).
 func (o *Overlay) ReplaceTable(rel string, rows [][]value.Value) {
-	o.view[lower(rel)] = rows
+	o.view[ast.LowerName(rel)] = rows
 }
 
 // Drop deactivates rel's override; the executor sees the base relation
 // again (re-enabling its lazy partition indexes over the base rows). A
 // private row copy made by SetRow stays cached for the next touch.
 func (o *Overlay) Drop(rel string) {
-	delete(o.view, lower(rel))
+	delete(o.view, ast.LowerName(rel))
 }
 
 // Overrides exposes the active override set. The returned map is the live
