@@ -7,7 +7,6 @@ import (
 
 	"qirana/internal/obs"
 	"qirana/internal/pool"
-	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
 	"qirana/internal/support"
 	"qirana/internal/value"
@@ -26,11 +25,22 @@ const classifyBlock = 64
 // dominates and sharding would add work instead of hiding it.
 const minBatchShard = 32
 
+// maxJobElems caps the updates of one tagged job. The cap bounds a job's
+// joined tuples and output rows, which a self-join's terms multiply, so
+// the sweep's live memory does not grow with the number of pending
+// checks. Measured on the socket benchmark's cold_adhoc workload (2
+// vCPUs), jobs cut only by worker count gave the daemon 1.19–1.52× the
+// peak RSS of capped ones at the same throughput; in-process, a world
+// self-join sweep at |S| = 5000 took the same time with caps of 32 and
+// 256, and about a fifth longer with none.
+const maxJobElems = 256
+
 // batchJob is one tagged-query task of checker k: answer the NeedPlus
 // (compare=false) or NeedCompare (compare=true) checks for a slice of
-// updates that all touch relation rel. Jobs partition a checker's pending
-// updates, touch disjoint result slots, and only read the checker and the
-// base database, so any number of them run concurrently.
+// updates that all touch relation rel, with one exec.Query.RunTagged call.
+// Jobs partition a checker's pending updates, touch disjoint result slots,
+// and only read the checker and the base database, so any number of them
+// run concurrently.
 type batchJob struct {
 	k       int
 	rel     string
@@ -38,15 +48,8 @@ type batchJob struct {
 	compare bool
 }
 
-// check is one per-update task of checker k on update i: a delta check
-// (updates of a relation with multiple occurrences cannot share a tagged
-// query — the upid substitution is per-slot-unsound for self-joins — so
-// each resolves individually through the higher-order expansion of
-// Checker.decide) or a residual full run (compare unused).
-type check struct {
-	k, i    int
-	compare bool
-}
+// check is one residual full run of checker k on update i.
+type check struct{ k, i int }
 
 // jobResult is what one tagged job hands back besides the decided bits:
 // the updates escalated to a residual full run and the counts of checks
@@ -59,22 +62,23 @@ type jobResult struct {
 // CheckBatch decides all updates for k checkers — k priced queries over
 // the same database and support set; a single query is k = 1 — in one
 // shared sweep, batching the database checks per relation (paper §4.2):
-// for every single-occurrence relation at most one tagged query answers a
-// checker's NeedPlus checks and two tagged queries answer its NeedCompare
-// checks, independent of how many updates are in the batch;
-// multi-occurrence (self-join) relations resolve per update through the
-// delta expansion. The live mask (nil = all live) lets history-aware,
-// sampled and sharded pricing skip elements.
+// one exec.Query.RunTagged call answers a job of up to maxJobElems of a
+// checker's NeedPlus checks, or of its NeedCompare checks, on one
+// relation. For a single-occurrence relation that is one tagged query
+// (NeedPlus) or two (NeedCompare); for a self-join, one run of each
+// higher-order delta term, its delta slots joined on the upid. The live
+// mask (nil = all live) lets history-aware, sampled and sharded pricing
+// skip elements.
 //
 // Across checkers the sweep shares what does not depend on the query: the
 // classification pass touches each update once for all k queries and
 // builds its u⁺ tuples at most once, when the first checker that reads the
-// update's relation needs them; and the tagged jobs, delta checks and
-// residual full runs of every checker each run in one pool of workers
-// goroutines over the shared read-only database. Tuples are
-// never kept across stages: a tagged job rebuilds u⁺ (and, to compare, u⁻)
-// for its own updates only, so the sweep's live memory does not grow with
-// the number of pending checks.
+// update's relation needs them; and the tagged jobs and residual full runs
+// of every checker each run in one pool of workers goroutines over the
+// shared read-only database. Tuples are never kept across stages: a tagged
+// job rebuilds u⁺ (and, to compare, u⁻) for its own updates only, and
+// holds at most maxJobElems of them, so the sweep's live memory does not
+// grow with the number of pending checks.
 //
 // Every (update, query) decision is independent of k, of the mask and of
 // the worker count, lands in its own result slot, and the per-checker
@@ -133,11 +137,11 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 	}
 	stopClassify()
 
-	// Per checker: fold the static decisions and collect the tagged jobs,
-	// per-update delta checks and residual full runs into shared pools.
+	// Per checker: fold the static decisions and collect the tagged jobs
+	// and residual full runs into shared pools.
 	results := make([][]bool, len(cs))
 	var jobs []batchJob
-	var deltas, fulls []check
+	var fulls []check
 	for k, c := range cs {
 		results[k] = make([]bool, len(us))
 		plusPending := make(map[string][]int)
@@ -151,14 +155,14 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 				results[k][i] = true
 			case NeedPlus, NeedCompare:
 				rel := us[i].LowerRel()
-				switch {
-				case c.multi[rel]:
-					deltas = append(deltas, check{k: k, i: i, compare: o == NeedCompare})
-				case o == NeedPlus:
+				if o == NeedPlus {
 					plusPending[rel] = append(plusPending[rel], i)
-					stats[k].Batched++
-				default:
+				} else {
 					comparePending[rel] = append(comparePending[rel], i)
+				}
+				// A self-join check is decided by higher-order terms, so it
+				// counts as a partial delta check, never as Batched.
+				if !c.multi[rel] {
 					stats[k].Batched++
 				}
 			case NeedFull:
@@ -185,36 +189,6 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		stats[j.k].DeltaPartialRuns += jres[x].nPartial
 		for _, i := range jres[x].escalated {
 			fulls = append(fulls, check{k: j.k, i: i})
-		}
-	}
-
-	// Per-update delta checks of multi-occurrence relations (self-joins):
-	// each runs the higher-order expansion against the cached indexes and
-	// views, escalating to the residual stage when inexact.
-	if len(deltas) > 0 {
-		type deltaRes struct{ dis, esc, partial bool }
-		dres := make([]deltaRes, len(deltas))
-		stopDelta := reg.Timer("stage_delta")
-		if err := pool.RunCtx(ctx, workers, len(deltas), func(x int) error {
-			d := deltas[x]
-			dis, esc, partial, err := cs[d.k].decide(us[d.i], d.compare)
-			dres[x] = deltaRes{dis: dis, esc: esc, partial: partial}
-			return err
-		}); err != nil {
-			return nil, nil, err
-		}
-		stopDelta()
-		for x, d := range deltas {
-			switch {
-			case dres[x].esc:
-				fulls = append(fulls, d)
-			case dres[x].partial:
-				results[d.k][d.i] = dres[x].dis
-				stats[d.k].DeltaPartialRuns++
-			default:
-				results[d.k][d.i] = dres[x].dis
-				stats[d.k].DeltaFullRuns++
-			}
 		}
 	}
 
@@ -251,8 +225,8 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 
 // appendJobs appends checker k's tagged jobs for one pending map in
 // deterministic (relation-name) order, sharding a relation's updates
-// across several tagged queries when the batch is large enough to keep
-// multiple workers busy.
+// across several tagged jobs when the batch is large enough to keep
+// multiple workers busy or exceeds maxJobElems.
 func appendJobs(jobs []batchJob, k int, pending map[string][]int, compare bool, workers int) []batchJob {
 	rels := make([]string, 0, len(pending))
 	for rel := range pending {
@@ -267,12 +241,16 @@ func appendJobs(jobs []batchJob, k int, pending map[string][]int, compare bool, 
 	return jobs
 }
 
-// shard splits idxs into at most workers near-equal chunks of at least
-// minBatchShard elements (one chunk when serial or small).
+// shard splits idxs into near-equal chunks of at most maxJobElems
+// elements: at most workers chunks of at least minBatchShard elements
+// (one when serial or small) unless the cap needs more.
 func shard(idxs []int, workers int) [][]int {
 	n := len(idxs)
 	chunks := workers
 	if c := n / minBatchShard; c < chunks {
+		chunks = c
+	}
+	if c := (n + maxJobElems - 1) / maxJobElems; c > chunks {
 		chunks = c
 	}
 	if chunks <= 1 {
@@ -290,67 +268,35 @@ func shard(idxs []int, workers int) [][]int {
 	return out
 }
 
-// runBatchJob answers one job's checks with the §4.2 tagged queries,
-// writing the decided bits into res (disjoint indexes per job).
+// runBatchJob answers one job's checks with one tagged delta run (§4.2)
+// and reads each update's correction terms as Check does, writing the
+// decided bits into res (disjoint indexes per job).
 func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool) (jr jobResult, err error) {
-	q := c.checkQuery()
-	var gv *exec.GroupView
-	var mv *exec.MultiplicityView
-	if c.SPJ.IsAgg {
-		if gv, err = c.groupView(); err != nil {
-			return jr, err
-		}
-	} else if c.SPJ.Distinct {
-		if mv, err = c.Q.MultiplicityView(c.db); err != nil {
-			return jr, err
-		}
+	gv, mv, err := c.views()
+	if err != nil {
+		return jr, err
 	}
-	// settle records one decided check; consulting the multiplicity view
-	// or a candidate multiset is the partial tier, a bare first-order
-	// answer the full tier (tagged jobs never cover self-joins).
-	settle := func(i int, dis, usedView bool) {
-		res[i] = dis
-		if usedView {
-			jr.nPartial++
-		} else {
-			jr.nFull++
-		}
-	}
-	decide := func(i int, m, p [][]value.Value) error {
-		switch {
-		case c.SPJ.IsAgg:
-			o, usedCand := c.aggDelta(gv, m, p)
-			if o != NeedFull {
-				settle(i, o == Disagree, usedCand)
-			} else if same, err := c.unmoved(us[i]); err != nil {
-				return err
-			} else if same {
-				settle(i, false, false)
-			} else {
-				jr.escalated = append(jr.escalated, i)
-			}
-		case c.SPJ.Distinct:
-			settle(i, distinctFlips(mv, m, p), true)
-		case m == nil:
-			settle(i, len(p) > 0, false)
-		default:
-			settle(i, !equalMultiset(m, p), false)
-		}
-		return nil
-	}
-	var outMinus map[int64][][]value.Value
+	var minus [][]value.Value
 	if j.compare {
-		if outMinus, err = q.RunTagged(c.db, j.rel, c.tagRows(us, j, false)); err != nil {
-			return jr, err
-		}
+		minus = c.tagRows(us, j, false)
 	}
-	outPlus, err := q.RunTagged(c.db, j.rel, c.tagRows(us, j, true))
+	outMinus, outPlus, err := c.checkQuery().RunTagged(c.db, j.rel, minus, c.tagRows(us, j, true))
 	if err != nil {
 		return jr, err
 	}
 	for _, i := range j.idxs {
-		if err := decide(i, outMinus[int64(i)], outPlus[int64(i)]); err != nil {
+		dis, esc, partial, err := c.verdict(us[i], gv, mv, outMinus[int64(i)], outPlus[int64(i)])
+		switch {
+		case err != nil:
 			return jr, err
+		case esc:
+			jr.escalated = append(jr.escalated, i)
+		case partial:
+			res[i] = dis
+			jr.nPartial++
+		default:
+			res[i] = dis
+			jr.nFull++
 		}
 	}
 	return jr, nil

@@ -127,7 +127,7 @@ type Checker struct {
 	baseErr  error
 
 	// Obs, when non-nil, receives per-stage latency observations
-	// (stage_classify, stage_tagged_batch, stage_delta, stage_residual)
+	// (stage_classify, stage_tagged_batch, stage_residual)
 	// from every CheckBatch. Set by the pricing engine before the checker
 	// is shared; nil costs a branch.
 	Obs *obs.Registry
@@ -259,10 +259,12 @@ type Scratch struct {
 // StaticAgree sets agree[k] to whether checker cs[k] classifies u as a
 // static Agree, building u⁺ at most once for all of them, and reports
 // whether every checker does. A static Agree means the update hits no
-// relation of the query, or its old rows contributed nothing and every new
-// row fails a single-relation conjunct at every occurrence. Either way the
-// query combines the same contributing rows in the same order on u(D) as
-// on D, so its output, floats and Result.Hash included, is bit-identical.
+// relation of the query, or writes no attribute the query reads at any
+// occurrence of its relation, or its old rows contributed nothing and
+// every new row fails a single-relation conjunct at every occurrence.
+// Either way the query evaluates the same values of the same contributing
+// rows in the same order on u(D) as on D, so its output, floats and
+// Result.Hash included, is bit-identical.
 // Agreement decided by the delta tiers carries no such guarantee: it nets
 // contributions arithmetically, while exec re-sums floats in row order.
 func (sc *Scratch) StaticAgree(cs []*Checker, u *support.Update, agree []bool) bool {
@@ -299,12 +301,17 @@ func (sc *Scratch) plusRows(db *storage.Database, u *support.Update) [][]value.V
 // classify is Classify with the update's u⁺ tuples held in the caller's
 // scratch: the first satisfiability check that needs them builds them,
 // every later one — of this or of another checker of the same sweep —
-// reuses them, and an update on a relation the query never reads leaves
-// them unbuilt.
+// reuses them, and an update on a relation or of columns the query never
+// reads leaves them unbuilt.
 func (c *Checker) classify(u *support.Update, sc *Scratch) Outcome {
 	srcs, ok := c.srcsOf[u.LowerRel()]
 	if !ok {
 		return Agree // the update does not modify any relation of Q
+	}
+	if !c.readsAny(u, srcs) {
+		// Every row keeps, at its position, every value Q evaluates, so
+		// Q(u(D)) is Q(D) bit for bit, floats included.
+		return Agree
 	}
 	k1, k2 := u.RowKeys(c.db.Table(u.Rel))
 	// Contributing at ANY occurrence: for self-joins the same tuple feeds
@@ -371,6 +378,20 @@ func (c *Checker) classify(u *support.Update, sc *Scratch) Outcome {
 		}
 	}
 	return NeedCompare
+}
+
+// readsAny reports whether u writes an attribute the query reads at some
+// occurrence srcs of u's relation (the paper's B against every attribute
+// Q reads, not only the projected ones).
+func (c *Checker) readsAny(u *support.Update, srcs []int) bool {
+	for _, a := range u.Attrs {
+		for _, si := range srcs {
+			if c.SPJ.Reads[si][a] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // changedAt reports whether the j-th touched attribute actually takes a
@@ -484,15 +505,9 @@ func (c *Checker) resolve(u *support.Update, compare bool, s *CheckStats) (bool,
 
 // decide resolves one residual database check through delta evaluation:
 // only the update's ± tuples flow through the join pipeline, probing the
-// cached indexes of the untouched relations, and the correction terms are
-// interpreted per tier — directly for plain bag SPJ, against the
-// multiplicity view for DISTINCT, through the group-delta analysis (with
-// candidate multisets) for aggregates. compare selects the NeedCompare
-// form (both sides) over the NeedPlus form (u⁺ only).
-//
-// Returns the disagreement bit, esc=true when only a full re-run can
-// answer exactly, and partial=true when a materialized intermediate or
-// the higher-order self-join expansion was consulted (tier accounting).
+// cached indexes of the untouched relations, and verdict reads the
+// correction terms. compare selects the NeedCompare form (both sides) over
+// the NeedPlus form (u⁺ only). It returns what verdict returns.
 func (c *Checker) decide(u *support.Update, compare bool) (dis, esc, partial bool, err error) {
 	q, rel := c.checkQuery(), u.LowerRel()
 	if q.DeltaTier(rel) == analyze.DeltaNone {
@@ -506,32 +521,47 @@ func (c *Checker) decide(u *support.Update, compare bool) (dis, esc, partial boo
 	if err != nil {
 		return false, false, false, err
 	}
-	multi := c.multi[rel]
-	if !c.SPJ.IsAgg {
-		if c.SPJ.Distinct {
-			mv, err := c.Q.MultiplicityView(c.db)
-			if err != nil {
-				return false, false, false, err
-			}
-			return distinctFlips(mv, outMinus, outPlus), false, true, nil
-		}
-		if !compare {
-			return len(outPlus) > 0 || len(outMinus) > 0, false, multi, nil
-		}
-		// Q(up(D)) = Q(D) − outMinus + outPlus as signed multisets, so the
-		// outputs differ iff the two correction terms differ.
-		return !equalMultiset(outMinus, outPlus), false, multi, nil
-	}
-	gv, err := c.groupView()
+	gv, mv, err := c.views()
 	if err != nil {
 		return false, false, false, err
 	}
-	out, usedCand := c.aggDelta(gv, outMinus, outPlus)
-	switch out {
-	case Agree:
-		return false, false, multi || usedCand, nil
-	case Disagree:
-		return true, false, multi || usedCand, nil
+	return c.verdict(u, gv, mv, outMinus, outPlus)
+}
+
+// views returns the materialized intermediate a check's correction terms
+// are read against: the group view of an aggregate query, the
+// multiplicity view of a DISTINCT one, neither for a plain bag SPJ.
+func (c *Checker) views() (gv *exec.GroupView, mv *exec.MultiplicityView, err error) {
+	switch {
+	case c.SPJ.IsAgg:
+		gv, err = c.groupView()
+	case c.SPJ.Distinct:
+		mv, err = c.Q.MultiplicityView(c.db)
+	}
+	return gv, mv, err
+}
+
+// verdict reads the correction terms of one residual check of update u —
+// m and p, the u⁻ and u⁺ terms of RunDelta, or u's upid's of RunTagged; m
+// is empty for a NeedPlus check — per tier: directly for plain bag SPJ,
+// against the multiplicity view mv for DISTINCT, through the group-delta
+// analysis (with candidate multisets) against gv for aggregates.
+//
+// Returns the disagreement bit, esc=true when only a full re-run can
+// answer exactly, and partial=true when a materialized intermediate or
+// the higher-order self-join expansion was consulted (tier accounting).
+func (c *Checker) verdict(u *support.Update, gv *exec.GroupView, mv *exec.MultiplicityView, m, p [][]value.Value) (dis, esc, partial bool, err error) {
+	multi := c.multi[u.LowerRel()]
+	switch {
+	case c.SPJ.Distinct:
+		return distinctFlips(mv, m, p), false, true, nil
+	case !c.SPJ.IsAgg:
+		// Q(up(D)) = Q(D) − m + p as signed multisets, so the outputs
+		// differ iff the two correction terms differ.
+		return !equalMultiset(m, p), false, multi, nil
+	}
+	if o, usedCand := c.aggDelta(gv, m, p); o != NeedFull {
+		return o == Disagree, false, multi || usedCand, nil
 	}
 	if same, err := c.unmoved(u); err != nil || same {
 		return false, false, false, err

@@ -16,7 +16,9 @@ import (
 // and every call's bitmaps and returned CheckStats must equal those of a
 // serial call on freshly built checkers. The untiered MIN checker sends
 // extremum removals to the residual stage, so the concurrent calls also
-// race to fill the shared base hash. Run under -race.
+// race to fill the shared base hash. The bag and DISTINCT self-joins run
+// their tagged jobs as higher-order terms joined on the upid. Run under
+// -race.
 func TestSharedCheckerConcurrentBatches(t *testing.T) {
 	db := testDB(31, 30, 90)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(240, 7))
@@ -31,6 +33,8 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 		{sql: "SELECT city, tier FROM Cust WHERE score > 25"},
 		{sql: "SELECT C.city, sum(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city"},
 		{sql: "SELECT a.city, max(b.score) FROM Cust a, Cust b WHERE a.tier = b.tier GROUP BY a.city"},
+		{sql: "SELECT a.city, b.city FROM Cust a, Cust b WHERE a.tier = b.tier AND a.score > 30"},
+		{sql: "SELECT DISTINCT a.city FROM Cust a, Cust b WHERE a.score = b.score"},
 		{sql: "SELECT city, min(score) FROM Cust GROUP BY city", untiered: true},
 	}
 	build := func() []*Checker {
@@ -74,6 +78,11 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 	}
 	if fullRuns == 0 {
 		t.Fatal("the untiered MIN checker never reached the residual stage; the shared base hash is not exercised")
+	}
+	for k := 2; k <= 4; k++ {
+		if want[0].stats[k].DeltaPartialRuns == 0 {
+			t.Fatalf("%q: %+v, no self-join check reached the tagged terms", specs[k].sql, want[0].stats[k])
+		}
 	}
 
 	shared := build()

@@ -1,6 +1,7 @@
 package disagree
 
 import (
+	"context"
 	"testing"
 
 	"qirana/internal/result"
@@ -20,7 +21,12 @@ var fuzzBals = []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.5}
 // (relation, rows, columns, new value) and checks that the tiered checker
 // — first-order deltas, multiplicity views, candidate views, higher-order
 // self-join expansion — answers identically to the full re-run ground
-// truth on a query catalog spanning every tier, float SUM/AVG included.
+// truth on a query catalog spanning every tier, float SUM/AVG included —
+// once alone through Check, and once through CheckBatch in a batch with a
+// fixed set of generated updates on the same relations, where the tagged
+// jobs, self-join terms included, join the fuzzed update's rows with
+// theirs under distinct upids; every bit of the batch must match its
+// re-run.
 // Where the query's checker classifies the update as a static Agree, the
 // re-run's Result.Hash must also equal the base hash bit for bit: entropy
 // pricing hands such elements the base hash without running them. Where
@@ -67,6 +73,27 @@ func FuzzDeltaTiers(f *testing.F) {
 		qs[len(queries)+i] = exec.MustCompile(sql, db.Schema)
 	}
 	queries = append(queries, foldOnly...)
+	gen, err := support.GenerateNeighborhood(db, support.DefaultConfig(40, 3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fixed := gen.Updates
+	fixedWant := make([][]bool, len(checkers)) // per checker: each fixed update's re-run bit
+	for k, q := range qs[:len(checkers)] {
+		base, err := q.Run(db)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, u := range fixed {
+			u.Apply(db)
+			after, err := q.Run(db)
+			u.Undo(db)
+			if err != nil {
+				f.Fatal(err)
+			}
+			fixedWant[k] = append(fixedWant[k], !base.Equal(after))
+		}
+	}
 	cities := []string{"ny", "sf", "la", "chi", "zz"}
 	statuses := []string{"open", "shipped", "lost", "new"}
 
@@ -139,8 +166,21 @@ func FuzzDeltaTiers(f *testing.F) {
 		}
 		base, after := rerun(t, qs[k], db, u)
 		checkGroupFold(t, qs[k], db, u, after)
-		if want := !base.Equal(after); got != want {
+		want := !base.Equal(after)
+		if got != want {
 			t.Fatalf("%q / %+v: tiered says %v, full re-run says %v", queries[k], u, got, want)
+		}
+		bits, _, err := CheckBatch(context.Background(), checkers[k:k+1], append(fixed[:len(fixed):len(fixed)], u), nil, 1)
+		if err != nil {
+			t.Fatalf("%q / %+v: batch: %v", queries[k], u, err)
+		}
+		if got := bits[0][len(fixed)]; got != want {
+			t.Fatalf("%q / %+v: batched says %v, full re-run says %v", queries[k], u, got, want)
+		}
+		for x, w := range fixedWant[k] {
+			if bits[0][x] != w {
+				t.Fatalf("%q: fixed update %+v batched with %+v: batched says %v, full re-run says %v", queries[k], fixed[x], u, bits[0][x], w)
+			}
 		}
 		if new(Scratch).StaticAgree(checkers[k:k+1], u, make([]bool, 1)) && base.Hash() != after.Hash() {
 			t.Fatalf("%q / %+v: static Agree, but the re-run's hash %x differs from the base hash %x", queries[k], u, after.Hash(), base.Hash())

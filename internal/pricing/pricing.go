@@ -595,9 +595,9 @@ func (e *Engine) entropySweep(ctx context.Context, qs []*exec.Query, live []bool
 //
 // Each live element is classified against the checkers of all queries
 // (disagree.Scratch.StaticAgree, u⁺ built once per element). A query
-// classified as a static Agree combines the same contributing rows in the same order on
-// the element as on D, so its hash is the base hash and the pair counts as
-// Static. Every other query of the element is hashed by its
+// classified as a static Agree evaluates the same values of the same
+// contributing rows in the same order on the element as on D, so its hash
+// is the base hash and the pair counts as Static. Every other query of the element is hashed by its
 // disagree.Hasher, built on first need, and counts as the hasher says. An
 // element with a query that has no hasher, or whose hasher cannot answer,
 // is re-executed for all queries instead: its hashes are the same either

@@ -101,6 +101,15 @@ func (e *ColumnRef) String() string {
 	return Ident(e.Name)
 }
 
+// SourceCol reads column Col of the row bound at the statement's FROM
+// source Source, by position. The parser never produces it: the executor
+// builds it to join rows on a hidden column no name resolves to, such as
+// the trailing upid column of a tagged delta run.
+type SourceCol struct{ Source, Col int }
+
+func (e *SourceCol) exprNode()      {}
+func (e *SourceCol) String() string { return fmt.Sprintf("#%d.%d", e.Source, e.Col) }
+
 // Literal is a constant value.
 type Literal struct{ Val value.Value }
 
@@ -471,7 +480,7 @@ func Walk(e Expr, fn func(Expr)) {
 		}
 	case *IsNullExpr:
 		Walk(x.X, fn)
-	case *SubqueryExpr, *ExistsExpr, *ColumnRef, *Literal, *Interval, *Placeholder:
+	case *SubqueryExpr, *ExistsExpr, *ColumnRef, *SourceCol, *Literal, *Interval, *Placeholder:
 	case *CaseExpr:
 		Walk(x.Operand, fn)
 		for _, w := range x.Whens {

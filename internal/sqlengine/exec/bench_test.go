@@ -76,37 +76,59 @@ func BenchmarkRunDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkRunTagged measures one §4.2 tagged batch query: the join query
-// run once with CountryLanguage replaced by the u⁺ tuples of every
+// BenchmarkRunTagged measures one §4.2 tagged batch run. join: the join
+// query with CountryLanguage replaced by the u⁺ tuples of every
 // CountryLanguage update of the support set, each extended by its upid,
-// and the output grouped per upid.
+// and the output grouped per upid. selfjoin: one capped job of the world
+// self-join shape, 256 Country updates' u⁻ and u⁺ tuples through the eight
+// higher-order delta terms, their delta slots joined on the upid.
 func BenchmarkRunTagged(b *testing.B) {
 	db := datagen.World(1)
-	q := exec.MustCompile(
-		"SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
-		db.Schema)
-	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(256, 7))
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name, sql, rel string
+		size, n        int // support-set size; updates of rel to tag, 0 = all
+		compare        bool
+	}{
+		{"join", "SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
+			"CountryLanguage", 256, 0, false},
+		{"selfjoin", "SELECT A.Name, B.Name FROM Country A, Country B WHERE A.Region = B.Region AND A.ID < B.ID AND A.Population > 50000000 AND B.Population > 10000000",
+			"Country", 1000, 256, true},
 	}
-	var tagged [][]value.Value
-	for i, u := range set.Updates {
-		if !u.Touches("CountryLanguage") {
-			continue
-		}
-		for _, row := range u.PlusRows(db) {
-			tagged = append(tagged, append(row, value.NewInt(int64(i))))
-		}
-	}
-	if len(tagged) == 0 {
-		b.Fatal("no CountryLanguage updates in support set")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.RunTagged(db, "CountryLanguage", tagged); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			q := exec.MustCompile(c.sql, db.Schema)
+			set, err := support.GenerateNeighborhood(db, support.DefaultConfig(c.size, 7))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var minus, plus [][]value.Value
+			n := 0
+			for i, u := range set.Updates {
+				if !u.Touches(c.rel) || (c.n > 0 && n == c.n) {
+					continue
+				}
+				n++
+				tag := value.NewInt(int64(i))
+				if c.compare {
+					for _, row := range u.MinusRows(db) {
+						minus = append(minus, append(row, tag))
+					}
+				}
+				for _, row := range u.PlusRows(db) {
+					plus = append(plus, append(row, tag))
+				}
+			}
+			if n == 0 || n < c.n {
+				b.Fatalf("support set has %d %s updates", n, c.rel)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := q.RunTagged(db, c.rel, minus, plus); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

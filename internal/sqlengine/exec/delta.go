@@ -33,6 +33,9 @@ import (
 // compare the two correction multisets: the outputs differ iff
 // outMinus ≢ outPlus (signed counts cancel exactly when the bags match).
 //
+// RunTagged runs the same terms for a batch of updates at once, their rows
+// tagged with a trailing upid column that keeps each update's rows apart.
+//
 // DISTINCT queries are handled one level up: RunDelta never applies the
 // deduplication step, so for a DISTINCT query the correction terms are
 // deltas of the pre-DISTINCT core multiset; the disagreement checker nets
@@ -53,45 +56,112 @@ func (q *Query) DeltaTier(rel string) analyze.DeltaTier {
 // RunDelta evaluates the effect of replacing rows `minus` by rows `plus`
 // in relation rel, returning the negative and positive correction terms.
 // Either side may be nil (pure insertion/deletion deltas). The query's
-// DeltaTier for rel must not be DeltaNone.
+// DeltaTier for rel must not be DeltaNone. It runs the terms RunTagged
+// runs, for one update whose rows carry no upid.
 func (q *Query) RunDelta(db *storage.Database, rel string, minus, plus [][]value.Value) (outMinus, outPlus [][]value.Value, err error) {
+	terms, err := q.deltaTerms(db, rel, minus, plus, -1)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out [2][][]value.Value // by deltaTerm.side
+	r := &runner{q: q, db: db}
+	for _, t := range terms {
+		rows, err := r.project(t.tuples)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(out[t.side]) == 0 {
+			out[t.side] = rows
+		} else {
+			out[t.side] = append(out[t.side], rows...)
+		}
+	}
+	return out[1], out[0], nil
+}
+
+// RunTagged is the batching device of §4.2, the tagged form of RunDelta:
+// the ± rows of many updates of rel, each row extended by one trailing INT
+// value, the upid of its update, run through the delta expansion at once,
+// and every upid gets back its own two correction terms — exactly the ones
+// RunDelta returns for that update alone. With one occurrence of rel
+// these are two runs, Q over the tagged minus rows and over the tagged
+// plus rows, grouped per upid. With k > 1 occurrences every term of the
+// expansion runs once for all updates: its delta slots are hash-joined on
+// equal upid, so rows of different updates never meet in one tuple.
+//
+// DISTINCT queries are admitted, but the deduplication step is NOT
+// applied: the grouped rows are the pre-DISTINCT core rows, which is what
+// the disagreement checker needs to net against its multiplicity view.
+func (q *Query) RunTagged(db *storage.Database, rel string, minus, plus [][]value.Value) (outMinus, outPlus map[int64][][]value.Value, err error) {
+	si := q.A.SourceIndex(rel)
+	if si < 0 {
+		return nil, nil, fmt.Errorf("relation %q not in query %q", rel, q.SQL)
+	}
+	arity := q.A.Sources[si].Rel.Arity()
+	terms, err := q.deltaTerms(db, rel, minus, plus, arity)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Size every upid's two row lists first, so the lists are windows of
+	// one slice.
+	counts := [2]map[int64]int{{}, {}} // by deltaTerm.side
+	total := 0
+	for _, t := range terms {
+		for _, tup := range t.tuples {
+			counts[t.side][tup[t.first][arity].I]++
+		}
+		total += len(t.tuples)
+	}
+	var out [2]map[int64][][]value.Value
+	all := make([][]value.Value, total)
+	for s, c := range counts {
+		out[s] = make(map[int64][][]value.Value, len(c))
+		for upid, n := range c {
+			out[s][upid], all = all[:0:n], all[n:]
+		}
+	}
+	r := &runner{q: q, db: db}
+	for _, t := range terms {
+		rows, err := r.project(t.tuples)
+		if err != nil {
+			return nil, nil, err
+		}
+		o := out[t.side]
+		for i, tup := range t.tuples {
+			upid := tup[t.first][arity].I
+			o[upid] = append(o[upid], rows[i])
+		}
+	}
+	return out[1], out[0], nil
+}
+
+// deltaTerm is one term of the delta expansion: the joined tuples of the
+// query with delta rows substituted at some occurrences of the updated
+// relation, the side its sign puts them on, and first, the source index
+// of the first substituted occurrence.
+type deltaTerm struct {
+	tuples [][][]value.Value
+	side   int // 0: a positive term, of outPlus; 1: a negative one, of outMinus
+	first  int
+}
+
+// deltaTerms joins the delta terms for an update of rel, which occurs at
+// the k top-level sources SourcesOf(rel): every assignment of {base,
+// minus, plus} to the k slots except all-base, enumerated in a fixed
+// ternary order so the output row order — and therefore any
+// floating-point accumulation over it — is deterministic. A term's sign is
+// (−1)^{#minus slots}. Terms that would substitute an empty delta side are
+// skipped (they are empty). For k = 1 these are the two first-order terms.
+//
+// tagCol ≥ 0 marks tagged rows, whose column tagCol holds the upid: every
+// delta slot after a term's first is then hash-joined to the first on that
+// column, so a term joins the rows of each update only with rows of the
+// same update, as if each ran alone.
+func (q *Query) deltaTerms(db *storage.Database, rel string, minus, plus [][]value.Value, tagCol int) ([]deltaTerm, error) {
 	if q.DeltaTier(rel) == analyze.DeltaNone {
-		return nil, nil, fmt.Errorf("delta execution does not apply to %q for updates of %q", q.SQL, rel)
+		return nil, fmt.Errorf("delta execution does not apply to %q for updates of %q", q.SQL, rel)
 	}
-	if q.A.RelOccurrences(rel) == 1 {
-		// Single occurrence: the two first-order terms, via a name-keyed
-		// override (equivalent to a sov on the only slot).
-		name := ast.LowerName(rel)
-		outMinus, err = q.deltaSide(db, name, minus)
-		if err != nil {
-			return nil, nil, err
-		}
-		outPlus, err = q.deltaSide(db, name, plus)
-		if err != nil {
-			return nil, nil, err
-		}
-		return outMinus, outPlus, nil
-	}
-	return q.deltaExpand(db, q.A.SourcesOf(rel), minus, plus)
-}
-
-// deltaSide runs the query with rel replaced by the given delta rows,
-// returning projected output rows. A nil/empty delta yields no output
-// without touching the executor.
-func (q *Query) deltaSide(db *storage.Database, rel string, delta [][]value.Value) ([][]value.Value, error) {
-	if len(delta) == 0 {
-		return nil, nil
-	}
-	return q.rawRows(db, Overrides{rel: delta}, nil)
-}
-
-// deltaExpand emits the higher-order correction terms for a relation
-// occurring at the k = len(srcs) top-level sources: every assignment of
-// {base, minus, plus} to the k slots except all-base, enumerated in a
-// fixed ternary order so the output row order — and therefore any
-// floating-point accumulation over it — is deterministic. Terms that
-// would substitute an empty delta side are skipped (they are empty).
-func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]value.Value) (outMinus, outPlus [][]value.Value, err error) {
+	srcs := q.A.SourcesOf(rel)
 	k := len(srcs)
 	total := 1
 	for i := 0; i < k; i++ {
@@ -99,6 +169,7 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 	}
 	asn := make([]int, k) // 0 = base, 1 = minus, 2 = plus
 	sov := make([][][]value.Value, len(q.A.Sources))
+	var terms []deltaTerm
 	for code := 1; code < total; code++ {
 		c := code
 		skip := false
@@ -109,59 +180,68 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 			switch asn[i] {
 			case 1:
 				negs++
-				if len(minus) == 0 {
-					skip = true
-				}
+				skip = skip || len(minus) == 0
 			case 2:
-				if len(plus) == 0 {
-					skip = true
-				}
+				skip = skip || len(plus) == 0
 			}
 		}
 		if skip {
 			continue
 		}
+		first := -1
+		var edges []conjunctInfo
 		for i, s := range srcs {
 			switch asn[i] {
 			case 0:
 				sov[s] = nil
+				continue
 			case 1:
 				sov[s] = minus
 			case 2:
 				sov[s] = plus
 			}
+			if first < 0 {
+				first = s
+			} else if tagCol >= 0 {
+				edges = append(edges, conjunctInfo{srcs: []int{first, s}, edge: &joinEdge{srcA: first, srcB: s,
+					exprA: &ast.SourceCol{Source: first, Col: tagCol}, exprB: &ast.SourceCol{Source: s, Col: tagCol}}})
+			}
 		}
-		rows, rerr := q.rawRows(db, nil, sov)
-		if rerr != nil {
-			return nil, nil, rerr
+		r := &runner{q: q, db: db, sov: sov, edges: edges}
+		tuples, err := r.joinPhase(q.A, nil)
+		if err != nil {
+			return nil, err
 		}
-		if negs%2 == 1 {
-			outMinus = append(outMinus, rows...)
-		} else {
-			outPlus = append(outPlus, rows...)
-		}
+		terms = append(terms, deltaTerm{tuples: tuples, side: negs % 2, first: first})
 	}
-	return outMinus, outPlus, nil
+	return terms, nil
 }
 
-// rawRows joins and projects the query under the given overrides WITHOUT
-// the DISTINCT / ORDER BY / LIMIT epilogue: the raw core-row multiset the
-// delta rewrites and the materialized views are defined over. The query
-// must not aggregate.
-func (q *Query) rawRows(db *storage.Database, ov Overrides, sov [][][]value.Value) ([][]value.Value, error) {
-	r := &runner{q: q, db: db, ov: ov, sov: sov}
+// rawRows joins and projects the query over db WITHOUT the DISTINCT /
+// ORDER BY / LIMIT epilogue: the raw core-row multiset the delta rewrites
+// and the materialized views are defined over. The query must not
+// aggregate.
+func (q *Query) rawRows(db *storage.Database) ([][]value.Value, error) {
+	r := &runner{q: q, db: db}
 	tuples, err := r.joinPhase(q.A, nil)
 	if err != nil {
 		return nil, err
 	}
+	return r.project(tuples)
+}
+
+// project projects joined tuples of the query's top level into rows of
+// one value slab.
+func (r *runner) project(tuples [][][]value.Value) ([][]value.Value, error) {
+	a := r.q.A
 	out := make([][]value.Value, len(tuples))
-	w := len(q.A.OutCols)
+	w := len(a.OutCols)
 	slab := make([]value.Value, len(tuples)*w)
-	env := &env{a: q.A}
+	env := &env{a: a}
 	for i, tup := range tuples {
 		env.tuples = tup
 		env.itemVals = nil
-		row, err := r.projectInto(q.A, env, slab[i*w:(i+1)*w:(i+1)*w])
+		row, err := r.projectInto(a, env, slab[i*w:(i+1)*w:(i+1)*w])
 		if err != nil {
 			return nil, err
 		}

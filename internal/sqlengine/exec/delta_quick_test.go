@@ -17,6 +17,8 @@
 package exec_test
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,4 +162,128 @@ func rowCounts(rows [][]value.Value) map[string]int {
 		m[value.Key(row)]++
 	}
 	return m
+}
+
+// TestQuickTaggedDeltaMatchesRunDelta checks RunTagged against RunDelta on
+// world self-joins with k = 2 and k = 3 occurrences of Country: over
+// random batches of Country updates, row updates and swaps, each upid's
+// two correction terms from the one tagged run must net, per value.Key,
+// to what RunDelta returns for that update alone. Every batch also holds
+// two hand-made updates that move two same-region countries into one new
+// region, so their rows join each other in every term that substitutes
+// both: only the upid key keeps them apart. Every slot filters on
+// Population, so a third hand-made update, a rename of a country below
+// them all, comes back with empty terms.
+func TestQuickTaggedDeltaMatchesRunDelta(t *testing.T) {
+	db := datagen.World(1)
+	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(600, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	country := db.Table("Country")
+	region, pop := country.Rel.AttrIndex("Region"), country.Rel.AttrIndex("Population")
+	var pool []*support.Update
+	for _, u := range set.Updates {
+		if u.Touches("Country") {
+			pool = append(pool, u)
+		}
+	}
+	// Two populous countries of one region, both moved to Atlantis.
+	var fixed []*support.Update
+	first := map[string]int{}
+	for ri := range country.Rows {
+		if country.Get(ri, pop).AsInt() <= 60000000 {
+			continue
+		}
+		r := country.Get(ri, region)
+		if r0, ok := first[r.S]; ok {
+			for _, row := range []int{r0, ri} {
+				fixed = append(fixed, &support.Update{Rel: "Country", Row1: row, Attrs: []int{region},
+					Old1: []value.Value{r}, New1: []value.Value{value.NewString("Atlantis")}})
+			}
+			break
+		}
+		first[r.S] = ri
+	}
+	if len(fixed) != 2 {
+		t.Fatal("world has no region with two countries above 60M")
+	}
+	name := country.Rel.AttrIndex("Name")
+	for ri := range country.Rows {
+		if country.Get(ri, pop).AsInt() < 1000000 {
+			fixed = append(fixed, &support.Update{Rel: "Country", Row1: ri, Attrs: []int{name},
+				Old1: []value.Value{country.Get(ri, name)}, New1: []value.Value{value.NewString("Nowhere")}})
+			break
+		}
+	}
+	queries := []string{
+		"SELECT a.Name, b.Name FROM Country a, Country b WHERE a.Region = b.Region AND a.Population > 1000000 AND b.Population > 10000000",
+		"SELECT a.Name, b.Code, c.Name FROM Country a, Country b, Country c WHERE a.Region = b.Region AND b.Continent = c.Continent AND a.Population > 20000000 AND b.Population > 1000000 AND c.Population > 50000000",
+	}
+	net := func(minus, plus [][]value.Value) map[string]int {
+		m := make(map[string]int)
+		for _, row := range minus {
+			m[value.Key(row)]--
+		}
+		for _, row := range plus {
+			m[value.Key(row)]++
+		}
+		for k, n := range m {
+			if n == 0 {
+				delete(m, k)
+			}
+		}
+		return m
+	}
+	tag := func(rows [][]value.Value, upid int) [][]value.Value {
+		out := make([][]value.Value, len(rows))
+		for i, row := range rows {
+			out[i] = append(row, value.NewInt(int64(upid)))
+		}
+		return out
+	}
+	for _, sql := range queries {
+		q := exec.MustCompile(sql, db.Schema)
+		swaps, empty := 0, 0
+		prop := func(seed int64, size uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			batch := append([]*support.Update(nil), fixed...)
+			for n := 1 + int(size)%16; n > 0; n-- {
+				batch = append(batch, pool[rng.Intn(len(pool))])
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			var minus, plus [][]value.Value
+			for i, u := range batch {
+				minus = append(minus, tag(u.MinusRows(db), i)...)
+				plus = append(plus, tag(u.PlusRows(db), i)...)
+			}
+			tm, tp, err := q.RunTagged(db, "Country", minus, plus)
+			if err != nil {
+				t.Fatalf("%q: RunTagged: %v", sql, err)
+			}
+			for i, u := range batch {
+				m, p, err := q.RunDelta(db, "Country", u.MinusRows(db), u.PlusRows(db))
+				if err != nil {
+					t.Fatalf("%q: RunDelta: %v", sql, err)
+				}
+				if u.Swap {
+					swaps++
+				}
+				if len(m)+len(p) == 0 {
+					empty++
+				}
+				if got, want := net(tm[int64(i)], tp[int64(i)]), net(m, p); !reflect.DeepEqual(got, want) {
+					t.Logf("%q upid %d (%+v): tagged net %v, RunDelta net %v", sql, i, u, got, want)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+			t.Errorf("%q: %v", sql, err)
+		}
+		if swaps == 0 || empty == 0 {
+			t.Errorf("%q: %d swaps, %d upids with empty terms; want both exercised", sql, swaps, empty)
+		}
+	}
 }

@@ -18,6 +18,9 @@ func (r *runner) eval(e ast.Expr, env *env) (value.Value, error) {
 	case *ast.Placeholder:
 		return value.Null, fmt.Errorf("unbound placeholder $%d: bind parameters before executing", x.Idx)
 
+	case *ast.SourceCol:
+		return env.tuples[x.Source][x.Col], nil
+
 	case *ast.ColumnRef:
 		if itemIdx, ok := env.a.AliasRefs[x]; ok {
 			outIdx := env.a.ItemOutIdx[itemIdx]

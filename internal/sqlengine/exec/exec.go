@@ -1,15 +1,17 @@
 // Package exec is qirana's query executor. It runs analyzed SELECT
-// statements against the in-memory store with three entry points the
+// statements against the in-memory store with four entry points the
 // pricing framework needs:
 //
 //   - Run: ordinary execution of Q(D);
 //   - RunOverride: execution of Q over D with one or more relations
 //     replaced by supplied rows — this implements the Q((D \ R) ∪ {u})
 //     primitive of the disagreement algorithms (paper §4.1);
-//   - RunTagged: the batching device of §4.2 — the replaced relation's
-//     rows carry a hidden trailing "upid" column identifying which support
-//     set update they came from, and the output is grouped per upid so a
-//     single query answers the check for an entire batch of updates.
+//   - RunDelta: only the ± rows of an updated relation flow through the
+//     join pipeline, first-order or, for self-joins, higher-order terms;
+//   - RunTagged: the batching device of §4.2 — RunDelta for a batch of
+//     updates whose rows carry a hidden trailing "upid" column, the output
+//     grouped per upid, so one run of each delta term answers the check
+//     for the entire batch, self-joins included.
 //
 // The executor is materialized and order-agnostic: filtered scans feed a
 // greedy hash-join over the equi-join graph extracted from WHERE, residual
@@ -92,62 +94,6 @@ func (q *Query) RunOverride(db *storage.Database, ov Overrides) (*result.Result,
 	return r.exec(q.A, nil)
 }
 
-// RunTagged executes a non-aggregating SPJ query with relation rel
-// replaced by tagged rows. Each tagged row must be the relation's row
-// extended by one trailing INT value, the upid. The result groups output
-// rows by the upid of the rel-tuple that produced them.
-//
-// DISTINCT queries are admitted, but the deduplication step is NOT
-// applied: the grouped rows are the pre-DISTINCT core rows, which is what
-// the disagreement checker needs to net against its multiplicity view.
-// The relation must occur exactly once (the override is name-keyed and
-// the upid is read from one source position, both unsound for
-// self-joins — those route through RunDelta's higher-order expansion).
-func (q *Query) RunTagged(db *storage.Database, rel string, tagged [][]value.Value) (map[int64][][]value.Value, error) {
-	if q.A.IsAgg || len(q.Stmt.OrderBy) > 0 || q.Stmt.Limit >= 0 {
-		return nil, fmt.Errorf("tagged execution requires a plain SPJ query, got %q", q.SQL)
-	}
-	if q.A.RelOccurrences(rel) > 1 {
-		return nil, fmt.Errorf("tagged execution requires a single occurrence of %q in %q", rel, q.SQL)
-	}
-	srcIdx := q.A.SourceIndex(rel)
-	if srcIdx < 0 {
-		return nil, fmt.Errorf("relation %q not in query %q", rel, q.SQL)
-	}
-	arity := q.A.Sources[srcIdx].Rel.Arity()
-	ov := Overrides{ast.LowerName(rel): tagged}
-	r := &runner{q: q, db: db, ov: ov}
-	tuples, err := r.joinPhase(q.A, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Size every upid's row list first, so the lists are windows of one
-	// slice and the rows of one value slab.
-	counts := make(map[int64]int)
-	for _, tup := range tuples {
-		counts[tup[srcIdx][arity].I]++
-	}
-	out := make(map[int64][][]value.Value, len(counts))
-	rows := make([][]value.Value, len(tuples))
-	for upid, c := range counts {
-		out[upid], rows = rows[:0:c], rows[c:]
-	}
-	w := len(q.A.OutCols)
-	slab := make([]value.Value, len(tuples)*w)
-	env := &env{a: q.A}
-	for i, tup := range tuples {
-		env.tuples = tup
-		env.itemVals = nil
-		row, err := r.projectInto(q.A, env, slab[i*w:(i+1)*w:(i+1)*w])
-		if err != nil {
-			return nil, err
-		}
-		upid := tup[srcIdx][arity].I
-		out[upid] = append(out[upid], row)
-	}
-	return out, nil
-}
-
 // SourceEval evaluates expressions of a query with only one source bound,
 // to a given row. The disagreement checker's conservative C[u⁺]
 // satisfiability test (§4.1) uses it to evaluate the WHERE conjuncts that
@@ -196,7 +142,10 @@ type runner struct {
 	// relation name, sov replaces exactly one occurrence — the per-slot
 	// substitution the higher-order delta expansion needs for self-joins.
 	// sov wins over ov for its source.
-	sov      [][][]value.Value
+	sov [][][]value.Value
+	// edges are equi-join conjuncts the top-level statement joins on
+	// besides its own: a tagged delta run's upid keys (see deltaTerms).
+	edges    []conjunctInfo
 	subCache map[*analyze.Analyzed]*subResult // lazily allocated by runSub
 	// partitions caches, per runner, pointers to the hash partitions of
 	// base tables by (rel, column) used for correlated equality filters.

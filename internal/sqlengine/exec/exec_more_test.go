@@ -238,11 +238,11 @@ func TestCompileErrors(t *testing.T) {
 func TestRunTaggedRejectsNonSPJ(t *testing.T) {
 	db := twitterDB(t)
 	q := MustCompile("SELECT gender, count(*) FROM User GROUP BY gender", db.Schema)
-	if _, err := q.RunTagged(db, "User", nil); err == nil {
+	if _, _, err := q.RunTagged(db, "User", nil, nil); err == nil {
 		t.Fatal("aggregate query accepted for tagged run")
 	}
 	q2 := MustCompile("SELECT name FROM User", db.Schema)
-	if _, err := q2.RunTagged(db, "Tweet", nil); err == nil {
+	if _, _, err := q2.RunTagged(db, "Tweet", nil, nil); err == nil {
 		t.Fatal("relation outside the query accepted")
 	}
 }

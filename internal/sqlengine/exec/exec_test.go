@@ -242,7 +242,7 @@ func TestRunTagged(t *testing.T) {
 		mk(2, "Alice", "f", 13, 8), // joins tweet tid=4 (CA) -> output under upid 8
 		mk(5, "Nobody", "m", 30, 9),
 	}
-	out, err := q.RunTagged(db, "User", tagged)
+	_, out, err := q.RunTagged(db, "User", nil, tagged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func (q *Query) fetchView(db *storage.Database, key string, build func() (any, e
 }
 
 func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*GroupView, error) {
-	rows, err := q.rawRows(db, nil, nil)
+	rows, err := q.rawRows(db)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func (st *GroupAgg) addCand(j int, v value.Value) {
 }
 
 func (q *Query) buildMultiplicityView(db *storage.Database) (*MultiplicityView, error) {
-	rows, err := q.rawRows(db, nil, nil)
+	rows, err := q.rawRows(db)
 	if err != nil {
 		return nil, err
 	}

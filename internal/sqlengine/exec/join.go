@@ -198,6 +198,9 @@ type joinSource struct {
 func (r *runner) joinPhase(a *analyze.Analyzed, outer *env) ([][][]value.Value, error) {
 	n := len(a.Sources)
 	conjs := r.q.conjuncts(a)
+	if len(r.edges) > 0 && a == r.q.A {
+		conjs = append(conjs[:len(conjs):len(conjs)], r.edges...)
+	}
 
 	// Statements with no FROM produce a single empty tuple.
 	if n == 0 {

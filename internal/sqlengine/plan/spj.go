@@ -54,6 +54,10 @@ type SPJ struct {
 	BareGroup []map[int]bool
 	// HasCountStar reports whether some displayed aggregate is COUNT(*).
 	HasCountStar bool
+	// Reads[i][c] reports whether the query reads attribute c of source
+	// i anywhere: in the select list (stars expanded), WHERE, GROUP BY or
+	// an aggregate argument. COUNT(*) reads nothing.
+	Reads [][]bool
 
 	// Distinct marks a (non-aggregating) SELECT DISTINCT query. The SPJ
 	// core is extracted over bag semantics; set-level equality is decided
@@ -179,6 +183,15 @@ func Extract(a *analyze.Analyzed) (*SPJ, error) {
 		if f.Name == "COUNT" && f.Star {
 			s.HasCountStar = true
 		}
+	}
+	// Every column reference of the statement is bound at level 0: Extract
+	// has rejected HAVING, ORDER BY and subqueries.
+	s.Reads = make([][]bool, len(a.Sources))
+	for i, src := range a.Sources {
+		s.Reads[i] = make([]bool, src.Rel.Arity())
+	}
+	for _, cb := range a.Binds {
+		s.Reads[cb.Table][cb.Col] = true
 	}
 
 	s.buildContrib()
