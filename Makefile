@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build bench-build bench-allocs test race bench json-bench vet lint lint-dup lint-fmt lint-quote-path fuzz crash chaos bench-compare serve cluster
+.PHONY: all build bench-build bench-allocs test race bench json-bench vet lint lint-dup lint-fmt lint-quote-path lint-routes fuzz crash chaos bench-compare serve cluster
 
 all: build vet test
 
@@ -34,7 +34,7 @@ test: vet bench-allocs
 race:
 	$(GO) test -race ./...
 
-vet: lint-dup lint-fmt lint-quote-path
+vet: lint-dup lint-fmt lint-quote-path lint-routes
 	$(GO) vet ./...
 
 # The lowercase-name helper lives in internal/sqlengine/ast (LowerName);
@@ -63,6 +63,15 @@ lint-quote-path:
 		echo 'quote path: only Broker.sweep and Broker.fold (sweep.go) call the sweeps and folds'; exit 1; fi
 	@if grep -nE '"(d|td|e|te|a|ss|sh)\|' $(filter-out key.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'quote path: only Broker.key (key.go) renders cache keys'; exit 1; fi
+
+# Every HTTP route lives under /v1/ (or /debug/ for expvar and pprof).
+# Fail if a non-test file of a serving package registers a method route
+# anywhere else — including a prefix spliced in at run time.
+ROUTE_DIRS = internal/httpapi internal/shard cmd
+lint-routes:
+	@if grep -rnE 'Handle(Func)?\("(GET|POST) ' $(ROUTE_DIRS) --include='*.go' --exclude='*_test.go' \
+		| grep -vE 'Handle(Func)?\("(GET|POST) /(v1|debug)/'; then \
+		echo 'routes: register HTTP routes under /v1/ (or /debug/) only'; exit 1; fi
 
 # staticcheck runs when installed; locally without it the target degrades
 # to lint-dup (CI installs and runs it).

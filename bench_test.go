@@ -11,6 +11,7 @@
 package qirana
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -69,7 +70,7 @@ func tpchFix(b *testing.B, size int) *fixture {
 
 func priceOnce(b *testing.B, e *pricing.Engine, fn pricing.Func, q *exec.Query) {
 	b.Helper()
-	if _, err := e.Price(fn, q); err != nil {
+	if _, err := e.PriceCtx(context.Background(), fn, q); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -382,16 +382,16 @@ func TestClusterPartitionRecovery(t *testing.T) {
 	// Over HTTP the failure is a retryable 503, and purchases refuse the
 	// same way — nothing was charged.
 	api := newRouterAPI(routed)
-	rr := postJSON(t, api, "/quote", fmt.Sprintf(`{"sql": %q}`, sql))
+	rr := postJSON(t, api, "/v1/quote", fmt.Sprintf(`{"sql": %q}`, sql))
 	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/quote during partition: status %d, want 503 (body %s)", rr.Code, rr.Body)
+		t.Fatalf("/v1/quote during partition: status %d, want 503 (body %s)", rr.Code, rr.Body)
 	}
 	if rr.Header().Get("Retry-After") == "" {
-		t.Fatal("/quote 503 is missing Retry-After")
+		t.Fatal("/v1/quote 503 is missing Retry-After")
 	}
-	rr = postJSON(t, api, "/ask", fmt.Sprintf(`{"buyer": "alice", "sql": %q}`, sql))
+	rr = postJSON(t, api, "/v1/ask", fmt.Sprintf(`{"buyer": "alice", "sql": %q}`, sql))
 	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/ask during partition: status %d, want 503 (body %s)", rr.Code, rr.Body)
+		t.Fatalf("/v1/ask during partition: status %d, want 503 (body %s)", rr.Code, rr.Body)
 	}
 	if paid := routed.TotalPaid("alice"); paid != 0 {
 		t.Fatalf("alice was charged %v during a failed fan-out", paid)
@@ -453,7 +453,7 @@ func TestClusterShardSweepGenMismatch409(t *testing.T) {
 
 	post := func(body string) *http.Response {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/shard/sweep", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/shard/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

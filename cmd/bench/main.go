@@ -1,8 +1,7 @@
 // Command bench times the pricing-engine benchmark groups the paper's
-// Figures 4d, 5a and 5b measure, plus the delta-tier A/B group, and writes
-// the results as machine-readable JSON (default BENCH_pricing.json), so
-// successive PRs can track perf deltas without parsing `go test -bench`
-// output. It measures the bare engine in process; quotes through the
+// Figures 4d, 5a and 5b measure, and writes the results as
+// machine-readable JSON (default BENCH_pricing.json), so successive PRs
+// can track perf deltas without parsing `go test -bench` output. It measures the bare engine in process; quotes through the
 // broker, its caches, templates, shards and the approximate path are
 // measured over a socket by benchmark/ (see BENCHMARK.json).
 //
@@ -107,7 +106,7 @@ func (r *runner) measure(group, name string, workers int, op func() error) {
 func main() {
 	var (
 		out      = flag.String("out", "BENCH_pricing.json", "output JSON path")
-		groups   = flag.String("groups", "fig4d,fig5a,fig5b,delta-tiers", "comma-separated benchmark groups")
+		groups   = flag.String("groups", "fig4d,fig5a,fig5b", "comma-separated benchmark groups")
 		workersF = flag.String("workers", "1,numcpu", "comma-separated worker counts ('numcpu' allowed)")
 		supportN = flag.Int("support", 500, "support set size for the Fig 5 fixtures")
 		ssbSF    = flag.Float64("ssb-sf", 0.002, "SSB scale factor")
@@ -125,7 +124,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	known := []string{"fig4d", "fig5a", "fig5b", "delta-tiers"}
+	known := []string{"fig4d", "fig5a", "fig5b"}
 	want := map[string]bool{}
 	for _, g := range strings.Split(*groups, ",") {
 		g = strings.TrimSpace(g)
@@ -179,9 +178,6 @@ func main() {
 		}
 		scalability(ctx, r, "fig5b", datagen.TPCH(*seed, *tpchSF), *supportN, *seed, workers,
 			[]workload.Query{byName["Q1"], byName["Q6"], byName["Q12"], byName["Q17"]})
-	}
-	if want["delta-tiers"] {
-		deltaTiers(ctx, r, *seed, *supportN, workers)
 	}
 
 	rep := report{
@@ -326,69 +322,6 @@ func scalability(ctx context.Context, r *runner, group string, db *storage.Datab
 				return err
 			})
 		}
-	}
-}
-
-// deltaTiers isolates the query shapes whose residual database checks the
-// incremental-view tiers rescue from full re-execution: MIN/MAX aggregates
-// (candidate views), DISTINCT with and without a join (multiplicity views),
-// and a self-join (higher-order delta expansion). Each query prices with
-// the tiered engine and with the legacy untiered engine — where DISTINCT
-// and self-joins fall back to naive per-element re-execution and extremum
-// removals re-run the full query — and the group prints the tiered-vs-
-// untiered geometric-mean speedup at workers=1.
-func deltaTiers(ctx context.Context, r *runner, seed int64, supportN int, workers []int) {
-	db := datagen.World(seed)
-	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(supportN, seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	queries := []struct{ name, sql string }{
-		{"minmax-group", "SELECT Continent, max(Population), min(Population) FROM Country GROUP BY Continent"},
-		{"minmax-global", "SELECT min(Population), max(Population) FROM Country"},
-		{"distinct", "SELECT DISTINCT Continent FROM Country"},
-		{"distinct-join", "SELECT DISTINCT C.Continent FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage > 10"},
-		{"self-join", "SELECT a.Name FROM Country a, Country b WHERE a.Continent = b.Continent AND b.Population > 100000000"},
-	}
-	for _, wq := range queries {
-		q := exec.MustCompile(wq.sql, db.Schema)
-		for _, w := range workers {
-			tiered := pricing.NewEngine(db, set, 100)
-			tiered.Opts.Workers = w
-			r.measure("delta-tiers", wq.name+"/tiered", w, func() error {
-				_, err := tiered.PriceCtx(ctx, pricing.WeightedCoverage, q)
-				return err
-			})
-		}
-		for _, w := range workers {
-			untiered := pricing.NewEngine(db, set, 100)
-			untiered.Opts.Workers = w
-			untiered.Opts.DisableDeltaTiers = true
-			r.measure("delta-tiers", wq.name+"/untiered", w, func() error {
-				_, err := untiered.PriceCtx(ctx, pricing.WeightedCoverage, q)
-				return err
-			})
-		}
-	}
-	// Tiered-vs-untiered speedup at workers=1 (the acceptance figure).
-	ns := map[string]float64{}
-	for _, res := range r.out {
-		if res.Group == "delta-tiers" && res.Workers == workers[0] {
-			ns[res.Name] = res.NsPerOp
-		}
-	}
-	logSum, n := 0.0, 0
-	for _, wq := range queries {
-		t, u := ns[wq.name+"/tiered"], ns[wq.name+"/untiered"]
-		if t > 0 && u > 0 {
-			fmt.Printf("delta-tiers: %-14s %6.2fx faster tiered (%.0f ns vs %.0f ns)\n", wq.name, u/t, t, u)
-			logSum += math.Log(u / t)
-			n++
-		}
-	}
-	if n > 0 {
-		fmt.Printf("delta-tiers: geomean %.2fx faster than untiered at workers=%d\n", math.Exp(logSum/float64(n)), workers[0])
 	}
 }
 

@@ -2,22 +2,21 @@
 // form of the interactive qirana shell. It loads one of the benchmark
 // datasets, prices it, and answers JSON requests:
 //
-//	POST /quote        {"sql": "SELECT ..."}                  up-front price
-//	POST /quote/batch  {"sqls": ["...", "..."]}               k prices, one sweep
-//	POST /ask          {"buyer": "alice", "sql": "..."}       buy: answer + charge
-//	GET  /stats        broker counters (pricing stats, quote cache, shed state)
-//	GET  /metrics      request counters + latency percentiles (p50/p95/p99)
-//	GET  /healthz      liveness + support-set identity
-//	GET  /debug/vars   expvar, including the live metrics registry
-//	GET  /debug/pprof  runtime profiling
+//	POST /v1/quote        {"sql": "SELECT ..."}                  up-front price
+//	POST /v1/quote/batch  {"sqls": ["...", "..."]}               k prices, one sweep
+//	POST /v1/ask          {"buyer": "alice", "sql": "..."}       buy: answer + charge
+//	POST /v1/prepare      {"sql": "... $1 ..."}                  prepared-statement handle
+//	GET  /v1/stats        broker counters (quote cache, shed state)
+//	GET  /v1/metrics      request counters + latency percentiles (p50/p95/p99)
+//	GET  /v1/healthz      liveness + support-set identity
+//	GET  /debug/vars      expvar, including the live metrics registry
+//	GET  /debug/pprof     runtime profiling
 //
-// Every route also answers under the versioned /v1/ prefix — the
-// canonical path for new clients. Quotes accept "max_error" (body field
-// or ?max_error= query parameter) to engage the sampled approximate
-// pricing path: the served price is a guaranteed upper bound on the
-// exact price, refined to exact in the background; with -shed-p99 the
-// daemon forces a minimum max_error onto quotes whenever the windowed
-// p99 pricing latency exceeds the target.
+// Quotes accept "max_error" (body field or ?max_error= query parameter)
+// to engage the sampled approximate pricing path: the served price is a
+// guaranteed upper bound on the exact price, refined to exact in the
+// background; with -shed-p99 the daemon forces a minimum max_error onto
+// quotes whenever the windowed p99 pricing latency exceeds the target.
 //
 // Every pricing request runs under a context derived from the HTTP
 // request: a dropped connection or the -timeout deadline (per-request
@@ -35,13 +34,13 @@
 // Cluster modes (see qirouter for the fan-out front):
 //
 //	-shard      serve as a read-only shard worker: mounts POST
-//	            /shard/sweep and GET /shard/info next to the quoting
+//	            /v1/shard/sweep and GET /v1/shard/info next to the quoting
 //	            endpoints; purchases are refused (503) — they belong on
 //	            the router, which owns the ledger.
 //	-standby -data DIR
 //	            hot standby: tail the leader's state directory (snapshot
 //	            + write-ahead ledger) into a read-only twin, probe the
-//	            leader's /healthz (-leader), and after -failover-after
+//	            leader's /v1/healthz (-leader), and after -failover-after
 //	            consecutive probe failures promote — re-open the
 //	            directory through crash recovery and serve writable.
 package main
@@ -170,7 +169,7 @@ func run(cfg config) error {
 }
 
 // runStandby tails the leader's state directory into a read-only twin
-// and promotes after failoverAfter consecutive failed /healthz probes.
+// and promotes after failoverAfter consecutive failed /v1/healthz probes.
 // The serving broker is swapped atomically: requests before promotion
 // see the read-only twin (quotes work, purchases 503), requests after
 // see the recovered writable leader.
@@ -209,18 +208,11 @@ func runStandby(cfg config, db *qirana.Database) error {
 			}
 		},
 		func() error {
-			resp, err := client.Get(cfg.leaderURL + "/healthz")
+			err := probeLeader(client, cfg.leaderURL)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "qiranad: leader probe failed (%d/%d): %v\n", gate.misses+1, cfg.failoverAfter, err)
-				return err
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err := fmt.Errorf("leader /healthz answered %d", resp.StatusCode)
-				fmt.Fprintf(os.Stderr, "qiranad: leader probe failed (%d/%d): %v\n", gate.misses+1, cfg.failoverAfter, err)
-				return err
-			}
-			return nil
+			return err
 		},
 		func() {
 			b, perr := follower.Promote()
@@ -239,6 +231,20 @@ func runStandby(cfg config, db *qirana.Database) error {
 		}
 		return nil
 	})
+}
+
+// probeLeader is one standby health probe: GET the leader's /v1/healthz
+// and require a 200.
+func probeLeader(client *http.Client, leaderURL string) error {
+	resp, err := client.Get(leaderURL + "/v1/healthz")
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("leader /v1/healthz answered %d", resp.StatusCode)
+	}
+	return nil
 }
 
 // serve runs the HTTP server with the shared graceful-drain protocol,

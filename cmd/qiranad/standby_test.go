@@ -2,9 +2,14 @@ package main
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qirana"
+	"qirana/internal/httpapi"
 )
 
 // TestFailoverGateConsecutiveMisses: only K misses IN A ROW promote —
@@ -167,5 +172,32 @@ func TestProbeLoopStops(t *testing.T) {
 		t.Fatal("stopped loop promoted")
 	case <-time.After(2 * time.Second):
 		t.Fatal("probe loop did not stop")
+	}
+}
+
+// TestProbeLeader: the standby's health probe passes against a live
+// leader's API and fails on a 503. The leader serves health only under
+// /v1/, so a probe of any other path fails the first case.
+func TestProbeLeader(t *testing.T) {
+	db, err := qirana.LoadDataset("world", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := qirana.NewBroker(db, 100, qirana.Options{SupportSetSize: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := httptest.NewServer(httpapi.New(b, time.Second))
+	defer leader.Close()
+	if err := probeLeader(leader.Client(), leader.URL); err != nil {
+		t.Fatalf("healthy leader failed the probe: %v", err)
+	}
+
+	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer sick.Close()
+	if err := probeLeader(sick.Client(), sick.URL); err == nil {
+		t.Fatal("a leader answering 503 passed the probe")
 	}
 }

@@ -1,11 +1,11 @@
 // Command qirouter fronts a shard cluster: it serves the same JSON
-// pricing API as qiranad (/quote, /quote/batch, /ask, /prepare, /stats,
-// /metrics, /healthz) but fans every cold support-set sweep out to N
-// shard workers, each sweeping only its contiguous slice of the support
-// set. Slices are reassembled in global element order and every price
-// folds on the router through the unmodified single-node code, so a
-// clustered price — and its Stats — is bit-identical to a single
-// node's. The router owns all mutable state: the purchase ledger (with
+// pricing API as qiranad (/v1/quote, /v1/quote/batch, /v1/ask,
+// /v1/prepare, /v1/stats, /v1/metrics, /v1/healthz) but fans every cold
+// support-set sweep out to N shard workers, each sweeping only its
+// contiguous slice of the support set. Slices are reassembled in global
+// element order and every price folds on the router through the
+// unmodified single-node code, so a clustered price — and its Stats —
+// is bit-identical to a single node's. The router owns all mutable state: the purchase ledger (with
 // -data, durable exactly like qiranad), buyer histories and weights;
 // shards are read-only.
 //
@@ -240,7 +240,7 @@ func onOff(on bool) string {
 
 // startMirror serves an in-process read-only standby over the router's
 // state directory: it tails the snapshot + ledger once a second, so
-// /stats and quotes on the mirror track the leader with at most a tick
+// /v1/stats and quotes on the mirror track the leader with at most a tick
 // of lag. (A real out-of-process standby with automatic promotion is
 // qiranad -standby.)
 func startMirror(addr, dataDir string, db *qirana.Database, opts qirana.Options, timeout time.Duration) (stop func(), err error) {

@@ -68,8 +68,7 @@ const (
 	// aggregation queries. Batchable.
 	NeedCompare
 	// NeedFull requires re-running the full query on the updated database
-	// (floating-point borderline cases, candidate-view inconsistencies,
-	// and — for untiered checkers — MIN/MAX removals).
+	// (floating-point borderline cases, candidate-view inconsistencies).
 	NeedFull
 )
 
@@ -113,11 +112,6 @@ type Checker struct {
 	srcsOf  map[string][]int  // lower(rel) -> source indexes, FROM order
 	multi   map[string]bool   // lower(rel) -> occurs more than once
 
-	// tiered selects the full tier matrix. An untiered checker (NewUntiered)
-	// reproduces the legacy fallback behaviour for A/B comparison: DISTINCT
-	// and self-joins are rejected at construction and extremum removals
-	// escalate to a full re-run instead of resolving against candidates.
-	tiered   bool
 	viewSpec exec.GroupViewSpec
 
 	// base is h(Q(D)), computed by the first residual full run that needs
@@ -156,37 +150,11 @@ func (c *Checker) cacheSnapshot() exec.CacheStats {
 // New builds a checker, or returns an error when the query is outside the
 // fast path (the caller then prices naively, as the paper's system does).
 func New(q *exec.Query, db *storage.Database) (*Checker, error) {
-	return newChecker(q, db, true)
-}
-
-// NewUntiered builds a checker restricted to the legacy fallback matrix:
-// no DISTINCT, no self-joins, no incremental extremum resolution. It
-// exists for A/B measurement of the tier machinery
-// (pricing.Options.DisableDeltaTiers) and accepts strictly fewer queries
-// than New.
-func NewUntiered(q *exec.Query, db *storage.Database) (*Checker, error) {
-	return newChecker(q, db, false)
-}
-
-func newChecker(q *exec.Query, db *storage.Database, tiered bool) (*Checker, error) {
 	s, err := plan.Extract(q.A)
 	if err != nil {
 		return nil, err
 	}
-	if !tiered {
-		if s.Distinct {
-			return nil, fmt.Errorf("DISTINCT is outside the SPJ fast path")
-		}
-		seen := make(map[string]bool, len(s.RelOfSource))
-		for _, rel := range s.RelOfSource {
-			l := ast.LowerName(rel)
-			if seen[l] {
-				return nil, fmt.Errorf("self-join on %s is outside the SPJ fast path", rel)
-			}
-			seen[l] = true
-		}
-	}
-	c := &Checker{Q: q, SPJ: s, db: db, tiered: tiered,
+	c := &Checker{Q: q, SPJ: s, db: db,
 		srcsOf: make(map[string][]int), multi: make(map[string]bool)}
 	for i, rel := range s.RelOfSource {
 		l := ast.LowerName(rel)
@@ -218,7 +186,7 @@ func newChecker(q *exec.Query, db *storage.Database, tiered bool) (*Checker, err
 		if err != nil {
 			return nil, fmt.Errorf("compile unrolled query: %w", err)
 		}
-		c.viewSpec = exec.GroupViewSpec{NumGroups: s.NumGroups, Candidates: tiered}
+		c.viewSpec = exec.GroupViewSpec{NumGroups: s.NumGroups}
 		for _, ag := range s.Aggs {
 			c.viewSpec.Aggs = append(c.viewSpec.Aggs, exec.ViewAgg{Fn: ag.Fn.Name, ArgCol: ag.ArgCol})
 		}
@@ -834,7 +802,7 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 					uncertain = true
 				}
 			case "MIN":
-				o, uc := extremumDelta(st.Min[j], d.aggs[j].addVals, d.aggs[j].remVals, -1, candOf(st, j))
+				o, uc := extremumDelta(st.Min[j], d.aggs[j].addVals, d.aggs[j].remVals, -1, st.Cand[j])
 				usedCand = usedCand || uc
 				if o == Disagree {
 					return Disagree, usedCand
@@ -843,7 +811,7 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 					uncertain = true
 				}
 			case "MAX":
-				o, uc := extremumDelta(st.Max[j], d.aggs[j].addVals, d.aggs[j].remVals, +1, candOf(st, j))
+				o, uc := extremumDelta(st.Max[j], d.aggs[j].addVals, d.aggs[j].remVals, +1, st.Cand[j])
 				usedCand = usedCand || uc
 				if o == Disagree {
 					return Disagree, usedCand
@@ -858,15 +826,6 @@ func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out
 		return NeedFull, usedCand
 	}
 	return Agree, usedCand
-}
-
-// candOf returns the candidate multiset of aggregate j, nil when the view
-// does not maintain one (untiered checkers, non-extremum aggregates).
-func candOf(st *exec.GroupAgg, j int) map[string]exec.CandCount {
-	if st.Cand == nil {
-		return nil
-	}
-	return st.Cand[j]
 }
 
 // phantomGroupDelta decides the contribution delta of a group ABSENT from

@@ -14,40 +14,31 @@ import (
 // contract: one set of checkers is shared by four concurrent CheckBatch
 // calls under four different masks, each fanning out over two workers,
 // and every call's bitmaps and returned CheckStats must equal those of a
-// serial call on freshly built checkers. The untiered MIN checker sends
-// extremum removals to the residual stage, so the concurrent calls also
-// race to fill the shared base hash. The bag and DISTINCT self-joins run
-// their tagged jobs as higher-order terms joined on the upid. Run under
-// -race.
+// serial call on freshly built checkers. The float SUM over Cust.bal
+// leaves rounding-borderline group deltas to the residual stage, so the
+// concurrent calls also race to fill the shared base hash. The bag and
+// DISTINCT self-joins run their tagged jobs as higher-order terms joined
+// on the upid. Run under -race.
 func TestSharedCheckerConcurrentBatches(t *testing.T) {
-	db := testDB(31, 30, 90)
+	db := custOrdDB(31, 30, 90, fuzzBals)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(240, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	type spec struct {
-		sql      string
-		untiered bool
-	}
-	specs := []spec{
-		{sql: "SELECT city, tier FROM Cust WHERE score > 25"},
-		{sql: "SELECT C.city, sum(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city"},
-		{sql: "SELECT a.city, max(b.score) FROM Cust a, Cust b WHERE a.tier = b.tier GROUP BY a.city"},
-		{sql: "SELECT a.city, b.city FROM Cust a, Cust b WHERE a.tier = b.tier AND a.score > 30"},
-		{sql: "SELECT DISTINCT a.city FROM Cust a, Cust b WHERE a.score = b.score"},
-		{sql: "SELECT city, min(score) FROM Cust GROUP BY city", untiered: true},
+	specs := []string{
+		"SELECT city, tier FROM Cust WHERE score > 25",
+		"SELECT C.city, sum(O.amount) FROM Cust C, Ord O WHERE C.cid = O.cid GROUP BY C.city",
+		"SELECT a.city, max(b.score) FROM Cust a, Cust b WHERE a.tier = b.tier GROUP BY a.city",
+		"SELECT a.city, b.city FROM Cust a, Cust b WHERE a.tier = b.tier AND a.score > 30",
+		"SELECT DISTINCT a.city FROM Cust a, Cust b WHERE a.score = b.score",
+		"SELECT city, sum(bal) FROM Cust GROUP BY city",
 	}
 	build := func() []*Checker {
 		cs := make([]*Checker, len(specs))
-		for k, s := range specs {
-			q := exec.MustCompile(s.sql, db.Schema)
-			newC := New
-			if s.untiered {
-				newC = NewUntiered
-			}
-			c, err := newC(q, db)
+		for k, sql := range specs {
+			c, err := New(exec.MustCompile(sql, db.Schema), db)
 			if err != nil {
-				t.Fatalf("%q: %v", s.sql, err)
+				t.Fatalf("%q: %v", sql, err)
 			}
 			cs[k] = c
 		}
@@ -77,11 +68,11 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 		fullRuns += stats[len(specs)-1].FullRuns
 	}
 	if fullRuns == 0 {
-		t.Fatal("the untiered MIN checker never reached the residual stage; the shared base hash is not exercised")
+		t.Fatal("the float SUM checker never reached the residual stage; the shared base hash is not exercised")
 	}
 	for k := 2; k <= 4; k++ {
 		if want[0].stats[k].DeltaPartialRuns == 0 {
-			t.Fatalf("%q: %+v, no self-join check reached the tagged terms", specs[k].sql, want[0].stats[k])
+			t.Fatalf("%q: %+v, no self-join check reached the tagged terms", specs[k], want[0].stats[k])
 		}
 	}
 
@@ -107,7 +98,7 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 		}
 		for k := range specs {
 			if !reflect.DeepEqual(got[m].bits[k], want[m].bits[k]) {
-				t.Fatalf("mask %d %q: concurrent bitmap differs from the serial call's", m, specs[k].sql)
+				t.Fatalf("mask %d %q: concurrent bitmap differs from the serial call's", m, specs[k])
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"qirana/internal/result"
@@ -345,61 +344,6 @@ func TestIneligibleQueries(t *testing.T) {
 		if _, err := New(q, db); err == nil {
 			t.Errorf("query %q should be outside the fast path", sql)
 		}
-	}
-}
-
-// TestUntieredRejects pins the legacy construction path: without the tiered
-// delta layer, DISTINCT and self-joins stay outside the SPJ fast path.
-func TestUntieredRejects(t *testing.T) {
-	db := testDB(1, 10, 20)
-	for sql, frag := range map[string]string{
-		"SELECT DISTINCT city FROM Cust":                           "DISTINCT",
-		"SELECT a.cid FROM Cust a, Cust b WHERE a.score = b.score": "self-join",
-	} {
-		q := exec.MustCompile(sql, db.Schema)
-		if _, err := New(q, db); err != nil {
-			t.Errorf("tiered checker must accept %q: %v", sql, err)
-		}
-		_, err := NewUntiered(q, db)
-		if err == nil {
-			t.Errorf("untiered checker accepted %q", sql)
-		} else if !strings.Contains(err.Error(), frag) {
-			t.Errorf("untiered rejection of %q: got %v, want %q", sql, err, frag)
-		}
-	}
-}
-
-// TestDifferentialUntiered runs the untiered (legacy) checkers over the
-// subset of the catalog they accept, pinning that the A/B baseline stays
-// correct and never uses the partial tier.
-func TestDifferentialUntiered(t *testing.T) {
-	db := testDB(61, 30, 90)
-	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(250, 43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sql := range fastPathQueries {
-		sql := sql
-		q := exec.MustCompile(sql, db.Schema)
-		c, err := NewUntiered(q, db)
-		if err != nil {
-			continue // DISTINCT / self-join: untiered opts out
-		}
-		t.Run(sql, func(t *testing.T) {
-			got, stats, err := batch1(c, set.Updates, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, u := range set.Updates {
-				want := naiveDisagree(t, q, db, u)
-				if got[i] != want {
-					t.Fatalf("update %d (%+v): untiered says %v, naive says %v", u.ID, u, got[i], want)
-				}
-			}
-			if stats.DeltaPartialRuns != 0 {
-				t.Fatalf("untiered checker used the partial tier: %+v", stats)
-			}
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"qirana/internal/datagen"
 	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/exec"
@@ -40,7 +41,7 @@ func Baseline(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cov, err := e.Price(pricing.WeightedCoverage, q)
+		cov, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"qirana/internal/datagen"
@@ -21,7 +22,7 @@ func sweepCombos(e *pricing.Engine, label string, xs []float64, sqlOf func(float
 		if err != nil {
 			return nil, err
 		}
-		hashes, base, err := e.OutputHashes([]*exec.Query{q})
+		hashes, base, err := e.OutputHashesCtx(context.Background(), []*exec.Query{q})
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +115,7 @@ func Fig6(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			hashes, base, err := eng.e.OutputHashes([]*exec.Query{q})
+			hashes, base, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q})
 			if err != nil {
 				return nil, err
 			}
@@ -218,11 +219,11 @@ func Table1(cfg Config) (*Report, error) {
 			if !det {
 				continue
 			}
-			h1, b1, err := eng.e.OutputHashes([]*exec.Query{q1})
+			h1, b1, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q1})
 			if err != nil {
 				return nil, err
 			}
-			h2, b2, err := eng.e.OutputHashes([]*exec.Query{q2})
+			h2, b2, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q2})
 			if err != nil {
 				return nil, err
 			}
@@ -237,15 +238,15 @@ func Table1(cfg Config) (*Report, error) {
 		for _, pr := range engBundles {
 			q1 := exec.MustCompile(pr.q1, db.Schema)
 			q2 := exec.MustCompile(pr.q2, db.Schema)
-			h1, b1, err := eng.e.OutputHashes([]*exec.Query{q1})
+			h1, b1, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q1})
 			if err != nil {
 				return nil, err
 			}
-			h2, b2, err := eng.e.OutputHashes([]*exec.Query{q2})
+			h2, b2, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q2})
 			if err != nil {
 				return nil, err
 			}
-			hb, bb, err := eng.e.OutputHashes([]*exec.Query{q1, q2})
+			hb, bb, err := eng.e.OutputHashesCtx(context.Background(), []*exec.Query{q1, q2})
 			if err != nil {
 				return nil, err
 			}
@@ -281,7 +282,7 @@ func findSingletonPair(e *pricing.Engine) (q1, q2 string, found bool, err error)
 		if cerr != nil {
 			return "", "", false, cerr
 		}
-		dis, derr := e.Disagreements([]*exec.Query{q}, nil)
+		dis, derr := e.DisagreementsCtx(context.Background(), []*exec.Query{q}, nil)
 		if derr != nil {
 			return "", "", false, derr
 		}

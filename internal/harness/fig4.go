@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -53,7 +54,7 @@ func sizeSweep(cfg Config, id, title string, xs []float64, sqlOf func(float64) s
 			if err != nil {
 				return nil, err
 			}
-			p, err := e.Price(pricing.WeightedCoverage, q)
+			p, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 			if err != nil {
 				return nil, err
 			}
@@ -104,11 +105,11 @@ func Fig4c(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		e := pricing.NewEngine(db, set, 100)
-		p1, err := e.Price(pricing.WeightedCoverage, q1)
+		p1, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q1)
 		if err != nil {
 			return nil, err
 		}
-		p2, err := e.Price(pricing.WeightedCoverage, q2)
+		p2, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q2)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +140,7 @@ func Fig4d(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			d, err := timeIt(func() error {
-				_, err := e.Price(pricing.WeightedCoverage, q)
+				_, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 				return err
 			})
 			if err != nil {
@@ -188,7 +189,7 @@ func Fig4e(cfg Config) (*Report, error) {
 	h := pricing.NewHistory(e.Set.Size())
 	totalObl, totalHist := 0.0, 0.0
 	for i, q := range qs {
-		obl, err := e.Price(pricing.WeightedCoverage, q)
+		obl, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +220,7 @@ func Fig4f(cfg Config) (*Report, error) {
 	h := pricing.NewHistory(e.Set.Size())
 	for i, q := range qs {
 		dObl, err := timeIt(func() error {
-			_, err := e.Price(pricing.WeightedCoverage, q)
+			_, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 			return err
 		})
 		if err != nil {
@@ -258,7 +259,7 @@ func Fig4g(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := e.Price(pricing.WeightedCoverage, q)
+		p, err := e.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func scalability(cfg Config, id, title string, db *storage.Database, wqs []workl
 		noBatch := pricing.NewEngine(db, set, 100)
 		noBatch.Opts.Batching = false
 		dNo, err := timeIt(func() error {
-			_, err := noBatch.Price(pricing.WeightedCoverage, q)
+			_, err := noBatch.PriceCtx(context.Background(), pricing.WeightedCoverage, q)
 			return err
 		})
 		if err != nil {

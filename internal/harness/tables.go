@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"qirana/internal/datagen"
@@ -52,7 +53,7 @@ func Table3(cfg Config) (*Report, error) {
 			if err != nil {
 				return fmt.Errorf("%s: %w", wq.Name, err)
 			}
-			hashes, base, err := e.OutputHashes([]*exec.Query{q})
+			hashes, base, err := e.OutputHashesCtx(context.Background(), []*exec.Query{q})
 			if err != nil {
 				return fmt.Errorf("%s: %w", wq.Name, err)
 			}

@@ -42,11 +42,8 @@ func postForError(t *testing.T, url, body string) (int, Error, http.Header) {
 	return resp.StatusCode, e.Error, resp.Header
 }
 
-// prefixes are the two route families every endpoint answers under.
-var prefixes = []string{"", "/v1"}
-
 // TestErrorCodeMatrix drives each reachable error code through the HTTP
-// surface on both the legacy and /v1 paths and asserts status + code.
+// surface and asserts status + code.
 func TestErrorCodeMatrix(t *testing.T) {
 	ts := newTestServer(t)
 	cases := []struct {
@@ -55,50 +52,46 @@ func TestErrorCodeMatrix(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"malformed json", "/quote", `{`, 400, CodeInvalidRequest},
-		{"no queries", "/quote", `{}`, 400, CodeInvalidRequest},
-		{"unknown func", "/quote", `{"sql": "` + testSQL + `", "func": "nope"}`, 400, CodeInvalidRequest},
-		{"unknown stmt", "/quote", `{"stmt": 424242, "params": [1]}`, 400, CodeUnknownStmt},
-		{"unknown stmt ask", "/ask", `{"buyer": "a", "stmt": 424242, "params": [1]}`, 400, CodeUnknownStmt},
-		{"max_error negative", "/quote", `{"sql": "` + testSQL + `", "max_error": -0.1}`, 400, CodeInvalidMaxError},
-		{"max_error over one", "/quote", `{"sql": "` + testSQL + `", "max_error": 1.5}`, 400, CodeInvalidMaxError},
-		{"max_error on stmt", "/quote", `{"stmt": 424242, "max_error": 0.1}`, 400, CodeInvalidMaxError},
-		{"batch max_error over one", "/quote/batch", `{"sqls": ["` + testSQL + `"], "max_error": 2}`, 400, CodeInvalidMaxError},
+		{"malformed json", "/v1/quote", `{`, 400, CodeInvalidRequest},
+		{"no queries", "/v1/quote", `{}`, 400, CodeInvalidRequest},
+		{"unknown func", "/v1/quote", `{"sql": "` + testSQL + `", "func": "nope"}`, 400, CodeInvalidRequest},
+		{"unknown stmt", "/v1/quote", `{"stmt": 424242, "params": [1]}`, 400, CodeUnknownStmt},
+		{"unknown stmt ask", "/v1/ask", `{"buyer": "a", "stmt": 424242, "params": [1]}`, 400, CodeUnknownStmt},
+		{"max_error negative", "/v1/quote", `{"sql": "` + testSQL + `", "max_error": -0.1}`, 400, CodeInvalidMaxError},
+		{"max_error over one", "/v1/quote", `{"sql": "` + testSQL + `", "max_error": 1.5}`, 400, CodeInvalidMaxError},
+		{"max_error on stmt", "/v1/quote", `{"stmt": 424242, "max_error": 0.1}`, 400, CodeInvalidMaxError},
+		{"batch max_error over one", "/v1/quote/batch", `{"sqls": ["` + testSQL + `"], "max_error": 2}`, 400, CodeInvalidMaxError},
 	}
 	for _, c := range cases {
-		for _, prefix := range prefixes {
-			status, e, _ := postForError(t, ts.URL+prefix+c.path, c.body)
-			if status != c.wantStatus || e.Code != c.wantCode {
-				t.Errorf("%s on %s%s: status %d code %q, want %d %q",
-					c.name, prefix, c.path, status, e.Code, c.wantStatus, c.wantCode)
-			}
-			if e.Message == "" {
-				t.Errorf("%s on %s%s: empty message", c.name, prefix, c.path)
-			}
+		status, e, _ := postForError(t, ts.URL+c.path, c.body)
+		if status != c.wantStatus || e.Code != c.wantCode {
+			t.Errorf("%s on %s: status %d code %q, want %d %q",
+				c.name, c.path, status, e.Code, c.wantStatus, c.wantCode)
+		}
+		if e.Message == "" {
+			t.Errorf("%s on %s: empty message", c.name, c.path)
 		}
 	}
 }
 
 // TestMaxErrorQueryParamValidation covers the ?max_error= query form:
-// non-numeric, negative and >1 are each rejected with invalid_max_error
-// on both path families, and the query parameter overrides the body.
+// non-numeric, negative and >1 are each rejected with invalid_max_error,
+// and the query parameter overrides the body.
 func TestMaxErrorQueryParamValidation(t *testing.T) {
 	ts := newTestServer(t)
 	body := `{"sql": "` + testSQL + `"}`
-	for _, prefix := range prefixes {
-		for _, raw := range []string{"banana", "-0.5", "1.0001", "NaN%20x"} {
-			status, e, _ := postForError(t, ts.URL+prefix+"/quote?max_error="+raw, body)
-			if status != http.StatusBadRequest || e.Code != CodeInvalidMaxError {
-				t.Errorf("?max_error=%s on %s/quote: status %d code %q, want 400 %q",
-					raw, prefix, status, e.Code, CodeInvalidMaxError)
-			}
-		}
-		// The query parameter overrides the body: a valid body with an
-		// invalid query value still rejects.
-		status, e, _ := postForError(t, ts.URL+prefix+"/quote?max_error=7", `{"sql": "`+testSQL+`", "max_error": 0.1}`)
+	for _, raw := range []string{"banana", "-0.5", "1.0001", "NaN%20x"} {
+		status, e, _ := postForError(t, ts.URL+"/v1/quote?max_error="+raw, body)
 		if status != http.StatusBadRequest || e.Code != CodeInvalidMaxError {
-			t.Errorf("query override on %s: status %d code %q", prefix, status, e.Code)
+			t.Errorf("?max_error=%s: status %d code %q, want 400 %q",
+				raw, status, e.Code, CodeInvalidMaxError)
 		}
+	}
+	// The query parameter overrides the body: a valid body with an
+	// invalid query value still rejects.
+	status, e, _ := postForError(t, ts.URL+"/v1/quote?max_error=7", `{"sql": "`+testSQL+`", "max_error": 0.1}`)
+	if status != http.StatusBadRequest || e.Code != CodeInvalidMaxError {
+		t.Errorf("query override: status %d code %q", status, e.Code)
 	}
 }
 
@@ -155,15 +148,13 @@ func TestDurabilityCodeRetryable(t *testing.T) {
 	defer ts.Close()
 
 	defer failpoint.Reset()
-	for _, prefix := range prefixes {
-		failpoint.Enable(durable.FpLedgerAppend, nil) // the failpoint disarms after firing once
-		status, e, hdr := postForError(t, ts.URL+prefix+"/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`)
-		if status != http.StatusServiceUnavailable || e.Code != CodeDurability {
-			t.Fatalf("%s/ask faulted: status %d code %q, want 503 %q", prefix, status, e.Code, CodeDurability)
-		}
-		if hdr.Get("Retry-After") != "1" || e.RetryAfter != 1 {
-			t.Fatalf("%s/ask faulted: Retry-After header %q body %d, want 1/1", prefix, hdr.Get("Retry-After"), e.RetryAfter)
-		}
+	failpoint.Enable(durable.FpLedgerAppend, nil) // the failpoint disarms after firing once
+	status, e, hdr := postForError(t, ts.URL+"/v1/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`)
+	if status != http.StatusServiceUnavailable || e.Code != CodeDurability {
+		t.Fatalf("/v1/ask faulted: status %d code %q, want 503 %q", status, e.Code, CodeDurability)
+	}
+	if hdr.Get("Retry-After") != "1" || e.RetryAfter != 1 {
+		t.Fatalf("/v1/ask faulted: Retry-After header %q body %d, want 1/1", hdr.Get("Retry-After"), e.RetryAfter)
 	}
 }
 
@@ -253,38 +244,6 @@ func TestWriteRequestErrorRetryAfterHint(t *testing.T) {
 		if got := rr.Header().Get("Retry-After"); got != wantHeader {
 			t.Errorf("%s: Retry-After header %q, want %q", c.name, got, wantHeader)
 		}
-	}
-}
-
-// TestV1AliasesServeIdenticalResponses: the /v1 and legacy paths are one
-// handler — same quote bytes modulo the nondeterministic stats, same
-// stats keys, same healthz.
-func TestV1AliasesServeIdenticalResponses(t *testing.T) {
-	ts := newTestServer(t)
-	body := `{"sql": "` + testSQL + `"}`
-	var legacy, v1 qirana.PriceResponse
-	postJSON(t, ts.URL+"/quote", body, &legacy)
-	postJSON(t, ts.URL+"/v1/quote", body, &v1)
-	if v1.Total != legacy.Total {
-		t.Fatalf("/v1/quote %v != /quote %v", v1.Total, legacy.Total)
-	}
-
-	for _, path := range []string{"/stats", "/metrics", "/healthz"} {
-		for _, prefix := range prefixes {
-			if r := getJSON(t, ts.URL+prefix+path, &map[string]json.RawMessage{}); r.StatusCode != http.StatusOK {
-				t.Errorf("GET %s%s: status %d", prefix, path, r.StatusCode)
-			}
-		}
-	}
-
-	// Prepared statements flow end to end on /v1.
-	var prep prepareResponse
-	if r := postJSON(t, ts.URL+"/v1/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`, &prep); r.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/prepare status = %d", r.StatusCode)
-	}
-	var rec askResponse
-	if r := postJSON(t, ts.URL+"/v1/ask", `{"buyer": "v1", "stmt": 1, "params": [1000000]}`, &rec); r.StatusCode != http.StatusOK || rec.Net <= 0 {
-		t.Fatalf("/v1/ask stmt purchase: status %d, %+v", r.StatusCode, rec.Receipt)
 	}
 }
 

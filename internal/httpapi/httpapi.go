@@ -2,15 +2,12 @@
 // qirana daemon: the single-node qiranad, the cluster router qirouter,
 // and shard/standby processes (which mount extra routes on the same
 // mux). It wraps a broker — or, for standbys that swap brokers on
-// promotion, a broker *getter* — behind the /quote, /quote/batch, /ask,
-// /prepare, /stats, /metrics and /healthz endpoints.
-//
-// Every endpoint answers under the versioned /v1/ prefix — the
-// canonical path new clients should use — and under the historical
-// unprefixed alias, which serves identical bytes. Errors are typed:
-// every failure body is {"error": {"code": ..., "message": ...}} with
-// a stable machine-readable code (see the Code constants), so clients
-// branch on err.error.code rather than parsing prose.
+// promotion, a broker *getter* — behind the /v1/quote, /v1/quote/batch,
+// /v1/ask, /v1/prepare, /v1/stats, /v1/metrics and /v1/healthz
+// endpoints; only /debug/ lives outside the /v1/ prefix. Errors are
+// typed: every failure body is {"error": {"code": ..., "message": ...}}
+// with a stable machine-readable code (see the Code constants), so
+// clients branch on err.error.code rather than parsing prose.
 package httpapi
 
 import (
@@ -45,8 +42,8 @@ type Server struct {
 	// client's connection). Overridable per request with ?timeout_ms=.
 	timeout time.Duration
 
-	// Prepared-statement registry: POST /prepare returns a handle that
-	// /quote and /ask accept as "stmt". Handles live for the process
+	// Prepared-statement registry: POST /v1/prepare returns a handle that
+	// /v1/quote and /v1/ask accept as "stmt". Handles live for the process
 	// lifetime (a Stmt is a few cached pointers, not a server resource);
 	// the count is capped so a client loop cannot grow memory unboundedly.
 	// Each handle remembers the broker it was prepared on: after a
@@ -68,21 +65,21 @@ type stmtEntry struct {
 // of templates, not thousands.
 const maxPreparedStmts = 4096
 
-// New serves a fixed broker. The routes (each also under /v1/):
+// New serves a fixed broker. The routes:
 //
-//	POST /quote        price one query (or a bundle), or a prepared
-//	                   statement instance ({"stmt": id, "params": [...]})
-//	POST /quote/batch  price k independent queries in one shared sweep
-//	POST /ask          buy a query (or prepared instance) for a buyer
-//	POST /prepare      prepare a $1-style template; returns a stmt handle
-//	GET  /stats        broker counters (last pricing stats, quote cache,
-//	                   load-shed state, approximate-path counters)
-//	GET  /metrics      obs snapshot: counters + latency percentiles
-//	GET  /healthz      liveness: 200 with the support-set generation
-//	GET  /debug/vars   expvar (includes the live metrics registry)
-//	GET  /debug/pprof  runtime profiling (unversioned only)
+//	POST /v1/quote        price one query (or a bundle), or a prepared
+//	                      statement instance ({"stmt": id, "params": [...]})
+//	POST /v1/quote/batch  price k independent queries in one shared sweep
+//	POST /v1/ask          buy a query (or prepared instance) for a buyer
+//	POST /v1/prepare      prepare a $1-style template; returns a stmt handle
+//	GET  /v1/stats        broker counters (quote cache, load-shed state,
+//	                      approximate-path counters)
+//	GET  /v1/metrics      obs snapshot: counters + latency percentiles
+//	GET  /v1/healthz      liveness: 200 with the support-set generation
+//	GET  /debug/vars      expvar (includes the live metrics registry)
+//	GET  /debug/pprof     runtime profiling
 //
-// /quote and /quote/batch accept "max_error" in the body (or the
+// /v1/quote and /v1/quote/batch accept "max_error" in the body (or the
 // ?max_error= query parameter, which wins) to request the sampled
 // approximate pricing path; see qirana.PriceRequest.MaxError.
 func New(b *qirana.Broker, timeout time.Duration) *Server {
@@ -96,17 +93,13 @@ func NewDynamic(get func() *qirana.Broker, timeout time.Duration) *Server {
 	s := &Server{get: get, timeout: timeout, stmts: make(map[int64]stmtEntry)}
 	get().PublishExpvar("qirana")
 	mux := http.NewServeMux()
-	// Versioned canonical routes plus unprefixed legacy aliases; both
-	// serve identical bytes from the same handlers.
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("POST "+prefix+"/quote", s.handleQuote)
-		mux.HandleFunc("POST "+prefix+"/quote/batch", s.handleQuoteBatch)
-		mux.HandleFunc("POST "+prefix+"/ask", s.handleAsk)
-		mux.HandleFunc("POST "+prefix+"/prepare", s.handlePrepare)
-		mux.HandleFunc("GET "+prefix+"/stats", s.handleStats)
-		mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
-		mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-	}
+	mux.HandleFunc("POST /v1/quote", s.handleQuote)
+	mux.HandleFunc("POST /v1/quote/batch", s.handleQuoteBatch)
+	mux.HandleFunc("POST /v1/ask", s.handleAsk)
+	mux.HandleFunc("POST /v1/prepare", s.handlePrepare)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -121,7 +114,8 @@ func NewDynamic(get func() *qirana.Broker, timeout time.Duration) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Mux exposes the underlying mux so daemons can mount extra routes
-// (shard workers add /shard/sweep and /shard/info) on the same server.
+// (shard workers add /v1/shard/sweep and /v1/shard/info) on the same
+// server.
 func (s *Server) Mux() *http.ServeMux { return s.mux }
 
 // requestCtx derives the pricing context: the request's own context
@@ -210,7 +204,7 @@ func toValues(params []any) ([]qirana.Value, error) {
 	return out, nil
 }
 
-// lookupStmt resolves a /prepare handle against the current broker.
+// lookupStmt resolves a /v1/prepare handle against the current broker.
 func (s *Server) lookupStmt(id int64, b *qirana.Broker) (*qirana.Stmt, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,11 +275,11 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
+			writeTyped(w, &Error{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadTooLarge,
+				Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
 			return false
 		}
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeTyped(w, invalidRequest("decode request: "+err.Error()))
 		return false
 	}
 	return true
@@ -312,11 +306,11 @@ func (s *Server) price(w http.ResponseWriter, r *http.Request, batch bool) {
 	}
 	if qr.Stmt != 0 {
 		if batch {
-			WriteError(w, http.StatusBadRequest, errors.New("prepared statements are priced on /quote, not /quote/batch"))
+			writeTyped(w, invalidRequest("prepared statements are priced on /quote, not /quote/batch"))
 			return
 		}
 		if qr.SQL != "" || len(qr.SQLs) > 0 || qr.Bundle {
-			WriteError(w, http.StatusBadRequest, errors.New(`"stmt" excludes "sql", "sqls" and "bundle"`))
+			writeTyped(w, invalidRequest(`"stmt" excludes "sql", "sqls" and "bundle"`))
 			return
 		}
 		if maxErr > 0 {
@@ -328,18 +322,17 @@ func (s *Server) price(w http.ResponseWriter, r *http.Request, batch bool) {
 		return
 	}
 	if len(qr.Params) > 0 {
-		WriteError(w, http.StatusBadRequest, errors.New(`"params" requires "stmt" (prepare the template via POST /prepare)`))
+		writeTyped(w, invalidRequest(`"params" requires "stmt" (prepare the template via POST /prepare)`))
 		return
 	}
 	req, err := qr.toPriceRequest()
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		writeTyped(w, invalidRequest(err.Error()))
 		return
 	}
 	req.MaxError = maxErr
 	if !batch && len(req.SQLs) > 1 && !req.Bundle {
-		WriteError(w, http.StatusBadRequest,
-			errors.New("independent multi-query pricing belongs on /quote/batch (or set bundle:true)"))
+		writeTyped(w, invalidRequest("independent multi-query pricing belongs on /quote/batch (or set bundle:true)"))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -361,12 +354,12 @@ func (s *Server) priceStmt(w http.ResponseWriter, r *http.Request, qr quoteReque
 	}
 	fn, err := funcByName(qr.Func)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		writeTyped(w, invalidRequest(err.Error()))
 		return
 	}
 	params, err := toValues(qr.Params)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		writeTyped(w, invalidRequest(err.Error()))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -450,7 +443,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ar.Buyer == "" {
-		WriteError(w, http.StatusBadRequest, errors.New(`request carries no buyer (set "buyer")`))
+		writeTyped(w, invalidRequest(`request carries no buyer (set "buyer")`))
 		return
 	}
 	b := s.get()
@@ -460,7 +453,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if ar.Stmt != 0 {
 		if ar.SQL != "" {
-			WriteError(w, http.StatusBadRequest, errors.New(`"stmt" excludes "sql"`))
+			writeTyped(w, invalidRequest(`"stmt" excludes "sql"`))
 			return
 		}
 		st, lerr := s.lookupStmt(ar.Stmt, b)
@@ -470,7 +463,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		}
 		params, perr := toValues(ar.Params)
 		if perr != nil {
-			WriteError(w, http.StatusBadRequest, perr)
+			writeTyped(w, invalidRequest(perr.Error()))
 			return
 		}
 		if ar.Refund {
@@ -480,7 +473,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		if len(ar.Params) > 0 {
-			WriteError(w, http.StatusBadRequest, errors.New(`"params" requires "stmt" (prepare the template via POST /prepare)`))
+			writeTyped(w, invalidRequest(`"params" requires "stmt" (prepare the template via POST /prepare)`))
 			return
 		}
 		rec, err = b.Purchase(ctx, qirana.PurchaseRequest{Buyer: ar.Buyer, SQL: ar.SQL, Refund: ar.Refund})
@@ -613,25 +606,6 @@ var errorTable = []struct {
 	{qirana.ErrSupportMismatch, http.StatusConflict, CodeSupportMismatch, 0},
 }
 
-// codeForStatus maps a bare status (from legacy WriteError call sites)
-// onto the default code for that status.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusRequestEntityTooLarge:
-		return CodePayloadTooLarge
-	case http.StatusGatewayTimeout:
-		return CodeDeadlineExceeded
-	case 499:
-		return CodeClientClosed
-	case http.StatusConflict:
-		return CodeSupportMismatch
-	case http.StatusTooManyRequests:
-		return CodeStmtLimit
-	default:
-		return CodeInvalidRequest
-	}
-}
-
 // WriteRequestError maps a pricing error onto the typed error envelope
 // via errorTable: an expired deadline is a 504, a client-side
 // cancellation a 499, a retryable cluster fault (ledger append, shard
@@ -663,21 +637,10 @@ func WriteRequestError(w http.ResponseWriter, err error) {
 	writeTyped(w, &Error{Status: http.StatusBadRequest, Code: CodeInvalidRequest, Message: err.Error()})
 }
 
-// WriteError writes err under an explicit HTTP status, deriving the
-// machine-readable code from the status (or serving err verbatim when it
-// is already an *Error). Kept for call sites that know the status but
-// not the broker error identity.
-func WriteError(w http.ResponseWriter, status int, err error) {
-	var ae *Error
-	if errors.As(err, &ae) {
-		writeTyped(w, ae)
-		return
-	}
-	retryAfter := 0
-	if status == http.StatusServiceUnavailable {
-		retryAfter = 1
-	}
-	writeTyped(w, &Error{Status: status, Code: codeForStatus(status), Message: err.Error(), RetryAfter: retryAfter})
+// invalidRequest is the 400 invalid_request error for a malformed body
+// or argument.
+func invalidRequest(msg string) *Error {
+	return &Error{Status: http.StatusBadRequest, Code: CodeInvalidRequest, Message: msg}
 }
 
 // writeTyped serves one typed error envelope.

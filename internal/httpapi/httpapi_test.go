@@ -66,7 +66,7 @@ const testSQL = `SELECT Name FROM Country WHERE Continent = 'Asia'`
 func TestQuoteEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	var resp qirana.PriceResponse
-	r := postJSON(t, ts.URL+"/quote", `{"sql": "`+testSQL+`"}`, &resp)
+	r := postJSON(t, ts.URL+"/v1/quote", `{"sql": "`+testSQL+`"}`, &resp)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", r.StatusCode)
 	}
@@ -79,7 +79,7 @@ func TestQuoteEndpoint(t *testing.T) {
 
 	// The same quote again is served from the cache, bit-identically.
 	var again qirana.PriceResponse
-	postJSON(t, ts.URL+"/quote", `{"sql": "`+testSQL+`"}`, &again)
+	postJSON(t, ts.URL+"/v1/quote", `{"sql": "`+testSQL+`"}`, &again)
 	if again.Total != resp.Total || !again.PerQuery[0].Cached {
 		t.Fatalf("warm quote: total %v (want %v), cached %v (want true)",
 			again.Total, resp.Total, again.PerQuery[0].Cached)
@@ -87,7 +87,7 @@ func TestQuoteEndpoint(t *testing.T) {
 
 	// A different pricing function changes the price space but still works.
 	var sh qirana.PriceResponse
-	r = postJSON(t, ts.URL+"/quote", `{"sql": "`+testSQL+`", "func": "shannon"}`, &sh)
+	r = postJSON(t, ts.URL+"/v1/quote", `{"sql": "`+testSQL+`", "func": "shannon"}`, &sh)
 	if r.StatusCode != http.StatusOK || sh.Total <= 0 {
 		t.Fatalf("shannon quote: status %d, %+v", r.StatusCode, sh)
 	}
@@ -97,7 +97,7 @@ func TestQuoteBatchEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	body := `{"sqls": ["` + testSQL + `", "SELECT Name FROM Country WHERE Population > 100000000", "` + testSQL + `"]}`
 	var resp qirana.PriceResponse
-	r := postJSON(t, ts.URL+"/quote/batch", body, &resp)
+	r := postJSON(t, ts.URL+"/v1/quote/batch", body, &resp)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", r.StatusCode)
 	}
@@ -115,7 +115,7 @@ func TestQuoteBatchEndpoint(t *testing.T) {
 	// Bundle mode prices all queries as one purchase: one entry,
 	// sub-additive vs the independent sum.
 	var bundle qirana.PriceResponse
-	postJSON(t, ts.URL+"/quote/batch", `{"sqls": ["`+testSQL+`", "SELECT Name FROM Country WHERE Population > 100000000"], "bundle": true}`, &bundle)
+	postJSON(t, ts.URL+"/v1/quote/batch", `{"sqls": ["`+testSQL+`", "SELECT Name FROM Country WHERE Population > 100000000"], "bundle": true}`, &bundle)
 	if len(bundle.Prices) != 1 {
 		t.Fatalf("bundle wants one price, got %+v", bundle.Prices)
 	}
@@ -127,7 +127,7 @@ func TestQuoteBatchEndpoint(t *testing.T) {
 func TestAskEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	var rec askResponse
-	r := postJSON(t, ts.URL+"/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`, &rec)
+	r := postJSON(t, ts.URL+"/v1/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`, &rec)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", r.StatusCode)
 	}
@@ -141,7 +141,7 @@ func TestAskEndpoint(t *testing.T) {
 	// Asking the same query again is free (history-aware pricing) and the
 	// refund settlement reports the same gross reimbursed in full.
 	var again askResponse
-	postJSON(t, ts.URL+"/ask", `{"buyer": "alice", "sql": "`+testSQL+`", "refund": true}`, &again)
+	postJSON(t, ts.URL+"/v1/ask", `{"buyer": "alice", "sql": "`+testSQL+`", "refund": true}`, &again)
 	if again.Net != 0 || again.Refund != again.Gross || again.Balance != rec.Balance {
 		t.Fatalf("repeat purchase: %+v", again.Receipt)
 	}
@@ -149,10 +149,10 @@ func TestAskEndpoint(t *testing.T) {
 
 func TestStatsAndMetricsEndpoints(t *testing.T) {
 	ts := newTestServer(t)
-	postJSON(t, ts.URL+"/quote", `{"sql": "`+testSQL+`"}`, nil)
+	postJSON(t, ts.URL+"/v1/quote", `{"sql": "`+testSQL+`"}`, nil)
 
 	var stats map[string]json.RawMessage
-	if r := getJSON(t, ts.URL+"/stats", &stats); r.StatusCode != http.StatusOK {
+	if r := getJSON(t, ts.URL+"/v1/stats", &stats); r.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", r.StatusCode)
 	}
 	for _, k := range []string{"support_set_size", "total_price", "quote_cache"} {
@@ -190,7 +190,7 @@ func TestTierCountersExported(t *testing.T) {
 	var quote struct {
 		Stats map[string]int `json:"stats"`
 	}
-	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT Continent, max(Population) FROM Country GROUP BY Continent"}`, &quote)
+	postJSON(t, ts.URL+"/v1/quote", `{"sql": "SELECT Continent, max(Population) FROM Country GROUP BY Continent"}`, &quote)
 	for _, k := range []string{"DeltaFull", "DeltaPartial", "FullRuns"} {
 		if _, ok := quote.Stats[k]; !ok {
 			t.Fatalf("quote stats missing %q: %v", k, quote.Stats)
@@ -201,7 +201,7 @@ func TestTierCountersExported(t *testing.T) {
 	}
 
 	var m qirana.MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
+	getJSON(t, ts.URL+"/v1/metrics", &m)
 	for _, k := range []string{"checker_delta_full", "checker_delta_partial", "checker_delta_fallback"} {
 		if _, ok := m.Counters[k]; !ok {
 			t.Fatalf("metrics missing %q: %+v", k, m.Counters)
@@ -211,8 +211,8 @@ func TestTierCountersExported(t *testing.T) {
 
 	// A DISTINCT query routes its residual checks through the multiplicity
 	// view: the partial-tier counter must move.
-	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT DISTINCT Continent FROM Country"}`, &quote)
-	getJSON(t, ts.URL+"/metrics", &m)
+	postJSON(t, ts.URL+"/v1/quote", `{"sql": "SELECT DISTINCT Continent FROM Country"}`, &quote)
+	getJSON(t, ts.URL+"/v1/metrics", &m)
 	if m.Counters["checker_delta_partial"] <= before {
 		t.Fatalf("partial-tier counter did not move: %d -> %d", before, m.Counters["checker_delta_partial"])
 	}
@@ -242,15 +242,22 @@ func TestDebugEndpoints(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t)
-	cases := []struct{ url, body string }{
-		{"/quote", `{`},                           // malformed JSON
-		{"/quote", `{}`},                          // no queries
-		{"/quote", `{"sql": "SELECT"}`},           // parse error
-		{"/quote", `{"sql": "x", "sqls": ["y"]}`}, // both forms
-		{"/quote", `{"sql": "` + testSQL + `", "func": "nope"}`},
-		{"/quote", `{"sqls": ["a", "b"]}`},          // multi belongs on /quote/batch
-		{"/ask", `{"sql": "` + testSQL + `"}`},      // no buyer
-		{"/ask", `{"buyer": "a", "sql": "SELECT"}`}, // parse error
+	// msg pins the exact message where the handler writes its own
+	// invalid_request; "" leaves a broker-sourced message unpinned.
+	cases := []struct{ url, body, msg string }{
+		{"/v1/quote", `{`, "decode request: unexpected EOF"},
+		{"/v1/quote", `{}`, `request carries no queries (set "sql" or "sqls")`},
+		{"/v1/quote", `{"sql": "SELECT"}`, ""},
+		{"/v1/quote", `{"sql": "x", "sqls": ["y"]}`, `set "sql" or "sqls", not both`},
+		{"/v1/quote", `{"sql": "` + testSQL + `", "func": "nope"}`, `unknown pricing function "nope" (want coverage, gain, shannon or qentropy)`},
+		{"/v1/quote", `{"sqls": ["a", "b"]}`, "independent multi-query pricing belongs on /quote/batch (or set bundle:true)"},
+		{"/v1/quote", `{"sql": "` + testSQL + `", "params": [1]}`, `"params" requires "stmt" (prepare the template via POST /prepare)`},
+		{"/v1/quote", `{"sql": "SELECT 1", "stmt": 1}`, `"stmt" excludes "sql", "sqls" and "bundle"`},
+		{"/v1/quote/batch", `{"stmt": 1, "params": [1]}`, "prepared statements are priced on /quote, not /quote/batch"},
+		{"/v1/ask", `{"sql": "` + testSQL + `"}`, `request carries no buyer (set "buyer")`},
+		{"/v1/ask", `{"buyer": "a", "sql": "SELECT"}`, ""},
+		{"/v1/ask", `{"buyer": "a", "sql": "SELECT 1", "stmt": 1}`, `"stmt" excludes "sql"`},
+		{"/v1/ask", `{"buyer": "a", "sql": "SELECT 1", "params": [1]}`, `"params" requires "stmt" (prepare the template via POST /prepare)`},
 	}
 	for _, c := range cases {
 		var e struct {
@@ -262,6 +269,9 @@ func TestBadRequests(t *testing.T) {
 		}
 		if e.Error.Message == "" || e.Error.Code == "" {
 			t.Errorf("POST %s %s: error envelope missing code or message: %+v", c.url, c.body, e.Error)
+		}
+		if c.msg != "" && (e.Error.Code != CodeInvalidRequest || e.Error.Message != c.msg) {
+			t.Errorf("POST %s %s: %s %q, want %s %q", c.url, c.body, e.Error.Code, e.Error.Message, CodeInvalidRequest, c.msg)
 		}
 	}
 }
@@ -305,7 +315,7 @@ func TestRequestTimeoutCancelsSweep(t *testing.T) {
 	// ORDER BY + LIMIT keeps the query off the fast path: re-executed per
 	// support element, its sweep cannot beat the deadline.
 	sql := `SELECT Name, Population FROM City WHERE Population > 1000000 ORDER BY Population, Name LIMIT 20`
-	r := postJSON(t, ts.URL+"/quote?timeout_ms=1", `{"sql": "`+sql+`"}`, nil)
+	r := postJSON(t, ts.URL+"/v1/quote?timeout_ms=1", `{"sql": "`+sql+`"}`, nil)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		// On a fast machine the sweep may beat the deadline; accept 200
 		// but require one of the two — anything else is a bug.
@@ -316,7 +326,7 @@ func TestRequestTimeoutCancelsSweep(t *testing.T) {
 	}
 
 	var resp qirana.PriceResponse
-	if r := postJSON(t, ts.URL+"/quote", `{"sql": "`+sql+`"}`, &resp); r.StatusCode != http.StatusOK {
+	if r := postJSON(t, ts.URL+"/v1/quote", `{"sql": "`+sql+`"}`, &resp); r.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up quote after timeout: status %d", r.StatusCode)
 	}
 	if resp.Total <= 0 {
@@ -329,7 +339,7 @@ func TestRequestTimeoutCancelsSweep(t *testing.T) {
 func TestOversizedBodyRejected(t *testing.T) {
 	ts := newTestServer(t)
 	big := `{"sql": "` + strings.Repeat("x", maxBodyBytes) + `"}`
-	for _, url := range []string{"/quote", "/ask"} {
+	for _, url := range []string{"/v1/quote", "/v1/ask"} {
 		var e struct {
 			Error Error `json:"error"`
 		}
@@ -337,8 +347,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 		if r.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s oversized: status %d, want 413", url, r.StatusCode)
 		}
-		if e.Error.Code != CodePayloadTooLarge {
-			t.Errorf("POST %s oversized: code %q, want %q", url, e.Error.Code, CodePayloadTooLarge)
+		if e.Error.Code != CodePayloadTooLarge || e.Error.Message != "request body exceeds 1048576 bytes" {
+			t.Errorf("POST %s oversized: %s %q, want %s", url, e.Error.Code, e.Error.Message, CodePayloadTooLarge)
 		}
 	}
 }
@@ -361,11 +371,11 @@ func TestDurableRestartServesSameState(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(New(b1, 30*time.Second))
 	var rec1 askResponse
-	postJSON(t, ts1.URL+"/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`, &rec1)
+	postJSON(t, ts1.URL+"/v1/ask", `{"buyer": "alice", "sql": "`+testSQL+`"}`, &rec1)
 	var rec2 askResponse
-	postJSON(t, ts1.URL+"/ask", `{"buyer": "bob", "sql": "SELECT * FROM CountryLanguage"}`, &rec2)
+	postJSON(t, ts1.URL+"/v1/ask", `{"buyer": "bob", "sql": "SELECT * FROM CountryLanguage"}`, &rec2)
 	var q1 qirana.PriceResponse
-	postJSON(t, ts1.URL+"/quote", `{"sql": "SELECT Continent, count(*) FROM Country GROUP BY Continent"}`, &q1)
+	postJSON(t, ts1.URL+"/v1/quote", `{"sql": "SELECT Continent, count(*) FROM Country GROUP BY Continent"}`, &q1)
 	ts1.Close() // SIGKILL: b1 is never Closed, so nothing was checkpointed
 
 	b2, err := qirana.OpenBroker(dir, db, 0, opts)
@@ -379,21 +389,21 @@ func TestDurableRestartServesSameState(t *testing.T) {
 	var stats struct {
 		Durability qirana.DurabilityInfo `json:"durability"`
 	}
-	getJSON(t, ts2.URL+"/stats", &stats)
+	getJSON(t, ts2.URL+"/v1/stats", &stats)
 	if !stats.Durability.Enabled || stats.Durability.ReplayedRecords != 2 || stats.Durability.TruncatedTail {
 		t.Fatalf("/stats durability after restart: %+v, want 2 replayed records", stats.Durability)
 	}
 
 	// Quotes are bit-identical across the restart.
 	var q2 qirana.PriceResponse
-	postJSON(t, ts2.URL+"/quote", `{"sql": "SELECT Continent, count(*) FROM Country GROUP BY Continent"}`, &q2)
+	postJSON(t, ts2.URL+"/v1/quote", `{"sql": "SELECT Continent, count(*) FROM Country GROUP BY Continent"}`, &q2)
 	if q2.Total != q1.Total {
 		t.Fatalf("quote across restart: %v, want %v", q2.Total, q1.Total)
 	}
 	// Alice's history survived: re-buying her query refunds it in full
 	// and her balance is exactly the pre-kill receipt's.
 	var again askResponse
-	postJSON(t, ts2.URL+"/ask", `{"buyer": "alice", "sql": "`+testSQL+`", "refund": true}`, &again)
+	postJSON(t, ts2.URL+"/v1/ask", `{"buyer": "alice", "sql": "`+testSQL+`", "refund": true}`, &again)
 	if again.Net != 0 || again.Refund != again.Gross || again.Balance != rec1.Balance {
 		t.Fatalf("alice after restart: %+v, want full refund at balance %v", again.Receipt, rec1.Balance)
 	}
@@ -421,7 +431,7 @@ func TestLedgerFailureMapsTo503(t *testing.T) {
 	var e struct {
 		Error Error `json:"error"`
 	}
-	r := postJSON(t, ts.URL+"/ask", body, &e)
+	r := postJSON(t, ts.URL+"/v1/ask", body, &e)
 	if r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("faulted purchase: status %d, want 503", r.StatusCode)
 	}
@@ -432,7 +442,7 @@ func TestLedgerFailureMapsTo503(t *testing.T) {
 		t.Fatalf("503 envelope: %+v, want code %q with retry_after 1", e.Error, CodeDurability)
 	}
 	var rec askResponse
-	if r := postJSON(t, ts.URL+"/ask", body, &rec); r.StatusCode != http.StatusOK || rec.Net <= 0 {
+	if r := postJSON(t, ts.URL+"/v1/ask", body, &rec); r.StatusCode != http.StatusOK || rec.Net <= 0 {
 		t.Fatalf("retry after 503: status %d, receipt %+v — the failed attempt must not have charged", r.StatusCode, rec.Receipt)
 	}
 }
@@ -445,7 +455,7 @@ func TestPrepareEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 
 	var prep prepareResponse
-	r := postJSON(t, ts.URL+"/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`, &prep)
+	r := postJSON(t, ts.URL+"/v1/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`, &prep)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("prepare status = %d", r.StatusCode)
 	}
@@ -456,9 +466,9 @@ func TestPrepareEndpoint(t *testing.T) {
 	// Ad-hoc quote of the substituted SQL, then the prepared instance:
 	// identical price, served from the shared template entry.
 	var adhoc, inst qirana.PriceResponse
-	postJSON(t, ts.URL+"/quote", `{"sql": "SELECT Name FROM Country WHERE Population > 5000000"}`, &adhoc)
+	postJSON(t, ts.URL+"/v1/quote", `{"sql": "SELECT Name FROM Country WHERE Population > 5000000"}`, &adhoc)
 	body := `{"stmt": ` + strconv.FormatInt(prep.Stmt, 10) + `, "params": [5000000]}`
-	if r := postJSON(t, ts.URL+"/quote", body, &inst); r.StatusCode != http.StatusOK {
+	if r := postJSON(t, ts.URL+"/v1/quote", body, &inst); r.StatusCode != http.StatusOK {
 		t.Fatalf("stmt quote status = %d", r.StatusCode)
 	}
 	if inst.Total != adhoc.Total || !inst.PerQuery[0].Cached {
@@ -469,14 +479,14 @@ func TestPrepareEndpoint(t *testing.T) {
 	// Buying an instance works and is free to repeat.
 	askBody := `{"buyer": "alice", "stmt": ` + strconv.FormatInt(prep.Stmt, 10) + `, "params": [5000000]}`
 	var rec askResponse
-	if r := postJSON(t, ts.URL+"/ask", askBody, &rec); r.StatusCode != http.StatusOK {
+	if r := postJSON(t, ts.URL+"/v1/ask", askBody, &rec); r.StatusCode != http.StatusOK {
 		t.Fatalf("stmt ask status = %d", r.StatusCode)
 	}
 	if rec.Net <= 0 || len(rec.Rows) == 0 {
 		t.Fatalf("stmt purchase: %+v (%d rows)", rec.Receipt, len(rec.Rows))
 	}
 	var again askResponse
-	postJSON(t, ts.URL+"/ask", askBody, &again)
+	postJSON(t, ts.URL+"/v1/ask", askBody, &again)
 	if again.Net != 0 {
 		t.Fatalf("repeat stmt purchase charged %v", again.Net)
 	}
@@ -485,12 +495,12 @@ func TestPrepareEndpoint(t *testing.T) {
 	var stats struct {
 		QuoteCache qirana.CacheStats `json:"quote_cache"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.QuoteCache.TemplateHits == 0 || stats.QuoteCache.TemplateMisses == 0 {
 		t.Fatalf("template counters missing from /stats: %+v", stats.QuoteCache)
 	}
 	var m qirana.MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
+	getJSON(t, ts.URL+"/v1/metrics", &m)
 	if m.Counters["quotecache_template_hits"] == 0 {
 		t.Fatalf("metrics missing quotecache_template_hits: %+v", m.Counters)
 	}
@@ -505,15 +515,15 @@ func TestPrepareBadRequests(t *testing.T) {
 	cases := []struct {
 		url, body string
 	}{
-		{"/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $3"}`}, // non-contiguous
-		{"/prepare", `{"sql": "SELEC nonsense"}`},
-		{"/quote", `{"stmt": 999, "params": [1]}`},                              // unknown handle
-		{"/quote", `{"sql": "SELECT 1", "stmt": 1}`},                            // stmt excludes sql
-		{"/quote", `{"sql": "` + testSQL + `", "params": [1]}`},                 // params need stmt
-		{"/quote", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`}, // placeholder ad hoc
-		{"/quote/batch", `{"stmt": 1, "params": [1]}`},
-		{"/ask", `{"buyer": "a", "stmt": 999, "params": [1]}`},
-		{"/ask", `{"buyer": "a", "sql": "SELECT 1", "stmt": 1}`},
+		{"/v1/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $3"}`}, // non-contiguous
+		{"/v1/prepare", `{"sql": "SELEC nonsense"}`},
+		{"/v1/quote", `{"stmt": 999, "params": [1]}`},                              // unknown handle
+		{"/v1/quote", `{"sql": "SELECT 1", "stmt": 1}`},                            // stmt excludes sql
+		{"/v1/quote", `{"sql": "` + testSQL + `", "params": [1]}`},                 // params need stmt
+		{"/v1/quote", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`}, // placeholder ad hoc
+		{"/v1/quote/batch", `{"stmt": 1, "params": [1]}`},
+		{"/v1/ask", `{"buyer": "a", "stmt": 999, "params": [1]}`},
+		{"/v1/ask", `{"buyer": "a", "sql": "SELECT 1", "stmt": 1}`},
 	}
 	for _, tc := range cases {
 		if r := postJSON(t, ts.URL+tc.url, tc.body, nil); r.StatusCode != http.StatusBadRequest {
@@ -523,12 +533,12 @@ func TestPrepareBadRequests(t *testing.T) {
 
 	// Arity and type errors surface per request.
 	var prep prepareResponse
-	postJSON(t, ts.URL+"/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`, &prep)
+	postJSON(t, ts.URL+"/v1/prepare", `{"sql": "SELECT Name FROM Country WHERE Population > $1"}`, &prep)
 	id := strconv.FormatInt(prep.Stmt, 10)
-	if r := postJSON(t, ts.URL+"/quote", `{"stmt": `+id+`, "params": []}`, nil); r.StatusCode != http.StatusBadRequest {
+	if r := postJSON(t, ts.URL+"/v1/quote", `{"stmt": `+id+`, "params": []}`, nil); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("arity mismatch: status %d, want 400", r.StatusCode)
 	}
-	if r := postJSON(t, ts.URL+"/quote", `{"stmt": `+id+`, "params": [[1]]}`, nil); r.StatusCode != http.StatusBadRequest {
+	if r := postJSON(t, ts.URL+"/v1/quote", `{"stmt": `+id+`, "params": [[1]]}`, nil); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("array param: status %d, want 400", r.StatusCode)
 	}
 }

@@ -87,7 +87,7 @@ func statsCluster(t *testing.T, baseURL string) map[string]uint64 {
 	var body struct {
 		Cluster map[string]uint64 `json:"cluster"`
 	}
-	resp, err := http.Get(baseURL + "/stats")
+	resp, err := http.Get(baseURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func statsCluster(t *testing.T, baseURL string) map[string]uint64 {
 func metricsCounters(t *testing.T, baseURL string) map[string]uint64 {
 	t.Helper()
 	var snap obs.Snapshot
-	resp, err := http.Get(baseURL + "/metrics")
+	resp, err := http.Get(baseURL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

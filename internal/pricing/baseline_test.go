@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"testing"
 
 	"qirana/internal/datagen"
@@ -49,11 +50,11 @@ func TestOutputSizeBaselineArbitrage(t *testing.T) {
 		t.Fatalf("expected a large gap, got %gx", osCol/osHist)
 	}
 
-	qHist, err := e.Price(WeightedCoverage, hist)
+	qHist, err := e.PriceCtx(context.Background(), WeightedCoverage, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qCol, err := e.Price(WeightedCoverage, col)
+	qCol, err := e.PriceCtx(context.Background(), WeightedCoverage, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestProvenanceBaselineOvercharges(t *testing.T) {
 	if prov < countryShare*0.99 {
 		t.Fatalf("provenance should charge Country's full share (%g), got %g", countryShare, prov)
 	}
-	cov, err := e.Price(WeightedCoverage, q)
+	cov, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 	if err != nil {
 		t.Fatal(err)
 	}

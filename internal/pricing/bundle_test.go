@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,19 +24,19 @@ func TestBundleDisagreementsAreUnions(t *testing.T) {
 	q2 := exec.MustCompile("SELECT DISTINCT c FROM R", db.Schema)                          // naive (DISTINCT)
 	q3 := exec.MustCompile("SELECT c, sum(b) FROM R WHERE id >= 40 GROUP BY c", db.Schema) // fast path, agg
 
-	d1, err := e.Disagreements([]*exec.Query{q1}, nil)
+	d1, err := e.DisagreementsCtx(context.Background(), []*exec.Query{q1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := e.Disagreements([]*exec.Query{q2}, nil)
+	d2, err := e.DisagreementsCtx(context.Background(), []*exec.Query{q2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3, err := e.Disagreements([]*exec.Query{q3}, nil)
+	d3, err := e.DisagreementsCtx(context.Background(), []*exec.Query{q3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := e.Disagreements([]*exec.Query{q1, q2, q3}, nil)
+	bundle, err := e.DisagreementsCtx(context.Background(), []*exec.Query{q1, q2, q3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestBundleDisagreementsAreUnions(t *testing.T) {
 		}
 	}
 	// Coverage of the bundle therefore equals the weight of the union.
-	pb, err := e.Price(WeightedCoverage, q1, q2, q3)
+	pb, err := e.PriceCtx(context.Background(), WeightedCoverage, q1, q2, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestQallBundleSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(db, set, 100)
-	keyed, err := e.Price(WeightedCoverage,
+	keyed, err := e.PriceCtx(context.Background(), WeightedCoverage,
 		exec.MustCompile("SELECT id, a, b FROM R", db.Schema),
 		exec.MustCompile("SELECT id, c FROM R", db.Schema))
 	if err != nil {
@@ -83,7 +84,7 @@ func TestQallBundleSlices(t *testing.T) {
 	if math.Abs(keyed-100) > 1e-9 {
 		t.Fatalf("keyed column slices jointly disclose everything, priced %g", keyed)
 	}
-	keyless, err := e.Price(WeightedCoverage,
+	keyless, err := e.PriceCtx(context.Background(), WeightedCoverage,
 		exec.MustCompile("SELECT a, b FROM R", db.Schema),
 		exec.MustCompile("SELECT id, c FROM R", db.Schema))
 	if err != nil {

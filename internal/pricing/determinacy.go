@@ -1,51 +1,21 @@
 package pricing
 
 import (
+	"context"
+
 	"qirana/internal/sqlengine/exec"
 )
-
-// RestrictedDeterminacy checks the determinacy relation Q1 ↠ Q2 restricted
-// to the finite instance space S ∪ {D} (paper §2.1): Q1 determines Q2 iff
-// equal Q1-outputs imply equal Q2-outputs across all instances considered.
-// The arbitrage property tests use it: any strongly information-
-// arbitrage-free pricing function must satisfy p(Q2) ≤ p(Q1) whenever
-// D ⊢ Q1 ↠ Q2, and on the restricted space this refinement test is the
-// exact witness of that relation.
-func (e *Engine) RestrictedDeterminacy(q1 []*exec.Query, q2 []*exec.Query) (bool, error) {
-	h1, b1, err := e.OutputHashes(q1)
-	if err != nil {
-		return false, err
-	}
-	h2, b2, err := e.OutputHashes(q2)
-	if err != nil {
-		return false, err
-	}
-	// Include D itself in the refinement check.
-	h1 = append(append([]uint64{}, h1...), b1)
-	h2 = append(append([]uint64{}, h2...), b2)
-	image := make(map[uint64]uint64, len(h1))
-	for i := range h1 {
-		if prev, ok := image[h1[i]]; ok {
-			if prev != h2[i] {
-				return false, nil
-			}
-		} else {
-			image[h1[i]] = h2[i]
-		}
-	}
-	return true, nil
-}
 
 // DeterminesUnderD checks the data-dependent determinacy D ⊢ Q1 ↠ Q2
 // restricted to S: every support element whose Q1-output agrees with D's
 // must also agree on Q2. This is the relation under which the strongly
 // arbitrage-free functions guarantee p(Q2) ≤ p(Q1).
 func (e *Engine) DeterminesUnderD(q1 []*exec.Query, q2 []*exec.Query) (bool, error) {
-	h1, b1, err := e.OutputHashes(q1)
+	h1, b1, err := e.OutputHashesCtx(context.Background(), q1)
 	if err != nil {
 		return false, err
 	}
-	h2, b2, err := e.OutputHashes(q2)
+	h2, b2, err := e.OutputHashesCtx(context.Background(), q2)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"fmt"
 
 	"qirana/internal/sqlengine/exec"
@@ -46,32 +47,17 @@ func (e *Engine) PriceWithRefund(h *History, qs ...*exec.Query) (gross, refund f
 	if len(h.Charged) != e.Set.Size() {
 		return 0, 0, fmt.Errorf("history size %d does not match support set size %d", len(h.Charged), e.Set.Size())
 	}
-	dis, err := e.Disagreements(qs, nil) // full, history-oblivious
+	dis, err := e.DisagreementsCtx(context.Background(), qs, nil) // full, history-oblivious
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, d := range dis {
-		if !d {
-			continue
-		}
-		gross += e.Weights[i]
-		if h.Charged[i] {
-			refund += e.Weights[i] // already owned: reimburse
-		} else {
-			h.Charged[i] = true
-		}
-	}
-	h.Paid += gross - refund
-	for _, q := range qs {
-		h.Queries = append(h.Queries, q.SQL)
-	}
-	return gross, refund, nil
+	return e.RefundFromDisagreements(h, dis, sqlsOf(qs)...)
 }
 
 // ChargeFromDisagreements applies Algorithm 3's bookkeeping given the
 // bundle's full (history-oblivious) disagreement bitmap — the form the
 // broker's quote cache stores. For every support element the bitmap bit
-// equals the bit the live-masked Disagreements call would compute (the
+// equals the bit the live-masked DisagreementsCtx call would compute (the
 // mask only skips work, it never changes a decision), and the charge sums
 // the same weights in the same index order as PriceHistoryAware, so the
 // result is bit-identical to the cold path.
@@ -138,20 +124,20 @@ func (e *Engine) PriceHistoryAware(h *History, qs ...*exec.Query) (float64, erro
 	if !any {
 		return 0, nil // the full dataset has been paid for
 	}
-	dis, err := e.Disagreements(qs, live)
+	// The mask only skips work: ChargeFromDisagreements charges no
+	// element the history already holds, whatever its bit.
+	dis, err := e.DisagreementsCtx(context.Background(), qs, live)
 	if err != nil {
 		return 0, err
 	}
-	charge := 0.0
-	for i, d := range dis {
-		if d && live[i] {
-			charge += e.Weights[i]
-			h.Charged[i] = true
-		}
+	return e.ChargeFromDisagreements(h, dis, sqlsOf(qs)...)
+}
+
+// sqlsOf lists the bundle's SQL texts for the history's query log.
+func sqlsOf(qs []*exec.Query) []string {
+	sqls := make([]string, len(qs))
+	for i, q := range qs {
+		sqls[i] = q.SQL
 	}
-	h.Paid += charge
-	for _, q := range qs {
-		h.Queries = append(h.Queries, q.SQL)
-	}
-	return charge, nil
+	return sqls
 }

@@ -155,7 +155,7 @@ func TestOutputHashesMultiMatchesSolo(t *testing.T) {
 	}
 	for j := range qs {
 		_, raw := bruteForce(t, e, qs[j], nil)
-		wantElems, wantBase, err := e.OutputHashes(qs[j : j+1])
+		wantElems, wantBase, err := e.OutputHashesCtx(context.Background(), qs[j:j+1])
 		if err != nil {
 			t.Fatal(err)
 		}

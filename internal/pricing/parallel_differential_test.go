@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"testing"
 
 	"qirana/internal/datagen"
@@ -71,12 +72,12 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 			for _, sql := range tc.queries {
 				q := exec.MustCompile(sql, tc.db.Schema)
 				for _, fn := range AllFuncs {
-					want, err := serial.Price(fn, q)
+					want, err := serial.PriceCtx(context.Background(), fn, q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					wantStats := serial.LastStats
-					got, err := par.Price(fn, q)
+					got, err := par.PriceCtx(context.Background(), fn, q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -109,12 +110,12 @@ func TestParallelBundleBitIdentical(t *testing.T) {
 	par := NewEngine(db, set, 100)
 	par.Opts.Workers = 4
 	for _, fn := range AllFuncs {
-		want, err := serial.Price(fn, q1, q2)
+		want, err := serial.PriceCtx(context.Background(), fn, q1, q2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantStats := serial.LastStats
-		got, err := par.Price(fn, q1, q2)
+		got, err := par.PriceCtx(context.Background(), fn, q1, q2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -41,11 +42,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, sql := range queries {
 		q := exec.MustCompile(sql, db.Schema)
 		for _, fn := range AllFuncs {
-			want, err := serial.Price(fn, q)
+			want, err := serial.PriceCtx(context.Background(), fn, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := par.Price(fn, q)
+			got, err := par.PriceCtx(context.Background(), fn, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func TestParallelLeavesDatabaseIntact(t *testing.T) {
 	}
 	e := NewEngine(db, set, 100)
 	e.Opts = Options{Workers: 8}
-	if _, err := e.Price(ShannonEntropy, exec.MustCompile("SELECT a FROM R", db.Schema)); err != nil {
+	if _, err := e.PriceCtx(context.Background(), ShannonEntropy, exec.MustCompile("SELECT a FROM R", db.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range db.Table("R").Rows {
@@ -94,7 +95,7 @@ func TestParallelWorkersClamped(t *testing.T) {
 		t.Fatalf("workers: %d", w)
 	}
 	// Must still price correctly with more workers than elements.
-	p, err := e.Price(QEntropy, exec.MustCompile("SELECT * FROM R", db.Schema))
+	p, err := e.PriceCtx(context.Background(), QEntropy, exec.MustCompile("SELECT * FROM R", db.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"fmt"
 
 	"qirana/internal/maxent"
@@ -34,7 +35,7 @@ func (e *Engine) FitWeights(points []PricePoint) error {
 		if pt.Price < 0 {
 			return fmt.Errorf("price point %d: negative price %g", j, pt.Price)
 		}
-		dis, err := e.Disagreements([]*exec.Query{pt.Query}, nil)
+		dis, err := e.DisagreementsCtx(context.Background(), []*exec.Query{pt.Query}, nil)
 		if err != nil {
 			return fmt.Errorf("price point %d (%s): %w", j, pt.Query.SQL, err)
 		}

@@ -91,12 +91,6 @@ type Options struct {
 	// bit-identical to the serial run. An engineering extension beyond the
 	// paper.
 	Workers int
-	// DisableDeltaTiers builds legacy (untiered) checkers: DISTINCT and
-	// self-join queries fall back to naive pricing and MIN/MAX removals
-	// re-run the full query instead of resolving against materialized
-	// candidate views. Exists for A/B measurement of the incremental-view
-	// tier machinery; leave false in production.
-	DisableDeltaTiers bool
 }
 
 // DefaultOptions enables every optimization.
@@ -155,10 +149,10 @@ type Engine struct {
 	reg checkerRegistry
 
 	// LastStats holds the Stats of the last completed call of a probe
-	// entry point — DisagreementsCtx, OutputHashesCtx, PriceCtx,
-	// ApproxPriceCtx and their context-free forms — stored once at the
-	// end of the call under statsMu. It is not meaningful under concurrent
-	// callers; they use the Stats the Live and Multi forms return.
+	// entry point — DisagreementsCtx, OutputHashesCtx, PriceCtx and
+	// ApproxPriceCtx — stored once at the end of the call under statsMu.
+	// It is not meaningful under concurrent callers; they use the Stats
+	// the Live and Multi forms return.
 	LastStats Stats
 	statsMu   sync.Mutex
 
@@ -260,11 +254,7 @@ func (e *Engine) checker(q *exec.Query, keep bool) *disagree.Checker {
 	if ok {
 		return c
 	}
-	build := disagree.New
-	if e.Opts.DisableDeltaTiers {
-		build = disagree.NewUntiered
-	}
-	c, err := build(q, e.DB) // nil when q is outside the fast path
+	c, err := disagree.New(q, e.DB) // nil when q is outside the fast path
 	if err == nil {
 		c.Obs = e.Obs
 	}
@@ -315,16 +305,11 @@ func (e *Engine) setLastStats(s Stats) {
 	e.statsMu.Unlock()
 }
 
-// Disagreements computes, for each live support element, whether it
+// DisagreementsCtx computes, for each live support element, whether it
 // disagrees with D on the bundle (i.e. some query of the bundle tells the
-// two databases apart). Elements with live[i]=false are skipped (history-
-// aware pricing); live may be nil.
-func (e *Engine) Disagreements(qs []*exec.Query, live []bool) ([]bool, error) {
-	return e.DisagreementsCtx(context.Background(), qs, live)
-}
-
-// DisagreementsCtx is Disagreements under a context, leaving the call's
-// Stats in LastStats; see DisagreementsLiveCtx.
+// two databases apart), leaving the call's Stats in LastStats. Elements
+// with live[i]=false are skipped (history-aware pricing); live may be
+// nil. See DisagreementsLiveCtx for the cancellation contract.
 func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, error) {
 	dis, s, err := e.DisagreementsLiveCtx(ctx, qs, live)
 	if err != nil {
@@ -516,16 +501,11 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, live, out [
 	return true, len(idxs), nil
 }
 
-// OutputHashes runs the bundle on D and every support element, returning
-// the combined output hash per element plus the hash for D itself. The
-// entropy pricing functions partition S by these hashes.
-func (e *Engine) OutputHashes(qs []*exec.Query) (elems []uint64, base uint64, err error) {
-	return e.OutputHashesCtx(context.Background(), qs)
-}
-
-// OutputHashesCtx is OutputHashes under a context, leaving the call's
-// Stats in LastStats: the per-element sweep polls ctx and aborts
-// mid-sweep with ctx.Err().
+// OutputHashesCtx runs the bundle on D and every support element,
+// returning the combined output hash per element plus the hash for D
+// itself, and leaves the call's Stats in LastStats. The entropy pricing
+// functions partition S by these hashes. The per-element sweep polls ctx
+// and aborts mid-sweep with ctx.Err().
 func (e *Engine) OutputHashesCtx(ctx context.Context, qs []*exec.Query) (elems []uint64, base uint64, err error) {
 	elems, base, s, err := e.OutputHashesLiveCtx(ctx, qs, nil)
 	if err != nil {
@@ -682,14 +662,10 @@ func combine(hs []uint64) uint64 {
 	return h.Sum64()
 }
 
-// Price computes the bundle price under the chosen pricing function,
-// scaled so that the bundle retrieving the full database costs Total.
-func (e *Engine) Price(fn Func, qs ...*exec.Query) (float64, error) {
-	return e.PriceCtx(context.Background(), fn, qs...)
-}
-
-// PriceCtx is Price under a context, leaving the call's Stats in
-// LastStats; see DisagreementsLiveCtx for the cancellation contract.
+// PriceCtx computes the bundle price under the chosen pricing function,
+// scaled so that the bundle retrieving the full database costs Total,
+// and leaves the call's Stats in LastStats; see DisagreementsLiveCtx for
+// the cancellation contract.
 func (e *Engine) PriceCtx(ctx context.Context, fn Func, qs ...*exec.Query) (float64, error) {
 	if len(qs) == 0 {
 		return 0, fmt.Errorf("empty query bundle")

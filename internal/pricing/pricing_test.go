@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func newEngine(t testing.TB, db *storage.Database, size int, total float64) *Eng
 func price(t testing.TB, e *Engine, fn Func, sql string) float64 {
 	t.Helper()
 	q := exec.MustCompile(sql, e.DB.Schema)
-	p, err := e.Price(fn, q)
+	p, err := e.PriceCtx(context.Background(), fn, q)
 	if err != nil {
 		t.Fatalf("price %q: %v", sql, err)
 	}
@@ -83,7 +84,7 @@ func TestPriceMonotoneInSelectivity(t *testing.T) {
 	last := -1.0
 	for _, u := range []int{0, 50, 100, 150, 200} {
 		q := exec.MustCompile("SELECT * FROM R WHERE id < "+itoa(u), db.Schema)
-		p, err := e.Price(WeightedCoverage, q)
+		p, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,12 +134,12 @@ func TestFastPathMatchesNaive(t *testing.T) {
 	reduced.Opts = Options{InstanceReduction: true}
 	for _, sql := range queries {
 		q := exec.MustCompile(sql, db.Schema)
-		want, err := naive.Price(WeightedCoverage, q)
+		want, err := naive.PriceCtx(context.Background(), WeightedCoverage, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, e := range map[string]*Engine{"fast": fast, "nobatch": noBatch, "reduced": reduced} {
-			got, err := e.Price(WeightedCoverage, q)
+			got, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,15 +155,15 @@ func TestBundleArbitrageFreeCoverage(t *testing.T) {
 	e := newEngine(t, db, 250, 100)
 	q1 := exec.MustCompile("SELECT a FROM R WHERE id < 60", db.Schema)
 	q2 := exec.MustCompile("SELECT b FROM R WHERE id >= 40", db.Schema)
-	p1, err := e.Price(WeightedCoverage, q1)
+	p1, err := e.PriceCtx(context.Background(), WeightedCoverage, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.Price(WeightedCoverage, q2)
+	p2, err := e.PriceCtx(context.Background(), WeightedCoverage, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := e.Price(WeightedCoverage, q1, q2)
+	pb, err := e.PriceCtx(context.Background(), WeightedCoverage, q1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +194,11 @@ func TestInformationArbitrageFree(t *testing.T) {
 			t.Fatalf("Q_all should determine %q on the support set", sql)
 		}
 		for _, fn := range []Func{WeightedCoverage, UniformEntropyGain} {
-			p1, err := e.Price(fn, q1)
+			p1, err := e.PriceCtx(context.Background(), fn, q1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2, err := e.Price(fn, q2)
+			p2, err := e.PriceCtx(context.Background(), fn, q2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestHistoryCheaperThanOblivious(t *testing.T) {
 			t.Fatal(err)
 		}
 		historyTotal += c
-		p, err := e.Price(WeightedCoverage, q)
+		p, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,14 +291,14 @@ func TestPricePointsFit(t *testing.T) {
 	if err := e.FitWeights([]PricePoint{pp}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Price(WeightedCoverage, pp.Query)
+	got, err := e.PriceCtx(context.Background(), WeightedCoverage, pp.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-55) > 1e-3 {
 		t.Fatalf("price point not honored: %g", got)
 	}
-	full, err := e.Price(WeightedCoverage, exec.MustCompile("SELECT * FROM R", db.Schema))
+	full, err := e.PriceCtx(context.Background(), WeightedCoverage, exec.MustCompile("SELECT * FROM R", db.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +347,11 @@ func TestShannonRefinementMonotone(t *testing.T) {
 	// Q_fine = (a,b) refines Q_coarse = (a): entropy price must not drop.
 	fine := exec.MustCompile("SELECT a, b FROM R", db.Schema)
 	coarse := exec.MustCompile("SELECT a FROM R", db.Schema)
-	pf, err := e.Price(ShannonEntropy, fine)
+	pf, err := e.PriceCtx(context.Background(), ShannonEntropy, fine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := e.Price(ShannonEntropy, coarse)
+	pc, err := e.PriceCtx(context.Background(), ShannonEntropy, coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestShannonRefinementMonotone(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	db := benchDB(3, 100)
 	e := newEngine(t, db, 200, 100)
-	if _, err := e.Price(WeightedCoverage, exec.MustCompile("SELECT a FROM R WHERE id < 10", db.Schema)); err != nil {
+	if _, err := e.PriceCtx(context.Background(), WeightedCoverage, exec.MustCompile("SELECT a FROM R WHERE id < 10", db.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	s := e.LastStats

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -12,9 +13,8 @@ import (
 
 // TestTieredPricingDifferential is the tier machinery's correctness
 // contract: for every generator schema, pricing with the tiered checkers
-// (incremental views, higher-order deltas) is bit-identical to pricing with
-// the legacy untiered checkers — which fall back to naive per-element
-// re-execution for DISTINCT and self-joins, the ground truth. testing/quick
+// (incremental views, higher-order deltas) is bit-identical to the naive
+// per-element re-execution of §3 (FastPath off), the ground truth. testing/quick
 // drives a randomized ± update stream: each probe permanently applies a
 // support update (moving table version stamps so every cached index and
 // materialized view must invalidate), reprices, compares, and undoes. The
@@ -56,7 +56,7 @@ func TestTieredPricingDifferential(t *testing.T) {
 			"SELECT min(ToNodeId), max(ToNodeId) FROM dblp",
 		}},
 	}
-	var tieredPartial, untieredPartial, untieredNaive int
+	var tieredPartial int
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,33 +65,32 @@ func TestTieredPricingDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			tiered := NewEngine(tc.db, set, 100)
-			untiered := NewEngine(tc.db, set, 100)
-			untiered.Opts.DisableDeltaTiers = true
+			naive := NewEngine(tc.db, set, 100)
+			naive.Opts.FastPath = false
 			par := NewEngine(tc.db, set, 100)
 			par.Opts.Workers = 4
 			qs := make([]*exec.Query, len(tc.queries))
 			for i, sql := range tc.queries {
 				qs[i] = exec.MustCompile(sql, tc.db.Schema)
 			}
+			ctx := context.Background()
 			compare := func() bool {
 				ok := true
 				for i, q := range qs {
-					want, err := untiered.Price(WeightedCoverage, q)
+					want, err := naive.PriceCtx(ctx, WeightedCoverage, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					untieredPartial += untiered.LastStats.DeltaPartial
-					untieredNaive += untiered.LastStats.Naive
-					got, err := tiered.Price(WeightedCoverage, q)
+					got, err := tiered.PriceCtx(ctx, WeightedCoverage, q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					tieredPartial += tiered.LastStats.DeltaPartial
 					if got != want {
-						t.Errorf("%q: tiered price %v != untiered %v", tc.queries[i], got, want)
+						t.Errorf("%q: tiered price %v != naive %v", tc.queries[i], got, want)
 						ok = false
 					}
-					pgot, err := par.Price(WeightedCoverage, q)
+					pgot, err := par.PriceCtx(ctx, WeightedCoverage, q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,12 +112,12 @@ func TestTieredPricingDifferential(t *testing.T) {
 				u := set.Updates[int(pick)%len(set.Updates)]
 				u.Apply(tc.db)
 				tiered.InvalidateCache()
-				untiered.InvalidateCache()
+				naive.InvalidateCache()
 				par.InvalidateCache()
 				ok := compare()
 				u.Undo(tc.db)
 				tiered.InvalidateCache()
-				untiered.InvalidateCache()
+				naive.InvalidateCache()
 				par.InvalidateCache()
 				return ok && compare()
 			}
@@ -129,11 +128,5 @@ func TestTieredPricingDifferential(t *testing.T) {
 	}
 	if tieredPartial == 0 {
 		t.Error("tiered engines never used the partial delta tier")
-	}
-	if untieredPartial != 0 {
-		t.Error("untiered engines used the partial delta tier")
-	}
-	if untieredNaive == 0 {
-		t.Error("untiered engines never fell back to naive pricing (DISTINCT/self-join)")
 	}
 }

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"context"
 	"testing"
 
 	"qirana/internal/datagen"
@@ -43,14 +44,14 @@ func TestPriceEveryWorkloadQuery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: compile: %v", wq.Name, err)
 				}
-				p, err := e.Price(WeightedCoverage, q)
+				p, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 				if err != nil {
 					t.Fatalf("%s: price: %v", wq.Name, err)
 				}
 				if p < 0 || p > 100+1e-9 || p != p {
 					t.Fatalf("%s: price %g out of bounds", wq.Name, p)
 				}
-				p2, err := e.Price(WeightedCoverage, q)
+				p2, err := e.PriceCtx(context.Background(), WeightedCoverage, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +76,7 @@ func TestEntropyBoundsOnWorkload(t *testing.T) {
 	for _, wq := range workload.World()[:12] {
 		q := exec.MustCompile(wq.SQL, db.Schema)
 		for _, fn := range []Func{ShannonEntropy, QEntropy, UniformEntropyGain} {
-			p, err := e.Price(fn, q)
+			p, err := e.PriceCtx(context.Background(), fn, q)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", wq.Name, fn, err)
 			}

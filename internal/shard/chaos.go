@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qirana/internal/failpoint"
+	"qirana/internal/httpapi"
 )
 
 // ChaosProxy fronts a shard's HTTP handler with deterministic fault
@@ -115,7 +116,8 @@ func (p *ChaosProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if failpoint.Hit(p.Failpoint(ChaosErr)) != nil || p.roll(p.cfg.ErrProb) {
 		p.faults.Add(1)
-		http.Error(w, `{"error":"chaos: injected shard failure"}`, http.StatusInternalServerError)
+		httpapi.WriteRequestError(w, &httpapi.Error{Status: http.StatusInternalServerError,
+			Code: httpapi.CodeShardUnavailable, Message: "chaos: injected shard failure"})
 		return
 	}
 	if failpoint.Hit(p.Failpoint(ChaosStall)) != nil {

@@ -17,7 +17,7 @@ import (
 	"qirana/internal/obs"
 )
 
-// Info is a shard's identity, served on GET /shard/info and verified at
+// Info is a shard's identity, served on GET /v1/shard/info and verified at
 // connect time: a cluster is only usable when every shard prices the
 // same support set.
 type Info struct {
@@ -53,7 +53,7 @@ type Fanout struct {
 	rng      *rand.Rand // backoff jitter; guarded by rngMu
 }
 
-// Connect performs the cluster handshake: it fetches /shard/info from
+// Connect performs the cluster handshake: it fetches /v1/shard/info from
 // every URL, requires all shards to agree on the support set (gen,
 // checksum, size), and fixes the slice assignment. client may be nil
 // (http.DefaultClient).
@@ -359,9 +359,10 @@ func (f *Fanout) post(ctx, parent context.Context, i int, sqls []string, spec qi
 	return &resp, nil
 }
 
-// readErrorMessage extracts the error body — either the typed
-// {"error":{"code":...,"message":...}} object the /v1 surface writes or
-// the legacy {"error":"..."} flat string — falling back to the raw text.
+// readErrorMessage extracts the message of the typed
+// {"error":{"code":...,"message":...}} envelope every qirana server
+// writes, falling back to the raw text (a proxy's or a crashed worker's
+// body).
 func readErrorMessage(r io.Reader) string {
 	data, _ := io.ReadAll(io.LimitReader(r, 4096))
 	var typed struct {
@@ -371,12 +372,6 @@ func readErrorMessage(r io.Reader) string {
 	}
 	if json.Unmarshal(data, &typed) == nil && typed.Error.Message != "" {
 		return typed.Error.Message
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &flat) == nil && flat.Error != "" {
-		return flat.Error
 	}
 	return string(bytes.TrimSpace(data))
 }

@@ -8,10 +8,8 @@ import (
 )
 
 // Register mounts the shard worker routes on an existing mux (qiranad
-// -shard adds them to its httpapi server, so /stats, /metrics and
-// /healthz ride along). Like the broker surface, every route answers
-// under /v1/ (the canonical path the Fanout client uses) and under the
-// legacy unprefixed alias:
+// -shard adds them to its httpapi server, so /v1/stats, /v1/metrics and
+// /v1/healthz ride along):
 //
 //	POST /v1/shard/sweep  sweep this shard's slice; body is a
 //	                      qirana.SweepSliceRequest
@@ -36,19 +34,17 @@ func Register(mux *http.ServeMux, b *qirana.Broker) {
 			Size:       b.SupportSetSize(),
 		})
 	}
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("POST "+prefix+"/shard/sweep", sweep)
-		mux.HandleFunc("GET "+prefix+"/shard/info", info)
-	}
+	mux.HandleFunc("POST /v1/shard/sweep", sweep)
+	mux.HandleFunc("GET /v1/shard/info", info)
 }
 
-// Handler serves a standalone shard worker: the shard routes plus a
-// bare /healthz (the in-process cluster harness uses it; qiranad -shard
+// Handler serves a standalone shard worker: the shard routes plus
+// /v1/healthz (the in-process cluster harness uses it; qiranad -shard
 // mounts Register on its full httpapi mux instead).
 func Handler(b *qirana.Broker) http.Handler {
 	mux := http.NewServeMux()
 	Register(mux, b)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, map[string]any{"ok": true, "support_gen": b.SupportGen()})
 	})
 	return mux

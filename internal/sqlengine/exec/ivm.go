@@ -49,10 +49,6 @@ type ViewAgg struct {
 type GroupViewSpec struct {
 	NumGroups int
 	Aggs      []ViewAgg
-	// Candidates materializes the per-(group, extremum-aggregate) input
-	// multisets. Costs O(rows) memory on MIN/MAX queries; without it,
-	// extremum removals cannot be resolved incrementally.
-	Candidates bool
 }
 
 // CandCount is one entry of an extremum candidate multiset.
@@ -67,9 +63,10 @@ type GroupAgg struct {
 	N        []int64
 	Sum      []float64
 	Min, Max []value.Value
-	// Cand[j], for MIN/MAX aggregates when the spec asks for candidates,
-	// maps value.Key(v) to the value and its multiplicity among the
-	// group's non-null inputs.
+	// Cand[j], for MIN/MAX aggregates (nil for the others), maps
+	// value.Key(v) to the value and its multiplicity among the group's
+	// non-null inputs: the candidates an extremum removal resolves
+	// against. Costs O(rows) memory on MIN/MAX queries.
 	Cand []map[string]CandCount
 }
 
@@ -110,9 +107,6 @@ func groupViewKey(spec GroupViewSpec) string {
 	var b strings.Builder
 	b.WriteString("gv|")
 	b.WriteString(strconv.Itoa(spec.NumGroups))
-	if spec.Candidates {
-		b.WriteString("|c")
-	}
 	for _, ag := range spec.Aggs {
 		b.WriteByte('|')
 		b.WriteString(ag.Fn)
@@ -212,12 +206,10 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 			for j := range st.Min {
 				st.Min[j], st.Max[j] = value.Null, value.Null
 			}
-			if spec.Candidates {
-				st.Cand = make([]map[string]CandCount, na)
-				for j, ag := range spec.Aggs {
-					if ag.Fn == "MIN" || ag.Fn == "MAX" {
-						st.Cand[j] = make(map[string]CandCount)
-					}
+			st.Cand = make([]map[string]CandCount, na)
+			for j, ag := range spec.Aggs {
+				if ag.Fn == "MIN" || ag.Fn == "MAX" {
+					st.Cand[j] = make(map[string]CandCount)
 				}
 			}
 			gv.Groups[string(key)] = st
@@ -253,7 +245,7 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 }
 
 func (st *GroupAgg) addCand(j int, v value.Value) {
-	if st.Cand == nil || st.Cand[j] == nil {
+	if st.Cand[j] == nil {
 		return
 	}
 	k := value.Key([]value.Value{v})

@@ -24,11 +24,9 @@ import (
 //
 // so a truncated, bit-rotted or future-format file fails with a
 // descriptive error instead of garbage-decoding into wrong prices. Load
-// still reads the legacy unversioned bare-JSON form (v1, no header) for
-// one release; Save always writes v2.
+// reads only this format.
 
-// supportMagic heads the versioned envelope. The first byte of a legacy
-// file is '{', so the two formats are unambiguous.
+// supportMagic heads the versioned envelope.
 const supportMagic = "QIRSUP"
 
 // supportVersion is the current envelope version.
@@ -202,20 +200,14 @@ func Load(r io.Reader, db *storage.Database) (*Set, error) {
 	return set, nil
 }
 
-// unwrapEnvelope strips (and verifies) the versioned header, or passes a
-// legacy bare-JSON file through unchanged.
+// unwrapEnvelope strips and verifies the versioned header.
 func unwrapEnvelope(data []byte) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("support set file is empty")
 	}
-	if data[0] == '{' {
-		// Legacy v1: bare JSON, no header, no checksum. Still readable
-		// for one release; Save rewrites it in the v2 envelope.
-		return data, nil
-	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 || !bytes.HasPrefix(data, []byte(supportMagic+" ")) {
-		return nil, fmt.Errorf("not a qirana support set (bad header; want %q or legacy JSON)", supportMagic)
+		return nil, fmt.Errorf("not a qirana support set (bad header; want %q)", supportMagic)
 	}
 	header := string(data[:nl+1])
 	var version int

@@ -2,6 +2,9 @@ package support
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"strings"
 	"testing"
 
@@ -93,18 +96,24 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json"), db); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version":9,"updates":[]}`), db); err == nil {
+	if _, err := Load(enveloped(`{"version":9,"updates":[]}`), db); err == nil {
 		t.Fatal("future version accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version":1,"updates":[{"id":0,"rel":"ghost","row1":0,"attrs":[1],"old1":[{"k":"int"}],"new1":[{"k":"int","i":1}]}]}`), db); err == nil {
+	if _, err := Load(enveloped(`{"version":1,"updates":[{"id":0,"rel":"ghost","row1":0,"attrs":[1],"old1":[{"k":"int"}],"new1":[{"k":"int","i":1}]}]}`), db); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
 }
 
-// TestLoadLegacyUnversionedFormat: a pre-envelope file (bare JSON, the
-// v1 on-disk form) still loads — stripping the v2 header off a fresh
-// Save yields exactly the legacy layout.
-func TestLoadLegacyUnversionedFormat(t *testing.T) {
+// enveloped frames a JSON payload in a valid v2 header, so the payload's
+// own validation is what a test exercises.
+func enveloped(payload string) io.Reader {
+	return strings.NewReader(fmt.Sprintf("%s v%d crc32=%08x\n%s", supportMagic, supportVersion, crc32.ChecksumIEEE([]byte(payload)), payload))
+}
+
+// TestLoadRejectsBareJSON: a headerless bare-JSON file — the payload of
+// a fresh Save without its envelope line — fails with the bad-header
+// error rather than loading unchecked.
+func TestLoadRejectsBareJSON(t *testing.T) {
 	db := testDB(t, 30, 3)
 	set, err := GenerateNeighborhood(db, DefaultConfig(60, 7))
 	if err != nil {
@@ -119,13 +128,9 @@ func TestLoadLegacyUnversionedFormat(t *testing.T) {
 	if nl < 0 || data[0] == '{' {
 		t.Fatalf("Save no longer writes the versioned envelope: %q", data[:min(len(data), 40)])
 	}
-	legacy := data[nl+1:]
-	loaded, err := Load(bytes.NewReader(legacy), db)
-	if err != nil {
-		t.Fatalf("legacy unversioned file rejected: %v", err)
-	}
-	if loaded.Size() != set.Size() {
-		t.Fatalf("legacy load size %d, want %d", loaded.Size(), set.Size())
+	_, err = Load(bytes.NewReader(data[nl+1:]), db)
+	if err == nil || !strings.Contains(err.Error(), "bad header") {
+		t.Fatalf("bare-JSON file: err = %v, want the bad-header error", err)
 	}
 }
 
