@@ -347,6 +347,49 @@ func TestIneligibleQueries(t *testing.T) {
 	}
 }
 
+// TestDifferentialUntiered covers the catalog subset that needs no
+// DISTINCT or self-join machinery — the queries the former untiered
+// checker accepted — on its own database and neighborhood, against naive
+// re-execution. It pins that such queries consult the partial tier only
+// to resolve MIN/MAX removals against candidate multisets.
+func TestDifferentialUntiered(t *testing.T) {
+	db := testDB(61, 30, 90)
+	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(250, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range fastPathQueries {
+		sql := sql
+		q := exec.MustCompile(sql, db.Schema)
+		c, err := New(q, db)
+		if err != nil {
+			t.Fatalf("%q: checker ineligible: %v", sql, err)
+		}
+		if c.SPJ.Distinct || len(c.multi) > 0 {
+			continue // DISTINCT / self-join: covered by TestDifferentialBatch
+		}
+		extremum := false
+		for _, ag := range c.SPJ.Aggs {
+			extremum = extremum || ag.Fn.Name == "MIN" || ag.Fn.Name == "MAX"
+		}
+		t.Run(sql, func(t *testing.T) {
+			got, stats, err := batch1(c, set.Updates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range set.Updates {
+				want := naiveDisagree(t, q, db, u)
+				if got[i] != want {
+					t.Fatalf("update %d (%+v): checker says %v, naive says %v", u.ID, u, got[i], want)
+				}
+			}
+			if !extremum && stats.DeltaPartialRuns != 0 {
+				t.Fatalf("query without DISTINCT, self-join or MIN/MAX used the partial tier: %+v", stats)
+			}
+		})
+	}
+}
+
 func TestCheckerStats(t *testing.T) {
 	db := testDB(9, 30, 90)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(200, 17))
