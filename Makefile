@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build bench-build bench-allocs test race bench json-bench vet lint lint-dup lint-fmt lint-quote-path lint-routes fuzz crash chaos bench-compare serve cluster
+.PHONY: all build bench-build bench-allocs test race bench json-bench vet lint lint-dup lint-fmt lint-quote-path lint-routes lint-sweep fuzz crash chaos bench-compare serve cluster
 
 all: build vet test
 
@@ -34,7 +34,7 @@ test: vet bench-allocs
 race:
 	$(GO) test -race ./...
 
-vet: lint-dup lint-fmt lint-quote-path lint-routes
+vet: lint-dup lint-fmt lint-quote-path lint-routes lint-sweep
 	$(GO) vet ./...
 
 # The lowercase-name helper lives in internal/sqlengine/ast (LowerName);
@@ -63,6 +63,15 @@ lint-quote-path:
 		echo 'quote path: only Broker.sweep and Broker.fold (sweep.go) call the sweeps and folds'; exit 1; fi
 	@if grep -nE '"(d|td|e|te|a|ss|sh)\|' $(filter-out key.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'quote path: only Broker.key (key.go) renders cache keys'; exit 1; fi
+
+# Bits and hashes come from one per-element decision (DESIGN.md §7,
+# "One per-element decision"). Fail if a non-test file other than
+# internal/pricing/multi.go calls the checker's batch sweep or the naive
+# element pass.
+lint-sweep:
+	@if git ls-files '*.go' | grep -v '_test\.go$$' | grep -vx 'internal/pricing/multi.go' \
+		| xargs grep -nE 'disagree\.CheckBatch\(|\.sweepElements\('; then \
+		echo 'sweep: only Engine.sweep (internal/pricing/multi.go) calls CheckBatch and sweepElements'; exit 1; fi
 
 # Every HTTP route lives under /v1/ (or /debug/ for expvar and pprof).
 # Fail if a non-test file of a serving package registers a method route

@@ -99,3 +99,23 @@ func TestCacheAndDeltaStats(t *testing.T) {
 func delta(before, after exec.CacheStats) exec.CacheStats {
 	return exec.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 }
+
+// cacheSnapshot sums the execution-cache counters of every compiled query
+// the checker runs (the priced query and, for aggregates, its unrolled
+// form; the contribution query only runs at construction time). The
+// counters are shared by every call on those queries, so a before/after
+// delta is exact only around a region no other call overlaps.
+func (c *Checker) cacheSnapshot() exec.CacheStats {
+	s := c.Q.CacheStats()
+	if c.unrolledQ != nil {
+		u := c.unrolledQ.CacheStats()
+		s.Hits += u.Hits
+		s.Misses += u.Misses
+	}
+	if c.contribQ != nil {
+		t := c.contribQ.CacheStats()
+		s.Hits += t.Hits
+		s.Misses += t.Misses
+	}
+	return s
+}

@@ -127,26 +127,6 @@ type Checker struct {
 	Obs *obs.Registry
 }
 
-// cacheSnapshot sums the execution-cache counters of every compiled query
-// the checker runs (the priced query and, for aggregates, its unrolled
-// form; the contribution query only runs at construction time). The
-// counters are shared by every call on those queries, so a before/after
-// delta is exact only around a region no other call overlaps.
-func (c *Checker) cacheSnapshot() exec.CacheStats {
-	s := c.Q.CacheStats()
-	if c.unrolledQ != nil {
-		u := c.unrolledQ.CacheStats()
-		s.Hits += u.Hits
-		s.Misses += u.Misses
-	}
-	if c.contribQ != nil {
-		t := c.contribQ.CacheStats()
-		s.Hits += t.Hits
-		s.Misses += t.Misses
-	}
-	return s
-}
-
 // New builds a checker, or returns an error when the query is outside the
 // fast path (the caller then prices naively, as the paper's system does).
 func New(q *exec.Query, db *storage.Database) (*Checker, error) {
@@ -222,26 +202,6 @@ type Scratch struct {
 	plus [][]value.Value
 	slab []value.Value
 	eval exec.SourceEval
-}
-
-// StaticAgree sets agree[k] to whether checker cs[k] classifies u as a
-// static Agree, building u⁺ at most once for all of them, and reports
-// whether every checker does. A static Agree means the update hits no
-// relation of the query, or writes no attribute the query reads at any
-// occurrence of its relation, or its old rows contributed nothing and
-// every new row fails a single-relation conjunct at every occurrence.
-// Either way the query evaluates the same values of the same contributing
-// rows in the same order on u(D) as on D, so its output, floats and
-// Result.Hash included, is bit-identical.
-// Agreement decided by the delta tiers carries no such guarantee: it nets
-// contributions arithmetically, while exec re-sums floats in row order.
-func (sc *Scratch) StaticAgree(cs []*Checker, u *support.Update, agree []bool) bool {
-	all := true
-	for k, c := range cs {
-		agree[k] = c.classify(u, sc) == Agree
-		all = all && agree[k]
-	}
-	return all
 }
 
 // plusRows returns u's u⁺ tuples, building them over the slab on the
@@ -522,7 +482,8 @@ func (c *Checker) verdict(u *support.Update, gv *exec.GroupView, mv *exec.Multip
 	multi := c.multi[u.LowerRel()]
 	switch {
 	case c.SPJ.Distinct:
-		return distinctFlips(mv, m, p), false, true, nil
+		left, entered := distinctFlips(mv, m, p)
+		return left.N+entered.N > 0, false, true, nil
 	case !c.SPJ.IsAgg:
 		// Q(up(D)) = Q(D) − m + p as signed multisets, so the outputs
 		// differ iff the two correction terms differ.
@@ -560,18 +521,22 @@ func (c *Checker) unmoved(u *support.Update) (bool, error) {
 }
 
 // distinctFlips nets the core-row correction terms against the base
-// multiplicity view and reports whether any projected row's multiplicity
-// crosses zero — the exact condition for the DISTINCT output (a set) to
-// change. Order-independent, hence deterministic under any worker count.
-func distinctFlips(mv *exec.MultiplicityView, outMinus, outPlus [][]value.Value) bool {
+// multiplicity view and returns the Parts of the projected rows whose
+// multiplicity crosses zero: left, the rows the DISTINCT output (a set)
+// loses, and entered, the rows it gains. The output changes iff either is
+// non-empty, and its new Parts are the base's minus left plus entered: a
+// row's hash depends only on its key, so any row of a key stands for it.
+// Order-independent, hence deterministic under any worker count.
+func distinctFlips(mv *exec.MultiplicityView, outMinus, outPlus [][]value.Value) (left, entered result.Parts) {
 	ids := make(map[string]int, len(outPlus)+len(outMinus))
 	var keys []string
+	var rows [][]value.Value
 	var net []int
 	var buf [64]byte
 	key := buf[:0]
-	for x, rows := range [2][][]value.Value{outPlus, outMinus} {
+	for x, side := range [2][][]value.Value{outPlus, outMinus} {
 		d := 1 - 2*x // +1 for outPlus, -1 for outMinus
-		for _, r := range rows {
+		for _, r := range side {
 			key = value.AppendKey(key[:0], r)
 			if id, ok := ids[string(key)]; ok {
 				net[id] += d
@@ -580,6 +545,7 @@ func distinctFlips(mv *exec.MultiplicityView, outMinus, outPlus [][]value.Value)
 			k := string(key)
 			ids[k] = len(net)
 			keys = append(keys, k)
+			rows = append(rows, r)
 			net = append(net, d)
 		}
 	}
@@ -587,12 +553,14 @@ func distinctFlips(mv *exec.MultiplicityView, outMinus, outPlus [][]value.Value)
 		if d == 0 {
 			continue
 		}
-		old := mv.Counts[keys[id]]
-		if (old > 0) != (old+d > 0) {
-			return true
+		switch old := mv.Counts[keys[id]]; {
+		case old > 0 && old+d <= 0:
+			left = left.Add(result.PartsOf(rows[id : id+1]))
+		case old <= 0 && old+d > 0:
+			entered = entered.Add(result.PartsOf(rows[id : id+1]))
 		}
 	}
-	return false
+	return left, entered
 }
 
 // base returns h(Q(D)), running Q once per checker however many calls
@@ -614,25 +582,26 @@ func (c *Checker) base() (uint64, error) {
 // run in s.
 func (c *Checker) fullRun(u *support.Update, s *CheckStats) (bool, error) {
 	s.FullRuns++
-	return c.fullRunOn(storage.NewOverlay(c.db), u)
-}
-
-// fullRunOn evaluates one residual full check through a (per-worker,
-// reusable) overlay: the update is realized as a copy-on-write view, so
-// the base database is never written and checks run concurrently. The
-// caller accounts the run itself.
-func (c *Checker) fullRunOn(o *storage.Overlay, u *support.Update) (bool, error) {
 	base, err := c.base()
 	if err != nil {
 		return false, err
 	}
+	h, err := c.fullRunOn(storage.NewOverlay(c.db), u)
+	return h != base, err
+}
+
+// fullRunOn evaluates one residual full check through a (per-worker,
+// reusable) overlay and returns the output hash over u(D): the update is
+// realized as a copy-on-write view, so the base database is never written
+// and checks run concurrently. The caller accounts the run itself.
+func (c *Checker) fullRunOn(o *storage.Overlay, u *support.Update) (uint64, error) {
 	u.ApplyOverlay(o)
 	res, err := c.Q.RunOverride(c.db, o.Overrides())
 	u.UndoOverlay(o)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	return res.Hash() != base, nil
+	return res.Hash(), nil
 }
 
 // equalMultiset compares two row bags exactly.
@@ -672,8 +641,8 @@ type aggNet struct {
 // (including float SUM/AVG inputs that move but net to zero: exec re-sums
 // them in row order, which can change the last bit), inconsistencies
 // between the correction terms and the view (possible only through
-// overshooting self-join terms), and — without candidate
-// multisets — extremum removals; those return NeedFull. usedCand reports
+// overshooting self-join terms), and extremum removals the candidate
+// multiset cannot resolve; those return NeedFull. usedCand reports
 // whether a candidate multiset resolved an extremum removal (the partial
 // tier).
 func (c *Checker) aggDelta(gv *exec.GroupView, minus, plus [][]value.Value) (out Outcome, usedCand bool) {
@@ -903,7 +872,8 @@ func valuesCancel(added, removed []value.Value) bool {
 
 // extremumDelta decides a MIN (dir=-1) or MAX (dir=+1) change given the
 // current extremum, the signed added/removed input values of the group,
-// and (optionally) the group's maintained candidate multiset. The raw
+// and the group's maintained candidate multiset (every MIN/MAX group view
+// carries one). The raw
 // sides are netted by value first — the higher-order expansion can place
 // identical values on both sides — and every scan walks the insertion
 // order of the nets (added slice, then removed), never a map, so the
@@ -960,12 +930,8 @@ func extremumDelta(cur value.Value, added, removed []value.Value, dir int, cand 
 		return Agree, false
 	}
 	// Occurrences of the current extremum are (net) removed: the new
-	// extremum depends on the remaining multiset. Without candidates only
-	// a full run can tell; with them, rebuild remaining = candidates + net
-	// and take its extremum.
-	if cand == nil {
-		return NeedFull, false
-	}
+	// extremum depends on the remaining multiset, rebuilt as candidates +
+	// net.
 	rem := make(map[string]exec.CandCount, len(cand)+len(order))
 	for k, e := range cand {
 		rem[k] = e

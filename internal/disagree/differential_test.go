@@ -159,7 +159,7 @@ func TestDifferentialFastPath(t *testing.T) {
 
 // batch1 runs the shared sweep for a single checker (k = 1).
 func batch1(c *Checker, us []*support.Update, live []bool) ([]bool, CheckStats, error) {
-	res, stats, err := CheckBatch(context.Background(), []*Checker{c}, us, live, 1)
+	res, _, stats, err := CheckBatch(context.Background(), []*Checker{c}, us, live, 1, nil)
 	if err != nil {
 		return nil, CheckStats{}, err
 	}
@@ -295,7 +295,7 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 				}
 				cs[k] = c
 			}
-			res, stats, err := CheckBatch(context.Background(), cs, set.Updates, live, workers)
+			res, _, stats, err := CheckBatch(context.Background(), cs, set.Updates, live, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

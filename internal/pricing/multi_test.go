@@ -251,10 +251,9 @@ func TestMultiMixedUnderDisjointMasks(t *testing.T) {
 					fast++
 				}
 			}
-			// Every live (element, query) pair of a hash sweep counts once,
-			// as Static (skipped) or Naive (re-executed).
+			// Every live (element, query) pair of a hash sweep counts once.
 			hLo.Add(hHi)
-			if hLo != fullH || fullH.Static+fullH.Naive != e.Set.Size()*len(mixedTestQueries) {
+			if hLo != fullH || decided(fullH) != e.Set.Size()*len(mixedTestQueries) {
 				t.Errorf("%s workers=%d: hash sweep stats %+v over the masks, %+v unmasked", name, workers, hLo, fullH)
 			}
 			if wantFast := map[string]int{"batched": 5, "unbatched": 5, "reduced": 0}[name]; fast != wantFast {

@@ -20,11 +20,23 @@ type PricePoint struct {
 // FitWeights solves the entropy-maximization program of §3.3, assigning
 // support-set weights such that the full dataset prices at Total and every
 // price point is met exactly, with the weights otherwise as uniform as
-// possible. On maxent.ErrInfeasible the caller should resample or enlarge
-// the support set, as the paper prescribes for SCS infeasibility
-// certificates.
+// possible. The points' conflict sets come from one k-query sweep, which
+// leaves LastStats alone. On maxent.ErrInfeasible the caller should
+// resample or enlarge the support set, as the paper prescribes for SCS
+// infeasibility certificates.
 func (e *Engine) FitWeights(points []PricePoint) error {
 	n := e.Set.Size()
+	qs := make([]*exec.Query, len(points))
+	for j, pt := range points {
+		if pt.Price < 0 {
+			return fmt.Errorf("price point %d: negative price %g", j, pt.Price)
+		}
+		qs[j] = pt.Query
+	}
+	bits, _, err := e.DisagreementsMultiLiveCtx(context.Background(), qs, nil)
+	if err != nil {
+		return fmt.Errorf("price points: %w", err)
+	}
 	cons := make([]maxent.Constraint, 0, len(points)+1)
 	all := make([]int, n)
 	for i := range all {
@@ -32,15 +44,8 @@ func (e *Engine) FitWeights(points []PricePoint) error {
 	}
 	cons = append(cons, maxent.Constraint{Members: all, Target: e.Total})
 	for j, pt := range points {
-		if pt.Price < 0 {
-			return fmt.Errorf("price point %d: negative price %g", j, pt.Price)
-		}
-		dis, err := e.DisagreementsCtx(context.Background(), []*exec.Query{pt.Query}, nil)
-		if err != nil {
-			return fmt.Errorf("price point %d (%s): %w", j, pt.Query.SQL, err)
-		}
 		var members []int
-		for i, d := range dis {
+		for i, d := range bits[j] {
 			if d {
 				members = append(members, i)
 			}

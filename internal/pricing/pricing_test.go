@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qirana/internal/maxent"
 	"qirana/internal/schema"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
@@ -304,6 +305,55 @@ func TestPricePointsFit(t *testing.T) {
 	}
 	if math.Abs(full-100) > 1e-3 {
 		t.Fatalf("total price drifted: %g", full)
+	}
+}
+
+// TestPricePointsOneSweep fits three price points, whose conflict sets
+// FitWeights takes from one k-query sweep: the weights must equal those
+// fitted from each point's own bitmap, and the probe Stats of the last
+// priced query must survive the fit.
+func TestPricePointsOneSweep(t *testing.T) {
+	ctx := context.Background()
+	db := benchDB(2, 100)
+	e := newEngine(t, db, 300, 100)
+	points := []PricePoint{
+		{Query: exec.MustCompile("SELECT a FROM R", db.Schema), Price: 40},
+		{Query: exec.MustCompile("SELECT b FROM R WHERE id < 50", db.Schema), Price: 20},
+		{Query: exec.MustCompile("SELECT a, b FROM R WHERE id >= 60", db.Schema), Price: 30},
+	}
+	cons := []maxent.Constraint{{Target: e.Total}}
+	for i := 0; i < e.Set.Size(); i++ {
+		cons[0].Members = append(cons[0].Members, i)
+	}
+	for _, pt := range points {
+		bits, _, err := e.DisagreementsMultiLiveCtx(ctx, []*exec.Query{pt.Query}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := maxent.Constraint{Target: pt.Price}
+		for i, d := range bits[0] {
+			if d {
+				c.Members = append(c.Members, i)
+			}
+		}
+		cons = append(cons, c)
+	}
+	want, err := maxent.Solve(e.Set.Size(), cons, maxent.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	price(t, e, WeightedCoverage, "SELECT * FROM R WHERE id < 10")
+	stats := e.LastStats
+	if err := e.FitWeights(points); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if e.Weights[i] != want[i] {
+			t.Fatalf("weight %d: %v from one sweep, %v from per-point bitmaps", i, e.Weights[i], want[i])
+		}
+	}
+	if e.LastStats != stats {
+		t.Errorf("FitWeights moved LastStats from %+v to %+v", stats, e.LastStats)
 	}
 }
 

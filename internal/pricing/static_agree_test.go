@@ -15,7 +15,9 @@ import (
 // staticAgreeCases spans the generator schemas with three fast-path
 // queries each: selections, joins, DISTINCT, a self-join and integer and
 // float aggregates (float SUM/AVG are where a re-summation in a new row
-// order would show).
+// order would show), plus world's DISTINCT, global MIN/MAX and
+// multi-source group-by shapes, which hash through the tagged jobs and
+// residual runs rather than a delta or a refold.
 var staticAgreeCases = []struct {
 	name    string
 	db      func() *storage.Database
@@ -31,6 +33,11 @@ var staticAgreeCases = []struct {
 		"SELECT count(*) FROM Country WHERE Continent = 'Asia'",
 		"SELECT Name FROM Country WHERE Continent = 'Europe'",
 		"SELECT Region, sum(GNP) FROM Country WHERE Continent = 'Africa' GROUP BY Region",
+	}},
+	{"world-rerun", func() *storage.Database { return datagen.World(1) }, 300, []string{
+		"SELECT DISTINCT Language FROM CountryLanguage WHERE Percentage > 20.500",
+		"SELECT max(Population), min(Population) FROM City WHERE ID > 1000 AND Population < 5000000",
+		"SELECT C.Continent, count(*), max(T.Population) FROM Country C, City T WHERE C.Code = T.CountryCode AND T.Population > 100000 GROUP BY C.Continent",
 	}},
 	{"carcrash", func() *storage.Database { return datagen.CarCrash(2, 300) }, 150, []string{
 		"SELECT State, min(Age) FROM crash WHERE Age > 60 GROUP BY State",
@@ -55,11 +62,12 @@ var staticAgreeCases = []struct {
 }
 
 // TestEntropyStaticAgreeMatchesFullSweep pins the entropy sweep's
-// shortcuts — the static skip and the delta hashes — against the full
-// re-execution sweep (FastPath off) on every generator schema; see
-// checkEntropySweep. Across the schemas both delta forms must be
-// exercised: the single-occurrence SPJ delta, the self-join delta and the
-// group refold.
+// shortcuts — the static skip, the delta hashes and the residual runs —
+// against the full re-execution sweep (FastPath off) on every generator
+// schema; see checkEntropySweep. Across the schemas every form must be
+// exercised: the single-occurrence SPJ delta, the self-join delta, the
+// batched partial tier (DISTINCT flips, the group refold) and the
+// residual runs of aggregates whose output moves.
 func TestEntropyStaticAgreeMatchesFullSweep(t *testing.T) {
 	forceParallel(t)
 	var sum Stats
@@ -80,8 +88,9 @@ func TestEntropyStaticAgreeMatchesFullSweep(t *testing.T) {
 		})
 	}
 	// A self-join delta counts as DeltaPartial alone, so it is the share of
-	// DeltaPartial that Batched does not cover.
-	if sum.DeltaFull == 0 || sum.DeltaPartial <= sum.Batched-sum.DeltaFull || sum.Batched == sum.DeltaFull {
+	// the residual pairs that Batched does not cover.
+	selfJoin := sum.DeltaFull + sum.DeltaPartial + sum.FullRuns - sum.Batched
+	if sum.DeltaFull == 0 || sum.FullRuns == 0 || selfJoin <= 0 || sum.DeltaPartial <= selfJoin {
 		t.Errorf("delta hashing not exercised in every form: %+v", sum)
 	}
 }
@@ -111,9 +120,9 @@ const groupRefolds = 3
 // into their own group (which has no output row over D) and into a new
 // group, and a passing row made to fail, which empties its Name group.
 // Each query is checked alone (the refold shapes must hash every element
-// they are not static on by refold, counted as Batched + DeltaPartial),
-// and all of them together, where the no-checker shapes send every
-// element through the overlay pass.
+// they are not static on by refold, counted as Batched + DeltaPartial,
+// and the no-checker shapes re-execute every element), and all of them
+// together, where each keeps the Stats it has alone.
 func TestEntropyGroupRefoldMatchesFullSweep(t *testing.T) {
 	forceParallel(t)
 	db := datagen.World(1)
@@ -218,8 +227,8 @@ func groupUpdates(t *testing.T, db *storage.Database) []*support.Update {
 // shard-style slices whose hashes stitch and whose Stats add to the
 // unmasked sweep's — serially and with Workers = 4. Every live (element,
 // query) pair counts exactly once in the partition Static, DeltaFull,
-// DeltaPartial, FullRuns, Naive; the bundle's Stats are the sum of the
-// per-query Stats.
+// DeltaPartial, FullRuns, Naive; each query's Stats are the same alone
+// as in the k-query sweep, and the bundle's Stats are their sum.
 func checkEntropySweep(t *testing.T, db *storage.Database, set *support.Set, queries []string, wantChecker bool) Stats {
 	t.Helper()
 	ctx := context.Background()
@@ -254,13 +263,14 @@ func checkEntropySweep(t *testing.T, db *storage.Database, set *support.Set, que
 	}
 	allStatic := 0
 	if cs != nil {
-		agree := make([]bool, k)
 		for i, u := range set.Updates {
-			all := new(disagree.Scratch).StaticAgree(cs, u, agree)
-			for j := range qs {
-				if agree[j] && fullElems[j][i] != fullBases[j] {
+			all := true
+			for j, c := range cs {
+				agree := c.Classify(u) == disagree.Agree
+				if agree && fullElems[j][i] != fullBases[j] {
 					t.Fatalf("%q element %d: static Agree but re-execution changed the hash", queries[j], i)
 				}
+				all = all && agree
 			}
 			if all {
 				allStatic++
@@ -330,7 +340,7 @@ func checkEntropySweep(t *testing.T, db *storage.Database, set *support.Set, que
 				if bases[j] != fullBases[j] {
 					t.Fatalf("%s %q: base hash differs from the full sweep's", label, queries[j])
 				}
-				if s := stats[j]; decided(s) != nLive || s.FullRuns != 0 || s.Batched > s.DeltaFull+s.DeltaPartial {
+				if s := stats[j]; decided(s) != nLive || s.Batched > s.DeltaFull+s.DeltaPartial+s.FullRuns {
 					t.Fatalf("%s %q: stats %+v do not count the %d live elements once", label, queries[j], s, nLive)
 				}
 				sum.Add(stats[j])
@@ -341,6 +351,15 @@ func checkEntropySweep(t *testing.T, db *storage.Database, set *support.Set, que
 			switch m.name {
 			case "all":
 				allStats, allBundle, unmasked = stats, bstats, bstats
+				for j := range qs {
+					_, _, solo, err := fast.OutputHashesMultiLiveCtx(ctx, qs[j:j+1], nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if solo[0] != stats[j] {
+						t.Fatalf("%s %q: stats %+v alone, %+v in the %d-query sweep", label, queries[j], solo[0], stats[j], k)
+					}
+				}
 				if bstats.Static < allStatic*k {
 					t.Fatalf("%s: %d static pairs, want at least %d", label, bstats.Static, allStatic*k)
 				}

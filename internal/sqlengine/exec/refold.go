@@ -16,7 +16,7 @@ import (
 // over a database that differs from D in a few rows of the relation
 // follows from folding the groups those rows touch, with no scan, filter
 // or key evaluation of the untouched rows (the entropy sweep's group
-// refold, disagree.Hasher). A GroupTable is read-only once built, and
+// refold in disagree.CheckBatch). A GroupTable is read-only once built, and
 // every Eval and Fold call runs on a runner of its own, so concurrent
 // calls are safe.
 type GroupTable struct {

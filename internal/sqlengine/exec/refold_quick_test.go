@@ -4,7 +4,7 @@
 // GroupTable.Eval), must return exactly the rows RunOverride returns with
 // the relation replaced by that sequence: the same rows in the same
 // order, the same values of the same kinds, floats bit for bit. This is
-// the contract the entropy sweep's group refold (disagree.Hasher) rests
+// the contract the entropy sweep's group refold (disagree.CheckBatch) rests
 // on, checked with testing/quick over a catalog of aggregate shapes.
 package exec_test
 

@@ -201,40 +201,13 @@ func Extract(a *analyze.Analyzed) (*SPJ, error) {
 	return s, nil
 }
 
-// HashDelta says how the output hash of an extracted query over a
-// neighbouring instance u(D) follows from its output over D without
-// running the query over u(D) (the entropy sweep's delta hashing).
-type HashDelta int
-
-const (
-	// HashRerun: only a run over u(D) gives the hash. DISTINCT outputs are
-	// sets, which a signed delta does not describe; a global aggregate's
-	// one group is its whole input; a multi-source aggregate's groups
-	// fold join rows, not base rows.
-	HashRerun HashDelta = iota
-	// HashRows: an unordered bag SPJ, joins and self-joins included.
-	// Q(u(D)) = Q(D) − Δ⁻ + Δ⁺ as signed multisets (exec.Query.RunDelta),
-	// and the unordered result hash is linear in the multiset.
-	HashRows
-	// HashGroups: a single-source GROUP BY aggregate. Each output row is a
-	// function of its group's rows in scan order, so folding only the
-	// groups an update touches, over their rows in base order, gives
-	// those groups' new output rows bit for bit.
-	HashGroups
-)
-
-// HashDelta classifies the query for delta hashing. Extract has already
-// rejected ORDER BY, LIMIT, HAVING and subqueries.
-func (s *SPJ) HashDelta() HashDelta {
-	switch {
-	case s.Distinct:
-		return HashRerun
-	case !s.IsAgg:
-		return HashRows
-	case s.NumGroups > 0 && len(s.RelOfSource) == 1:
-		return HashGroups
-	}
-	return HashRerun
+// Refolds reports whether the query is a single-source GROUP BY
+// aggregate, whose output hash over a neighbouring instance u(D) follows
+// from refolding only the groups u touches: each output row is a function
+// of its group's rows in scan order, so folding the touched groups over
+// their rows in base order gives their new output rows bit for bit.
+func (s *SPJ) Refolds() bool {
+	return s.IsAgg && s.NumGroups > 0 && len(s.RelOfSource) == 1
 }
 
 // exprSources returns the level-0 sources referenced by e and whether the
