@@ -16,10 +16,10 @@ bench-build:
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # One pass of each allocation benchmark of the executor's hot paths (delta
-# runs, tagged batches, group refolds), with -benchmem, so they keep
-# compiling and running: test depends on it.
+# runs, tagged batches, group refolds) and of a cold checker build, with
+# -benchmem, so they keep compiling and running: test depends on it.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'RunDelta|RunTagged|GroupRefold' -benchtime 1x -benchmem ./internal/sqlengine/exec
+	$(GO) test -run '^$$' -bench 'RunDelta|RunTagged|GroupRefold|CheckerBuild' -benchtime 1x -benchmem ./internal/sqlengine/exec ./internal/disagree
 
 test: vet bench-allocs
 	$(GO) test ./...

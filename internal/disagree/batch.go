@@ -374,10 +374,6 @@ func shard(idxs []int, workers int) [][]int {
 // decided bits — or, in the hash form, the new output hashes — into s
 // (disjoint indexes per job).
 func (c *Checker) runBatchJob(us []*support.Update, j batchJob, s *sink) (jr jobResult, err error) {
-	gv, mv, err := c.views()
-	if err != nil {
-		return jr, err
-	}
 	var minus [][]value.Value
 	if j.compare {
 		minus = c.tagRows(us, j, false)
@@ -393,7 +389,7 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, s *sink) (jr job
 			// the base's.
 			left, entered := result.PartsOf(m), result.PartsOf(p)
 			if c.SPJ.Distinct {
-				left, entered = distinctFlips(mv, m, p)
+				left, entered = distinctFlips(c.mv, m, p)
 			}
 			s.hashes[i] = s.parts.Sub(left).Add(entered).Finish()
 			if c.SPJ.Distinct || c.multi[j.rel] {
@@ -403,7 +399,7 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, s *sink) (jr job
 			}
 			continue
 		}
-		dis, esc, partial, err := c.verdict(us[i], gv, mv, m, p)
+		dis, esc, partial, err := c.verdict(us[i], m, p)
 		switch {
 		case err != nil:
 			return jr, err

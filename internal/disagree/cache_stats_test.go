@@ -97,25 +97,23 @@ func TestCacheAndDeltaStats(t *testing.T) {
 
 // delta is the cache-counter movement between two snapshots.
 func delta(before, after exec.CacheStats) exec.CacheStats {
-	return exec.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	return exec.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+		SourceBuilds: after.SourceBuilds - before.SourceBuilds}
 }
 
 // cacheSnapshot sums the execution-cache counters of every compiled query
 // the checker runs (the priced query and, for aggregates, its unrolled
-// form; the contribution query only runs at construction time). The
-// counters are shared by every call on those queries, so a before/after
-// delta is exact only around a region no other call overlaps.
+// form; the contribution sets come from the construction join of one of
+// them, so no other query holds a cache). The counters are shared by
+// every call on those queries, so a before/after delta is exact only
+// around a region no other call overlaps.
 func (c *Checker) cacheSnapshot() exec.CacheStats {
 	s := c.Q.CacheStats()
 	if c.unrolledQ != nil {
 		u := c.unrolledQ.CacheStats()
 		s.Hits += u.Hits
 		s.Misses += u.Misses
-	}
-	if c.contribQ != nil {
-		t := c.contribQ.CacheStats()
-		s.Hits += t.Hits
-		s.Misses += t.Misses
+		s.SourceBuilds += u.SourceBuilds
 	}
 	return s
 }

@@ -17,8 +17,8 @@
 //     — the two first-order delta terms decide the check outright.
 //   - DeltaPartial: DISTINCT queries and self-joins. The delta terms (for
 //     self-joins, the higher-order 3^k−1 expansion of exec.RunDelta) are
-//     resolved against materialized intermediates in the version-stamped
-//     execution cache (exec/ivm.go): a core-row multiplicity view for
+//     resolved against materialized intermediates the checker folds in
+//     its construction pass (exec/ivm.go): a core-row multiplicity view for
 //     DISTINCT, per-group aggregate state with MIN/MAX candidate multisets
 //     for aggregation — so extremum removals, previously an unconditional
 //     full re-run, resolve incrementally.
@@ -95,24 +95,26 @@ func (s *CheckStats) Add(o CheckStats) {
 	s.DeltaPartialRuns += o.DeltaPartialRuns
 }
 
-// Checker decides disagreements for one query over one database. It is
-// built once per priced query: construction runs the contribution query
-// (and, for aggregates, the unrolled query) a single time. A Checker is
-// read-only after New — every call returns its own counts — so any
+// Checker decides disagreements for one query over one database, as the
+// database stood when New built it. It is built once per priced query
+// from one join of checkQuery (the unrolled query for aggregates, the
+// query itself otherwise): the joined tuples give every source's
+// contributing primary keys and the group or multiplicity view, and the
+// join primes the execution cache the residual checks run on. A Checker
+// is read-only after New — every call returns its own counts — so any
 // number of Check and CheckBatch calls share one concurrently.
 type Checker struct {
 	Q   *exec.Query
 	SPJ *plan.SPJ
 	db  *storage.Database
 
-	contribQ  *exec.Query
 	unrolledQ *exec.Query
 
-	contrib []map[string]bool // per source: contributing PK set
-	srcsOf  map[string][]int  // lower(rel) -> source indexes, FROM order
-	multi   map[string]bool   // lower(rel) -> occurs more than once
-
-	viewSpec exec.GroupViewSpec
+	contrib []map[string]bool      // per source: contributing PK set
+	srcsOf  map[string][]int       // lower(rel) -> source indexes, FROM order
+	multi   map[string]bool        // lower(rel) -> occurs more than once
+	gv      *exec.GroupView        // aggregates: per-group state of Q◦γ
+	mv      *exec.MultiplicityView // DISTINCT: core-row multiplicities
 
 	// base is h(Q(D)), computed by the first residual full run that needs
 	// it; the Once makes the fill safe under concurrent calls.
@@ -143,47 +145,37 @@ func New(q *exec.Query, db *storage.Database) (*Checker, error) {
 			c.multi[l] = true
 		}
 	}
-	c.contribQ, err = exec.CompileStmt(s.ContribStmt, db.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("compile contribution query: %w", err)
-	}
-	res, err := c.contribQ.Run(db)
-	if err != nil {
-		return nil, fmt.Errorf("run contribution query: %w", err)
-	}
-	c.contrib = make([]map[string]bool, len(s.RelOfSource))
-	for i := range c.contrib {
-		c.contrib[i] = make(map[string]bool)
-	}
-	for _, row := range res.Rows {
-		for i := range c.contrib {
-			off, w := s.ContribOff[i], s.ContribPKW[i]
-			c.contrib[i][value.Key(row[off:off+w])] = true
-		}
-	}
 	if s.IsAgg {
 		c.unrolledQ, err = exec.CompileStmt(s.UnrolledStmt, db.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("compile unrolled query: %w", err)
 		}
-		c.viewSpec = exec.GroupViewSpec{NumGroups: s.NumGroups}
+	}
+	// One join of the query the residual checks run gives the contribution
+	// sets and the view a check reads its correction terms against (the
+	// group view of an aggregate, the multiplicity view of a DISTINCT
+	// query), and leaves the filtered sources and join indexes in the
+	// cache the first tagged job reads.
+	j, err := c.checkQuery().Join(db)
+	if err != nil {
+		return nil, fmt.Errorf("join %s: %w", c.checkQuery().SQL, err)
+	}
+	c.contrib = j.Contributions()
+	if s.IsAgg {
+		spec := exec.GroupViewSpec{NumGroups: s.NumGroups}
 		for _, ag := range s.Aggs {
-			c.viewSpec.Aggs = append(c.viewSpec.Aggs, exec.ViewAgg{Fn: ag.Fn.Name, ArgCol: ag.ArgCol})
+			spec.Aggs = append(spec.Aggs, exec.ViewAgg{Fn: ag.Fn.Name, ArgCol: ag.ArgCol})
 		}
-		// Build (and cache) the group view now so construction surfaces
-		// execution errors, exactly as the legacy eager bookkeeping did.
-		if _, err := c.groupView(); err != nil {
-			return nil, fmt.Errorf("run unrolled query: %w", err)
+		if c.gv, err = j.GroupView(spec); err != nil {
+			return nil, fmt.Errorf("group view of %s: %w", c.unrolledQ.SQL, err)
+		}
+	}
+	if s.Distinct {
+		if c.mv, err = j.MultiplicityView(); err != nil {
+			return nil, fmt.Errorf("multiplicity view of %s: %w", q.SQL, err)
 		}
 	}
 	return c, nil
-}
-
-// groupView returns the maintained per-group aggregate state, serving it
-// from the version-stamped execution cache (rebuilt only when a base
-// relation's version moved).
-func (c *Checker) groupView() (*exec.GroupView, error) {
-	return c.unrolledQ.GroupView(c.db, c.viewSpec)
 }
 
 // Classify makes the static decision of Algorithms 4/5/6 for one update,
@@ -449,47 +441,31 @@ func (c *Checker) decide(u *support.Update, compare bool) (dis, esc, partial boo
 	if err != nil {
 		return false, false, false, err
 	}
-	gv, mv, err := c.views()
-	if err != nil {
-		return false, false, false, err
-	}
-	return c.verdict(u, gv, mv, outMinus, outPlus)
-}
-
-// views returns the materialized intermediate a check's correction terms
-// are read against: the group view of an aggregate query, the
-// multiplicity view of a DISTINCT one, neither for a plain bag SPJ.
-func (c *Checker) views() (gv *exec.GroupView, mv *exec.MultiplicityView, err error) {
-	switch {
-	case c.SPJ.IsAgg:
-		gv, err = c.groupView()
-	case c.SPJ.Distinct:
-		mv, err = c.Q.MultiplicityView(c.db)
-	}
-	return gv, mv, err
+	return c.verdict(u, outMinus, outPlus)
 }
 
 // verdict reads the correction terms of one residual check of update u —
 // m and p, the u⁻ and u⁺ terms of RunDelta, or u's upid's of RunTagged; m
 // is empty for a NeedPlus check — per tier: directly for plain bag SPJ,
-// against the multiplicity view mv for DISTINCT, through the group-delta
-// analysis (with candidate multisets) against gv for aggregates.
+// against the multiplicity view for DISTINCT, through the group-delta
+// analysis (with candidate multisets) against the group view for
+// aggregates.
 //
 // Returns the disagreement bit, esc=true when only a full re-run can
 // answer exactly, and partial=true when a materialized intermediate or
 // the higher-order self-join expansion was consulted (tier accounting).
-func (c *Checker) verdict(u *support.Update, gv *exec.GroupView, mv *exec.MultiplicityView, m, p [][]value.Value) (dis, esc, partial bool, err error) {
+func (c *Checker) verdict(u *support.Update, m, p [][]value.Value) (dis, esc, partial bool, err error) {
 	multi := c.multi[u.LowerRel()]
 	switch {
 	case c.SPJ.Distinct:
-		left, entered := distinctFlips(mv, m, p)
+		left, entered := distinctFlips(c.mv, m, p)
 		return left.N+entered.N > 0, false, true, nil
 	case !c.SPJ.IsAgg:
 		// Q(up(D)) = Q(D) − m + p as signed multisets, so the outputs
 		// differ iff the two correction terms differ.
 		return !equalMultiset(m, p), false, multi, nil
 	}
-	if o, usedCand := c.aggDelta(gv, m, p); o != NeedFull {
+	if o, usedCand := c.aggDelta(c.gv, m, p); o != NeedFull {
 		return o == Disagree, false, multi || usedCand, nil
 	}
 	if same, err := c.unmoved(u); err != nil || same {

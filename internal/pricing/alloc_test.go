@@ -10,13 +10,16 @@ import (
 )
 
 // coldSweepAllocBudget bounds the heap allocations of one cold coverage
-// sweep over the twelve coldAdhocShapes at |S| = 400, Workers = 1: 8 %
-// above the 44 587 measured once self-join checks ran as tagged expansion
-// terms and updates of columns the query never reads agreed statically.
-// Before that the sweep made 64 533, and allocating per tuple (before
-// keys went into reused buffers and joined tuples, projected rows and
-// tagged relations were carved from per-run slabs) 251 414.
-const coldSweepAllocBudget = 48150
+// sweep over the twelve coldAdhocShapes at |S| = 400, Workers = 1: 7.5 %
+// above the 31 133 measured once each checker was built from one join
+// (contribution sets and its view from the same tuples). Before that
+// the sweep made 44 775 (a separate contribution query per checker);
+// before self-join checks ran as tagged expansion terms and updates of
+// columns the query never reads agreed statically, 64 533; and allocating
+// per tuple (before keys went into reused buffers and joined tuples,
+// projected rows and tagged relations were carved from per-run slabs)
+// 251 414.
+const coldSweepAllocBudget = 33470
 
 // TestColdSweepAllocs pins the cold sweep's allocation count. Each run
 // compiles the shapes afresh, so every query meets empty execution caches

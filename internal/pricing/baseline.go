@@ -5,7 +5,6 @@ import (
 
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/sqlengine/plan"
-	"qirana/internal/value"
 )
 
 // Baseline pricing schemes from prior work, implemented for the
@@ -37,36 +36,22 @@ func (e *Engine) OutputSizePrice(qs ...*exec.Query) (float64, error) {
 
 // ProvenancePrice charges proportionally to the number of input tuples
 // that contribute to the answer (tuple-level provenance, as in
-// provenance-based schemes the paper criticizes). It uses the same
-// contribution query as the §4 fast path and therefore supports the SPJ(+γ)
-// class; other queries are rejected. Its failure mode is the opposite of
-// output-size pricing: any aggregate touching the full relation — even
-// SELECT count(*) — costs the full price while disclosing almost nothing.
+// provenance-based schemes the paper criticizes). It reads them off one
+// join of the query, as the §4 fast path's checker does, and therefore
+// supports the SPJ(+γ) class; other queries are rejected. Its failure
+// mode is the opposite of output-size pricing: any aggregate touching the
+// full relation — even SELECT count(*) — costs the full price while
+// disclosing almost nothing.
 func (e *Engine) ProvenancePrice(q *exec.Query) (float64, error) {
-	s, err := plan.Extract(q.A)
-	if err != nil {
+	if _, err := plan.Extract(q.A); err != nil {
 		return 0, fmt.Errorf("provenance pricing requires an SPJ(+aggregation) query: %w", err)
 	}
-	contribQ, err := exec.CompileStmt(s.ContribStmt, e.DB.Schema)
+	j, err := q.Join(e.DB)
 	if err != nil {
 		return 0, err
-	}
-	res, err := contribQ.Run(e.DB)
-	if err != nil {
-		return 0, err
-	}
-	seen := make([]map[string]bool, len(s.RelOfSource))
-	for i := range seen {
-		seen[i] = make(map[string]bool)
-	}
-	for _, row := range res.Rows {
-		for i := range seen {
-			off, w := s.ContribOff[i], s.ContribPKW[i]
-			seen[i][value.Key(row[off:off+w])] = true
-		}
 	}
 	contributing := 0
-	for _, m := range seen {
+	for _, m := range j.Contributions() {
 		contributing += len(m)
 	}
 	p := e.Total * float64(contributing) / float64(e.DB.TotalRows())

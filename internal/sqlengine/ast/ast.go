@@ -152,6 +152,19 @@ type UnaryExpr struct {
 	X  Expr
 }
 
+// Neg is unary minus over x. Over a numeric literal it is the negated
+// literal: the parser reads "-5" as one, and Bind folds a minus over a
+// bound number the same way, so both print and fingerprint alike.
+func Neg(x Expr) Expr {
+	if lit, ok := x.(*Literal); ok && lit.Val.IsNumeric() {
+		if lit.Val.K == value.KindInt {
+			return &Literal{Val: value.NewInt(-lit.Val.I)}
+		}
+		return &Literal{Val: value.NewFloat(-lit.Val.F)}
+	}
+	return &UnaryExpr{Op: "-", X: x}
+}
+
 func (e *UnaryExpr) exprNode() {}
 func (e *UnaryExpr) String() string {
 	if e.Op == "NOT" {

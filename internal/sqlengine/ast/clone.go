@@ -11,7 +11,9 @@ import (
 // template statement with every $N placeholder replaced by the literal
 // args[N-1], producing a statement structurally identical to parsing the
 // constant-substituted SQL — so bound statements compile, classify, and
-// price through exactly the same code as ad-hoc ones, bit-identically.
+// price through exactly the same code as ad-hoc ones, bit-identically. A
+// minus over a numeric argument therefore folds into a negative literal,
+// as the parser folds one over a number.
 
 // Bind returns a deep copy of s with placeholders substituted by args
 // (args[0] fills $1). Nodes are never shared with s, so the clone can be
@@ -140,6 +142,9 @@ func cloneExpr(e Expr, ph func(*Placeholder) Expr) Expr {
 	case *BinaryExpr:
 		return &BinaryExpr{Op: x.Op, L: cloneExpr(x.L, ph), R: cloneExpr(x.R, ph)}
 	case *UnaryExpr:
+		if x.Op == "-" {
+			return Neg(cloneExpr(x.X, ph))
+		}
 		return &UnaryExpr{Op: x.Op, X: cloneExpr(x.X, ph)}
 	case *FuncCall:
 		out := &FuncCall{Name: x.Name, Distinct: x.Distinct, Star: x.Star}

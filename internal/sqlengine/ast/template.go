@@ -36,9 +36,12 @@ type TemplateSite struct {
 	Val   value.Value // the stripped literal when Param == 0
 }
 
-// ErrNotTemplatable reports that a statement cannot be templated — its
+// ErrNotTemplatable reports that a statement cannot be templated: its
 // rendered canonical form contains bytes that collide with the internal
-// strip markers (only reachable via pathological quoted identifiers).
+// strip markers (only reachable via pathological quoted identifiers), or
+// it negates a parameter. A bound -$1 folds into a negative literal for a
+// number but stays a minus over anything else, so no one template and
+// parameter key could match its written-out twin for every argument.
 // Callers fall back to the full-constant Fingerprint path.
 var ErrNotTemplatable = errors.New("statement is not templatable")
 
@@ -67,6 +70,17 @@ func NewTemplate(s *SelectStmt) (*Template, error) {
 		if !used[i] {
 			return nil, fmt.Errorf("placeholder $%d is missing: parameters must be numbered contiguously from $1 to $%d", i, maxParam)
 		}
+	}
+	var neg *Placeholder
+	if maxParam > 0 {
+		WalkStmt(s, func(e Expr) {
+			if u, ok := e.(*UnaryExpr); ok && u.Op == "-" && neg == nil {
+				neg, _ = u.X.(*Placeholder)
+			}
+		})
+	}
+	if neg != nil {
+		return nil, fmt.Errorf("%w: -$%d negates a parameter; bind the negated value instead", ErrNotTemplatable, neg.Idx)
 	}
 
 	// Re-scan the sorted rendering for the numbered markers in textual

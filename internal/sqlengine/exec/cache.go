@@ -50,6 +50,9 @@ type CacheStats struct {
 	// index or probe partition; Misses counts the builds (including
 	// version-invalidated rebuilds).
 	Hits, Misses uint64
+	// SourceBuilds counts the Misses that filtered a source; the others
+	// built a join index or a probe partition.
+	SourceBuilds uint64
 }
 
 // execCache is the per-Query cache. The zero value is ready to use.
@@ -59,9 +62,8 @@ type execCache struct {
 
 	sources map[int]*cachedSource       // top-level source index -> entry
 	parts   map[string]*cachedPartition // "rel#col" -> probe partition
-	views   map[string]*cachedView      // view key -> materialized intermediate
 
-	hits, misses uint64
+	hits, misses, sourceBuilds uint64
 
 	eligOnce sync.Once
 	eligible []bool // per top-level source: may serve from cache
@@ -83,22 +85,13 @@ type cachedPartition struct {
 	part    map[string][][]value.Value
 }
 
-// cachedView is one materialized per-query intermediate (ivm.go): a group
-// aggregate view or a DISTINCT multiplicity map, stamped with the version
-// of every top-level base source at build time. A mutation of any of them
-// moves a version and the next fetch rebuilds.
-type cachedView struct {
-	versions []uint64
-	val      any
-}
-
 // Stats returns a snapshot of the cache counters. Counters only increase;
 // concurrent runs account their lookups under the cache mutex, so a
 // before/after delta around a quiesced region is exact.
 func (q *Query) CacheStats() CacheStats {
 	q.cache.mu.Lock()
 	defer q.cache.mu.Unlock()
-	return CacheStats{Hits: q.cache.hits, Misses: q.cache.misses}
+	return CacheStats{Hits: q.cache.hits, Misses: q.cache.misses, SourceBuilds: q.cache.sourceBuilds}
 }
 
 // eligibleSources lazily computes, once per query, which top-level sources
@@ -154,16 +147,12 @@ func (c *execCache) resetLocked(db *storage.Database) {
 		c.db = db
 		c.sources = nil
 		c.parts = nil
-		c.views = nil
 	}
 	if c.sources == nil {
 		c.sources = make(map[int]*cachedSource)
 	}
 	if c.parts == nil {
 		c.parts = make(map[string]*cachedPartition)
-	}
-	if c.views == nil {
-		c.views = make(map[string]*cachedView)
 	}
 }
 
@@ -221,6 +210,7 @@ func (c *execCache) sourceEntry(r *runner, a *analyze.Analyzed, si int, t *stora
 		return cs, nil
 	}
 	c.misses++
+	c.sourceBuilds++
 	rows, filtered := t.Rows, false
 	e, one := &env{a: a}, make([][]value.Value, len(a.Sources))
 	for _, ci := range conjs {

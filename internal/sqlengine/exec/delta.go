@@ -39,7 +39,7 @@ import (
 // DISTINCT queries are handled one level up: RunDelta never applies the
 // deduplication step, so for a DISTINCT query the correction terms are
 // deltas of the pre-DISTINCT core multiset; the disagreement checker nets
-// them against a cached multiplicity view (ivm.go) to decide set-level
+// them against its multiplicity view (ivm.go) to decide set-level
 // change. The tier matrix (analyze.DeltaTier) encodes which of these
 // modes applies per (query, relation).
 
@@ -215,19 +215,6 @@ func (q *Query) deltaTerms(db *storage.Database, rel string, minus, plus [][]val
 		terms = append(terms, deltaTerm{tuples: tuples, side: negs % 2, first: first})
 	}
 	return terms, nil
-}
-
-// rawRows joins and projects the query over db WITHOUT the DISTINCT /
-// ORDER BY / LIMIT epilogue: the raw core-row multiset the delta rewrites
-// and the materialized views are defined over. The query must not
-// aggregate.
-func (q *Query) rawRows(db *storage.Database) ([][]value.Value, error) {
-	r := &runner{q: q, db: db}
-	tuples, err := r.joinPhase(q.A, nil)
-	if err != nil {
-		return nil, err
-	}
-	return r.project(tuples)
 }
 
 // project projects joined tuples of the query's top level into rows of

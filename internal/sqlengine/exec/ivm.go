@@ -1,12 +1,6 @@
 // This file implements incremental view maintenance (IVM) intermediates:
-// per-query materialized summaries of the core-row multiset, stored in
-// the same version-stamped execution cache as the filtered sources and
-// join indexes (cache.go) and obeying the same invalidation discipline —
-// a view is valid only while every top-level base source's
-// storage.Table.Version() matches the stamps taken at build time, and
-// runs with overrides never consult it (views describe the base state).
-//
-// Two shapes exist:
+// materialized summaries of a query's core-row multiset over the base
+// state (runs with overrides never consult them). Two shapes exist:
 //
 //   - GroupView: per group key, the contributing row count and, per
 //     aggregate, the non-null input count, float input sum, current
@@ -20,17 +14,17 @@
 //     whether any key's count crosses zero — the exact condition for the
 //     DISTINCT output (a set) to change.
 //
-// Views are built outside the cache mutex (builds run the join pipeline)
-// and published with a store-if-still-absent handoff: concurrent builders
-// race benignly, the first stored pointer wins, and all readers share it
-// read-only afterwards.
+// Both are folded from a Join, one pass of the query's join whose tuples
+// keep every source's base row. The same pass yields every source's
+// contributing primary keys and primes the execution cache later runs
+// reuse, so the disagreement checker is built from exactly one pass and
+// holds its view, like its contribution sets, for the database it was
+// built over.
 
 package exec
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"qirana/internal/storage"
 	"qirana/internal/value"
@@ -81,123 +75,64 @@ type MultiplicityView struct {
 	Counts map[string]int
 }
 
-// GroupView returns the (building or cached) aggregate view of this query
-// under spec. The query must be a plain SPJ whose output rows match the
-// spec layout — in practice the checker's unrolled aggregate query.
-func (q *Query) GroupView(db *storage.Database, spec GroupViewSpec) (*GroupView, error) {
-	key := groupViewKey(spec)
-	v, err := q.fetchView(db, key, func() (any, error) { return q.buildGroupView(db, spec) })
+// Join is one pass of a query's FROM/WHERE over a database: every joined
+// tuple, holding at index i the base row of FROM source i. The pass runs
+// through the query's execution cache, so it leaves behind the filtered
+// sources and join indexes that later runs of the query serve from.
+type Join struct {
+	tuples [][][]value.Value
+	q      *Query
+	db     *storage.Database
+}
+
+// Join joins the query's FROM/WHERE over db once.
+func (q *Query) Join(db *storage.Database) (*Join, error) {
+	r := &runner{q: q, db: db}
+	tuples, err := r.joinPhase(q.A, nil)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*GroupView), nil
+	return &Join{tuples: tuples, q: q, db: db}, nil
 }
 
-// MultiplicityView returns the (building or cached) core-row multiplicity
-// view of this non-aggregating query.
-func (q *Query) MultiplicityView(db *storage.Database) (*MultiplicityView, error) {
-	v, err := q.fetchView(db, "mult", func() (any, error) { return q.buildMultiplicityView(db) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*MultiplicityView), nil
-}
-
-func groupViewKey(spec GroupViewSpec) string {
-	var b strings.Builder
-	b.WriteString("gv|")
-	b.WriteString(strconv.Itoa(spec.NumGroups))
-	for _, ag := range spec.Aggs {
-		b.WriteByte('|')
-		b.WriteString(ag.Fn)
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(ag.ArgCol))
-	}
-	return b.String()
-}
-
-// tableVersions stamps the current version of every top-level base
-// source, in source order. ok=false means the query is not view-cacheable
-// (derived tables, subqueries, or a missing base table).
-func (q *Query) tableVersions(db *storage.Database) ([]uint64, bool) {
-	if len(q.A.Subs) > 0 {
-		return nil, false
-	}
-	out := make([]uint64, 0, len(q.A.Sources))
-	for _, src := range q.A.Sources {
-		if src.Rel == nil {
-			return nil, false
-		}
-		t := db.Table(src.Rel.Name)
-		if t == nil {
-			return nil, false
-		}
-		out = append(out, t.Version())
-	}
-	return out, true
-}
-
-func versionsMatch(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// Contributions returns, per FROM source, the primary keys of the base
+// rows the join placed at that source, each the value.AppendKey bytes of
+// the relation's key columns: the contributing tuples of the paper's
+// augmented query (§4.1). Each occurrence of a self-joined relation gets a
+// set of its own. Every source must be a base relation.
+func (j *Join) Contributions() []map[string]bool {
+	srcs := j.q.A.Sources
+	out := make([]map[string]bool, len(srcs))
+	var key []byte
+	for i, src := range srcs {
+		out[i] = make(map[string]bool)
+		for _, tup := range j.tuples {
+			key = key[:0]
+			for _, k := range src.Rel.Key {
+				key = value.AppendKey(key, tup[i][k:k+1])
+			}
+			if !out[i][string(key)] {
+				out[i][string(key)] = true
+			}
 		}
 	}
-	return true
+	return out
 }
 
-// fetchView serves a view from the cache when its version stamps still
-// match, building (outside the mutex) and publishing it otherwise.
-func (q *Query) fetchView(db *storage.Database, key string, build func() (any, error)) (any, error) {
-	vers, cacheable := q.tableVersions(db)
-	if !cacheable {
-		return build()
-	}
-	c := &q.cache
-	c.mu.Lock()
-	c.resetLocked(db)
-	if cv := c.views[key]; cv != nil && versionsMatch(cv.versions, vers) {
-		c.hits++
-		c.mu.Unlock()
-		return cv.val, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	val, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.resetLocked(db)
-	if cv := c.views[key]; cv != nil && versionsMatch(cv.versions, vers) {
-		// A concurrent builder published first; share its copy so every
-		// reader holds the same pointer.
-		return cv.val, nil
-	}
-	// The stamps were taken before the build read the tables: if a table
-	// moved in between, the stored stamps are older than the data and the
-	// next fetch rebuilds — stale data is never served as current.
-	c.views[key] = &cachedView{versions: vers, val: val}
-	return val, nil
-}
-
-func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*GroupView, error) {
-	rows, err := q.rawRows(db)
-	if err != nil {
-		return nil, err
+// GroupView folds the join's tuples, projected by the query, into the
+// aggregate view under spec. The query must be a plain SPJ whose output
+// rows match the spec layout — in practice the checker's unrolled
+// aggregate query.
+func (j *Join) GroupView(spec GroupViewSpec) (*GroupView, error) {
+	a := j.q.A
+	if len(a.OutCols) < spec.NumGroups {
+		return nil, fmt.Errorf("group view row narrower than its %d group columns", spec.NumGroups)
 	}
 	na := len(spec.Aggs)
 	gv := &GroupView{Groups: make(map[string]*GroupAgg)}
 	var key []byte
-	for _, row := range rows {
-		if len(row) < spec.NumGroups {
-			return nil, fmt.Errorf("group view row narrower than its %d group columns", spec.NumGroups)
-		}
+	r := &runner{q: j.q, db: j.db}
+	err := r.eachRow(j.tuples, func(row []value.Value) {
 		key = value.AppendKey(key[:0], row[:spec.NumGroups])
 		st := gv.Groups[string(key)]
 		if st == nil {
@@ -240,8 +175,24 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 				st.addCand(j, v)
 			}
 		}
+	})
+	return gv, err
+}
+
+// eachRow projects the query's joined tuples, one at a time, into one
+// reused row and calls fn on it; fn must not keep the row.
+func (r *runner) eachRow(tuples [][][]value.Value, fn func(row []value.Value)) error {
+	a := r.q.A
+	row := make([]value.Value, len(a.OutCols))
+	e := &env{a: a}
+	for _, tup := range tuples {
+		e.tuples, e.itemVals = tup, nil
+		if _, err := r.projectInto(a, e, row); err != nil {
+			return err
+		}
+		fn(row)
 	}
-	return gv, nil
+	return nil
 }
 
 func (st *GroupAgg) addCand(j int, v value.Value) {
@@ -257,14 +208,11 @@ func (st *GroupAgg) addCand(j int, v value.Value) {
 	st.Cand[j][k] = e
 }
 
-func (q *Query) buildMultiplicityView(db *storage.Database) (*MultiplicityView, error) {
-	rows, err := q.rawRows(db)
-	if err != nil {
-		return nil, err
-	}
-	mv := &MultiplicityView{Counts: make(map[string]int, len(rows))}
-	for _, row := range rows {
-		mv.Counts[value.Key(row)]++
-	}
-	return mv, nil
+// MultiplicityView counts the join's core rows: its tuples projected by
+// the query without the DISTINCT step.
+func (j *Join) MultiplicityView() (*MultiplicityView, error) {
+	mv := &MultiplicityView{Counts: make(map[string]int, len(j.tuples))}
+	r := &runner{q: j.q, db: j.db}
+	err := r.eachRow(j.tuples, func(row []value.Value) { mv.Counts[value.Key(row)]++ })
+	return mv, err
 }

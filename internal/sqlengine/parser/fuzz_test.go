@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,8 +15,7 @@ import (
 // parser never panics (the fuzzer catches that on its own), and printing is
 // a fixpoint — any statement that parses must re-parse from its printed
 // form to the same printed form, since the engine round-trips SQL through
-// String() when compiling rewritten statements (unrolled and contribution
-// queries).
+// String() when compiling rewritten statements (unrolled queries).
 func FuzzParse(f *testing.F) {
 	for _, q := range workload.World() {
 		f.Add(q.SQL)
@@ -66,7 +66,9 @@ func FuzzParse(f *testing.F) {
 // path) and parsing the textually substituted SQL (the ad-hoc path) must
 // agree on the canonical fingerprint, the template fingerprint AND the
 // parameter key — the three identities the broker's template-keyed quote
-// cache relies on for bit-identical prepared prices.
+// cache relies on for bit-identical prepared prices. A statement
+// NewTemplate refuses (ErrNotTemplatable) is never prepared, but its
+// bound and substituted forms must still share one fingerprint.
 func FuzzPrepare(f *testing.F) {
 	f.Add("select a from t where b > $1 and c = $2", int64(5), "x")
 	f.Add("select a from t where b in ($1, $2, 9) or c like $2", int64(0), "pat%")
@@ -80,8 +82,9 @@ func FuzzPrepare(f *testing.F) {
 			return
 		}
 		tmpl, err := ast.NewTemplate(stmt)
-		if err != nil {
-			return // not templatable (marker-colliding identifiers): fails closed
+		templated := err == nil
+		if !templated && !errors.Is(err, ast.ErrNotTemplatable) {
+			return // non-contiguous parameters: Prepare rejects them
 		}
 		// Bind non-negative ints and tame strings: a negative literal
 		// parses as unary minus (a different AST than Bind produces) and
@@ -91,7 +94,7 @@ func FuzzPrepare(f *testing.F) {
 			n = -(n + 1)
 		}
 		s = sanitize(s)
-		args := make([]value.Value, tmpl.NumParams)
+		args := make([]value.Value, ast.MaxPlaceholder(stmt))
 		for i := range args {
 			if i%2 == 0 {
 				args[i] = value.NewInt(n)
@@ -109,6 +112,9 @@ func FuzzPrepare(f *testing.F) {
 		}
 		if got, want := ast.Fingerprint(substituted), ast.Fingerprint(bound); got != want {
 			t.Fatalf("fingerprint mismatch:\nbound:       %q\nsubstituted: %q", want, got)
+		}
+		if !templated {
+			return // fails closed: marker-colliding identifiers or a negated parameter
 		}
 		reTmpl, err := ast.NewTemplate(substituted)
 		if err != nil {

@@ -595,14 +595,7 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := x.(*ast.Literal); ok && lit.Val.IsNumeric() {
-			v := lit.Val
-			if v.K == value.KindInt {
-				return &ast.Literal{Val: value.NewInt(-v.I)}, nil
-			}
-			return &ast.Literal{Val: value.NewFloat(-v.F)}, nil
-		}
-		return &ast.UnaryExpr{Op: "-", X: x}, nil
+		return ast.Neg(x), nil
 	case token.PLUS:
 		p.next()
 		return p.parseUnary()

@@ -1,14 +1,13 @@
 // Package plan extracts the SPJ normal form π_A σ_C (R₁ × … × R_ℓ), plus
 // the aggregation layer γ_{G, agg…}, from analyzed queries (paper §4,
 // equation 5). The extraction decides fast-path eligibility for the
-// disagreement algorithms and builds the derived statements they run:
-//
-//   - the contribution query  π_{P₁…P_ℓ} σ_C (R₁ × … × R_ℓ), whose output
-//     identifies the primary keys of every tuple contributing to Q(D)
-//     (the augmented query Q̂ of §4.1);
-//   - for aggregates, the unrolled query Q◦γ = π_{G, args} σ_C (…), which
-//     exposes group keys and aggregate inputs per contributing join row
-//     (§4.3).
+// disagreement algorithms and, for aggregates, builds the one derived
+// statement they run: the unrolled query Q◦γ = π_{G, args} σ_C (…), which
+// exposes group keys and aggregate inputs per contributing join row
+// (§4.3). The contributing primary keys of the augmented query Q̂ (§4.1)
+// need no statement of their own: every joined tuple of σ_C (R₁ × … × R_ℓ)
+// carries each source's base row, so the checker reads them off the same
+// join (exec.Join.Contributions).
 package plan
 
 import (
@@ -70,12 +69,6 @@ type SPJ struct {
 	// GroupOut[i] is the output column of grouping expression i, so an
 	// output row's group key is value.Key of those columns in order.
 	GroupOut []int
-
-	// ContribStmt is the contribution query; ContribOff[i] is the column
-	// offset of source i's primary key in its output.
-	ContribStmt *ast.SelectStmt
-	ContribOff  []int
-	ContribPKW  []int // width (number of PK columns) per source
 
 	// UnrolledStmt is Q◦γ for aggregation queries (nil for plain SPJ).
 	UnrolledStmt *ast.SelectStmt
@@ -194,7 +187,6 @@ func Extract(a *analyze.Analyzed) (*SPJ, error) {
 		s.Reads[cb.Table][cb.Col] = true
 	}
 
-	s.buildContrib()
 	if s.IsAgg {
 		s.buildUnrolled()
 	}
@@ -295,25 +287,6 @@ func sameRef(a *analyze.Analyzed, x, y ast.Expr) bool {
 	bx, okx := a.Binds[cx]
 	by, oky := a.Binds[cy]
 	return okx && oky && bx == by
-}
-
-// buildContrib constructs π_{P₁,…,P_ℓ} σ_C (R₁ × … × R_ℓ).
-func (s *SPJ) buildContrib() {
-	a := s.A
-	stmt := &ast.SelectStmt{From: a.Stmt.From, Where: a.Stmt.Where, Limit: -1}
-	s.ContribOff = make([]int, len(a.Sources))
-	s.ContribPKW = make([]int, len(a.Sources))
-	col := 0
-	for i, src := range a.Sources {
-		s.ContribOff[i] = col
-		s.ContribPKW[i] = len(src.Rel.Key)
-		for _, k := range src.Rel.Key {
-			ref := &ast.ColumnRef{Table: src.Ref.EffectiveName(), Name: src.Rel.Attributes[k].Name}
-			stmt.Items = append(stmt.Items, ast.SelectItem{Expr: ref})
-			col++
-		}
-	}
-	s.ContribStmt = stmt
 }
 
 // buildUnrolled constructs Q◦γ = π_{G, arg₁…arg_k} σ_C (R₁ × … × R_ℓ).

@@ -84,23 +84,6 @@ func TestComputedProjectionNotBare(t *testing.T) {
 	}
 }
 
-func TestContribQueryShape(t *testing.T) {
-	s := mustExtract(t, "SELECT status FROM orders o, items i WHERE o.oid = i.oid")
-	// PK columns: orders.oid (1 col) then items.(oid,line) (2 cols).
-	if len(s.ContribStmt.Items) != 3 {
-		t.Fatalf("contrib items: %v", s.ContribStmt.Items)
-	}
-	if s.ContribOff[0] != 0 || s.ContribOff[1] != 1 {
-		t.Fatalf("offsets: %v", s.ContribOff)
-	}
-	if s.ContribPKW[0] != 1 || s.ContribPKW[1] != 2 {
-		t.Fatalf("widths: %v", s.ContribPKW)
-	}
-	if s.ContribStmt.Where == nil {
-		t.Fatal("contrib query lost the condition")
-	}
-}
-
 func TestAggregateExtraction(t *testing.T) {
 	s := mustExtract(t, "SELECT status, count(*), sum(total) FROM orders GROUP BY status")
 	if !s.IsAgg || s.NumGroups != 1 || len(s.Aggs) != 2 {
@@ -160,14 +143,8 @@ func TestSelfJoinAccepted(t *testing.T) {
 	if len(s.RelOfSource) != 2 || s.RelOfSource[0] != "orders" || s.RelOfSource[1] != "orders" {
 		t.Fatalf("rels: %v", s.RelOfSource)
 	}
-	// The contribution query tracks each occurrence separately: two PK
-	// column blocks, one per slot.
-	if s.ContribOff[0] == s.ContribOff[1] {
-		t.Fatalf("per-occurrence contribution offsets collide: %v", s.ContribOff)
-	}
-	if s.ContribPKW[0] != 1 || s.ContribPKW[1] != 1 {
-		t.Fatalf("widths: %v", s.ContribPKW)
-	}
+	// Each occurrence keeps its own contribution set: see
+	// exec.TestJoinContributionsSelfJoin.
 }
 
 func TestGroupByQualifiedSpellings(t *testing.T) {

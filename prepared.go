@@ -30,7 +30,7 @@ import (
 //     the executor's version-stamped index cache are keyed by that
 //     pointer, so repeat bindings skip reclassification entirely.
 //   - Never shared across vectors: the checker's static classification
-//     itself. Its contribution query embeds the WHERE constants, so the
+//     itself. Its contribution sets depend on the WHERE constants, so the
 //     classification is parameter-DEPENDENT; sharing it across constants
 //     would be unsound. Pricing work that survives a constant change is
 //     instead shared through the template-keyed quote cache.

@@ -2,12 +2,15 @@ package qirana
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"qirana/internal/sqlengine/ast"
 )
 
 func TestPrepareErrors(t *testing.T) {
@@ -177,6 +180,44 @@ func TestPreparedSharesCacheWithAdHoc(t *testing.T) {
 		}
 		if a.PerQuery[0].Cached {
 			t.Fatalf("%v: fresh parameter vector served from cache", fn)
+		}
+	}
+}
+
+// A negated parameter has no template both of its forms share: bound to a
+// number, -$1 folds into a negative literal; bound to anything else it
+// stays a minus. Prepare refuses it, and the statement prepared with the
+// sign in the argument shares one quote-cache entry, and so one price,
+// with every written-out twin.
+func TestPreparedNegatedParameter(t *testing.T) {
+	b := worldBroker(t, 200)
+	ctx := context.Background()
+	if _, err := b.Prepare(ctx, "SELECT Name FROM Country WHERE Population > -$1"); !errors.Is(err, ast.ErrNotTemplatable) {
+		t.Fatalf("Prepare of a negated parameter: want ErrNotTemplatable, got %v", err)
+	}
+	s, err := b.Prepare(ctx, "SELECT Name FROM Country WHERE Population > $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := s.Price(ctx, NewInt(-27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT Name FROM Country WHERE Population > -27",
+		"SELECT Name FROM Country WHERE Population > - 27",
+		"SELECT Name FROM Country WHERE Population > -(27)",
+	} {
+		st := b.QuoteCacheStats()
+		r, err := b.Price(ctx, PriceRequest{SQLs: []string{sql}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.QuoteCacheStats(); !r.PerQuery[0].Cached || got.TemplateHits != st.TemplateHits+1 {
+			t.Fatalf("%s: did not hit the prepared entry: %+v", sql, got)
+		}
+		if r.Total != prepared.Total {
+			t.Fatalf("%s: price %v, prepared %v", sql, r.Total, prepared.Total)
 		}
 	}
 }
