@@ -49,12 +49,13 @@ type goldenEntry struct {
 // (entry, sweep kind, workers, mask) with testdata/golden.txt: the FNV of
 // the bitmap or hash vector, the prices as float bits (coverage and
 // uniform entropy gain from a bitmap, all four from a hash vector) and
-// the Stats partition. The corpus is the twelve coldAdhocShapes, eight
-// seeded self-joins, the thirteen SSB flights and a two-query bundle of a
-// plain selection and DISTINCT Language, each swept unmasked and under
-// two covering halves at Workers 1 and 2. A change that moves a price or
-// a Stats field shows as a line diff; go test -run Golden -update
-// rewrites the file.
+// the Stats partition. The coverage sweep runs a second time with
+// Batching off, Figure 5's no-batching ablation. The corpus is the twelve
+// coldAdhocShapes, eight seeded self-joins, the thirteen SSB flights and a
+// two-query bundle of a plain selection and DISTINCT Language, each swept
+// unmasked and under two covering halves at Workers 1 and 2. A change
+// that moves a price or a Stats field shows as a line diff; go test -run
+// Golden -update rewrites the file.
 func TestGoldenDigests(t *testing.T) {
 	world := datagen.World(1)
 	var worldEntries []goldenEntry
@@ -147,6 +148,13 @@ func goldenLines(t *testing.T, db *storage.Database, entries []goldenEntry) []st
 					t.Fatalf("%s: %v", key, err)
 				}
 				out = append(out, key+" coverage "+goldenBits(e, dis, s))
+				e.Opts.Batching = false
+				dis, s, err = e.DisagreementsLiveCtx(ctx, qs, m.live)
+				e.Opts.Batching = true
+				if err != nil {
+					t.Fatalf("%s nobatch: %v", key, err)
+				}
+				out = append(out, key+" nobatch coverage "+goldenBits(e, dis, s))
 				hs, base, s, err := e.OutputHashesLiveCtx(ctx, qs, m.live)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
