@@ -19,7 +19,7 @@ bench-build:
 # runs, tagged batches, group refolds) and of a cold checker build, with
 # -benchmem, so they keep compiling and running: test depends on it.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'RunDelta|RunTagged|GroupRefold|CheckerBuild' -benchtime 1x -benchmem ./internal/sqlengine/exec ./internal/disagree
+	$(GO) test -run '^$$' -bench 'RunTagged|GroupRefold|CheckerBuild' -benchtime 1x -benchmem ./internal/sqlengine/exec ./internal/disagree
 
 test: vet bench-allocs
 	$(GO) test ./...
@@ -67,11 +67,17 @@ lint-quote-path:
 # Bits and hashes come from one per-element decision (DESIGN.md §7,
 # "One per-element decision"). Fail if a non-test file other than
 # internal/pricing/multi.go calls the checker's batch sweep or the naive
-# element pass.
+# element pass. Fail too if a non-test file of the checker, the engine
+# or the executor calls .Check( or RunDelta(: the no-batching mode is
+# CheckBatch at a job cap of 1, and RunTagged is exec's one delta entry.
+SWEEP_DIRS = internal/disagree internal/pricing internal/sqlengine/exec
 lint-sweep:
 	@if git ls-files '*.go' | grep -v '_test\.go$$' | grep -vx 'internal/pricing/multi.go' \
 		| xargs grep -nE 'disagree\.CheckBatch\(|\.sweepElements\('; then \
 		echo 'sweep: only Engine.sweep (internal/pricing/multi.go) calls CheckBatch and sweepElements'; exit 1; fi
+	@if git ls-files $(addsuffix /*.go,$(SWEEP_DIRS)) | grep -v '_test\.go$$' \
+		| xargs grep -nE 'RunDelta\(|\.Check\('; then \
+		echo 'sweep: decide elements through CheckBatch (job cap 1 for no batching) and run deltas through RunTagged'; exit 1; fi
 
 # Every HTTP route lives under /v1/ (or /debug/ for expvar and pprof).
 # Fail if a non-test file of a serving package registers a method route

@@ -26,15 +26,15 @@ const classifyBlock = 64
 // dominates and sharding would add work instead of hiding it.
 const minBatchShard = 32
 
-// maxJobElems caps the updates of one tagged job. The cap bounds a job's
-// joined tuples and output rows, which a self-join's terms multiply, so
-// the sweep's live memory does not grow with the number of pending
-// checks. Measured on the socket benchmark's cold_adhoc workload (2
-// vCPUs), jobs cut only by worker count gave the daemon 1.19–1.52× the
-// peak RSS of capped ones at the same throughput; in-process, a world
-// self-join sweep at |S| = 5000 took the same time with caps of 32 and
-// 256, and about a fifth longer with none.
-const maxJobElems = 256
+// MaxJobElems is the job cap of a batched sweep: the most updates one
+// tagged job holds. The cap bounds a job's joined tuples and output rows,
+// which a self-join's terms multiply, so the sweep's live memory does not
+// grow with the number of pending checks. Measured on the socket
+// benchmark's cold_adhoc workload (2 vCPUs), jobs cut only by worker count
+// gave the daemon 1.19–1.52× the peak RSS of capped ones at the same
+// throughput; in-process, a world self-join sweep at |S| = 5000 took the
+// same time with caps of 32 and 256, and about a fifth longer with none.
+const MaxJobElems = 256
 
 // batchJob is one tagged-query task of checker k: answer the NeedPlus
 // (compare=false) or NeedCompare (compare=true) checks for a slice of
@@ -79,13 +79,16 @@ type sink struct {
 // CheckBatch decides all updates for k checkers — k priced queries over
 // the same database and support set; a single query is k = 1 — in one
 // shared sweep, batching the database checks per relation (paper §4.2):
-// one exec.Query.RunTagged call answers a job of up to maxJobElems of a
+// one exec.Query.RunTagged call answers a job of up to jobCap of a
 // checker's NeedPlus checks, or of its NeedCompare checks, on one
 // relation. For a single-occurrence relation that is one tagged query
 // (NeedPlus) or two (NeedCompare); for a self-join, one run of each
-// higher-order delta term, its delta slots joined on the upid. The live
-// mask (nil = all live) lets history-aware, sampled and sharded pricing
-// skip elements.
+// higher-order delta term, its delta slots joined on the upid. jobCap ≥ 1
+// is MaxJobElems for the batched sweep and 1 for Figure 5's "no batching"
+// mode, where every check runs its own one-update job and none counts as
+// Batched; the decisions are the same under any cap. The live mask (nil =
+// all live) lets history-aware, sampled and sharded pricing skip
+// elements.
 //
 // With bases nil the call returns each checker's disagreement bits. With
 // bases — bases[k] the output of cs[k]'s query over D — it returns instead
@@ -113,19 +116,20 @@ type sink struct {
 // of every checker each run in one pool of workers goroutines over the
 // shared read-only database. Tuples are never kept across stages: a tagged
 // job rebuilds u⁺ (and, to compare, u⁻) for its own updates only, and
-// holds at most maxJobElems of them, so the sweep's live memory does not
+// holds at most jobCap of them, so the sweep's live memory does not
 // grow with the number of pending checks.
 //
-// Every (update, query) decision is independent of k, of the mask and of
-// the worker count, lands in its own result slot, and the per-checker
-// CheckStats are counted, not measured — so results and CheckStats are
-// bit-identical serial or parallel, alone or batched, and over disjoint
-// covering masks they OR / add exactly to the unmasked sweep's; skipped
-// elements keep a false bit or a zero hash. The call writes nothing but
-// its own results, so any number of CheckBatch calls share the same
-// checkers concurrently. workers ≤ 1 runs serially. Every stage polls ctx
-// between items and aborts with ctx.Err().
-func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live []bool, workers int, bases []*result.Result) ([][]bool, [][]uint64, []CheckStats, error) {
+// Every (update, query) decision is independent of k, of the mask, of the
+// job cap and of the worker count, lands in its own result slot, and the
+// per-checker CheckStats are counted, not measured — so results and
+// CheckStats are bit-identical serial or parallel, alone or batched, under
+// any job cap (Batched aside, which a cap of 1 leaves at 0), and over
+// disjoint covering masks they OR / add exactly to the unmasked sweep's;
+// skipped elements keep a false bit or a zero hash. The call writes
+// nothing but its own results, so any number of CheckBatch calls share
+// the same checkers concurrently. workers ≤ 1 runs serially. Every stage
+// polls ctx between items and aborts with ctx.Err().
+func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live []bool, workers, jobCap int, bases []*result.Result) ([][]bool, [][]uint64, []CheckStats, error) {
 	if len(cs) == 0 {
 		return nil, nil, nil, nil
 	}
@@ -189,6 +193,7 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 	}
 	var jobs []batchJob
 	var refolds, fulls []check
+	batched := jobCap > 1 // under a cap of 1 no check shares a job
 	for k, c := range cs {
 		s := &sinks[k]
 		if bases != nil {
@@ -232,11 +237,13 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 				}
 				// A self-join check is decided by higher-order terms, so it
 				// counts as a partial delta check, never as Batched.
-				if !c.multi[rel] {
+				if batched && !c.multi[rel] {
 					stats[k].Batched++
 				}
 			case needRefold:
-				stats[k].Batched++
+				if batched {
+					stats[k].Batched++
+				}
 				refolds = append(refolds, check{k: k, i: i})
 			case NeedFull:
 				fulls = append(fulls, check{k: k, i: i})
@@ -244,8 +251,8 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 		}
 		// Batch 1 per relation: Q((D \ R) ∪ {u⁺}) emptiness checks.
 		// Batches 2+3 per relation: compare the {u⁻} and {u⁺} runs.
-		jobs = appendJobs(jobs, k, plusPending, false, shardWorkers)
-		jobs = appendJobs(jobs, k, comparePending, true, shardWorkers)
+		jobs = appendJobs(jobs, k, plusPending, false, shardWorkers, jobCap)
+		jobs = appendJobs(jobs, k, comparePending, true, shardWorkers, jobCap)
 	}
 
 	// The tagged jobs and the group refolds share one pool.
@@ -327,31 +334,31 @@ func CheckBatch(ctx context.Context, cs []*Checker, us []*support.Update, live [
 // appendJobs appends checker k's tagged jobs for one pending map in
 // deterministic (relation-name) order, sharding a relation's updates
 // across several tagged jobs when the batch is large enough to keep
-// multiple workers busy or exceeds maxJobElems.
-func appendJobs(jobs []batchJob, k int, pending map[string][]int, compare bool, workers int) []batchJob {
+// multiple workers busy or exceeds jobCap.
+func appendJobs(jobs []batchJob, k int, pending map[string][]int, compare bool, workers, jobCap int) []batchJob {
 	rels := make([]string, 0, len(pending))
 	for rel := range pending {
 		rels = append(rels, rel)
 	}
 	sort.Strings(rels)
 	for _, rel := range rels {
-		for _, chunk := range shard(pending[rel], workers) {
+		for _, chunk := range shard(pending[rel], workers, jobCap) {
 			jobs = append(jobs, batchJob{k: k, rel: rel, idxs: chunk, compare: compare})
 		}
 	}
 	return jobs
 }
 
-// shard splits idxs into near-equal chunks of at most maxJobElems
-// elements: at most workers chunks of at least minBatchShard elements
-// (one when serial or small) unless the cap needs more.
-func shard(idxs []int, workers int) [][]int {
+// shard splits idxs into near-equal chunks of at most jobCap elements: at
+// most workers chunks of at least minBatchShard elements (one when serial
+// or small) unless the cap needs more.
+func shard(idxs []int, workers, jobCap int) [][]int {
 	n := len(idxs)
 	chunks := workers
 	if c := n / minBatchShard; c < chunks {
 		chunks = c
 	}
-	if c := (n + maxJobElems - 1) / maxJobElems; c > chunks {
+	if c := (n + jobCap - 1) / jobCap; c > chunks {
 		chunks = c
 	}
 	if chunks <= 1 {
@@ -370,7 +377,7 @@ func shard(idxs []int, workers int) [][]int {
 }
 
 // runBatchJob answers one job's checks with one tagged delta run (§4.2)
-// and reads each update's correction terms as Check does, writing the
+// and reads each update's correction terms through verdict, writing the
 // decided bits — or, in the hash form, the new output hashes — into s
 // (disjoint indexes per job).
 func (c *Checker) runBatchJob(us []*support.Update, j batchJob, s *sink) (jr jobResult, err error) {

@@ -9,8 +9,9 @@ import (
 
 // TestCacheAndDeltaStats pins the integration contract of the execution
 // index cache and the delta path: checking a support set one update at a
-// time must answer its residual database checks through RunDelta, build the
-// cached sources once, and serve every later check from the cache. The
+// time (a job cap of 1) must answer its residual database checks through
+// one-update tagged runs, build the cached sources once, and serve every
+// later check from the cache. The
 // cache counters are read from the checker's compiled queries around each
 // region (nothing else runs on them here, so the deltas are exact).
 func TestCacheAndDeltaStats(t *testing.T) {
@@ -26,16 +27,11 @@ func TestCacheAndDeltaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checks := 0
-	var s CheckStats
+	checks := len(set.Updates)
 	before := c.cacheSnapshot()
-	for _, u := range set.Updates {
-		_, one, err := c.Check(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Add(one)
-		checks++
+	_, s, err := each(c, set.Updates, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cache := delta(before, c.cacheSnapshot())
 	if checks == 0 {
@@ -78,14 +74,10 @@ func TestCacheAndDeltaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sa CheckStats
 	before = ca.cacheSnapshot()
-	for _, u := range set.Updates {
-		_, one, err := ca.Check(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa.Add(one)
+	_, sa, err := each(ca, set.Updates, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if sa.DeltaFullRuns == 0 {
 		t.Fatalf("aggregate checks never used the delta path: %+v", sa)

@@ -6,9 +6,11 @@
 // The checker covers SPJ queries under bag semantics (Algorithm 4 for row
 // updates, Algorithm 6 for swap updates), their DISTINCT forms, self-joins,
 // and the aggregation extensions γ_{G, COUNT/SUM/AVG/MIN/MAX} (Algorithm 5,
-// §4.3), including the batching optimization of §4.2 that answers the
-// residual database checks for a whole batch of updates with a constant
-// number of tagged queries per relation.
+// §4.3). CheckBatch is its one per-element decision: it answers the
+// residual database checks of a whole batch of updates with a constant
+// number of tagged queries per relation (the batching optimization of
+// §4.2), or, with a job cap of 1, each update with its own tagged query
+// (the "no batching" mode of Figure 5).
 //
 // Residual database checks route through a tier matrix (analyze.DeltaTier)
 // rather than a boolean fallback:
@@ -16,7 +18,7 @@
 //   - DeltaFull: the relation occurs once and the query is a plain bag SPJ
 //     — the two first-order delta terms decide the check outright.
 //   - DeltaPartial: DISTINCT queries and self-joins. The delta terms (for
-//     self-joins, the higher-order 3^k−1 expansion of exec.RunDelta) are
+//     self-joins, the higher-order 3^k−1 expansion of exec.RunTagged) are
 //     resolved against materialized intermediates the checker folds in
 //     its construction pass (exec/ivm.go): a core-row multiplicity view for
 //     DISTINCT, per-group aggregate state with MIN/MAX candidate multisets
@@ -72,9 +74,10 @@ const (
 	NeedFull
 )
 
-// CheckStats counts how each update of one Check or CheckBatch call was
+// CheckStats counts how each update of one CheckBatch call was
 // decided (reported by experiments). The counts depend only on the
-// updates and the mask, never on the worker count or on other calls.
+// updates, the mask and, for Batched, the job cap, never on the worker
+// count or on other calls.
 type CheckStats struct {
 	Static, Batched, FullRuns int
 	// DeltaFullRuns counts residual checks decided by the first-order
@@ -102,7 +105,7 @@ func (s *CheckStats) Add(o CheckStats) {
 // contributing primary keys and the group or multiplicity view, and the
 // join primes the execution cache the residual checks run on. A Checker
 // is read-only after New — every call returns its own counts — so any
-// number of Check and CheckBatch calls share one concurrently.
+// number of CheckBatch calls share one concurrently.
 type Checker struct {
 	Q   *exec.Query
 	SPJ *plan.SPJ
@@ -149,6 +152,14 @@ func New(q *exec.Query, db *storage.Database) (*Checker, error) {
 		c.unrolledQ, err = exec.CompileStmt(s.UnrolledStmt, db.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("compile unrolled query: %w", err)
+		}
+	}
+	// Every residual check runs as delta terms of checkQuery, so a
+	// relation it cannot evaluate incrementally sends the query to naive
+	// pricing here rather than failing its sweep.
+	for rel := range c.srcsOf {
+		if c.checkQuery().DeltaTier(rel) == analyze.DeltaNone {
+			return nil, fmt.Errorf("no delta evaluation of %s for updates of %s", c.checkQuery().SQL, rel)
 		}
 	}
 	// One join of the query the residual checks run gives the contribution
@@ -371,29 +382,6 @@ func (c *Checker) rowUnsatAt(si int, row []value.Value, ev *exec.SourceEval) boo
 	return false
 }
 
-// Check fully decides one update, resolving any needed database checks
-// individually (the "no batching" mode of Figure 5), and returns the
-// counts of how it was decided.
-func (c *Checker) Check(u *support.Update) (bool, CheckStats, error) {
-	var s CheckStats
-	var dis bool
-	var err error
-	switch c.Classify(u) {
-	case Agree:
-		s.Static++
-	case Disagree:
-		s.Static++
-		dis = true
-	case NeedPlus:
-		dis, err = c.resolve(u, false, &s)
-	case NeedCompare:
-		dis, err = c.resolve(u, true, &s)
-	default:
-		dis, err = c.fullRun(u, &s)
-	}
-	return dis, s, err
-}
-
 // checkQuery is the query a residual database check runs: the priced query
 // itself for SPJ, its unrolled form (a plain SPJ over the same joins) for
 // aggregates.
@@ -404,52 +392,11 @@ func (c *Checker) checkQuery() *exec.Query {
 	return c.Q
 }
 
-// resolve answers one residual check through the delta tiers, escalating
-// to a full re-run when decide cannot give an exact answer, and accounts
-// the check under exactly one tier of s.
-func (c *Checker) resolve(u *support.Update, compare bool, s *CheckStats) (bool, error) {
-	dis, esc, partial, err := c.decide(u, compare)
-	if err != nil {
-		return false, err
-	}
-	if esc {
-		return c.fullRun(u, s)
-	}
-	if partial {
-		s.DeltaPartialRuns++
-	} else {
-		s.DeltaFullRuns++
-	}
-	return dis, nil
-}
-
-// decide resolves one residual database check through delta evaluation:
-// only the update's ± tuples flow through the join pipeline, probing the
-// cached indexes of the untouched relations, and verdict reads the
-// correction terms. compare selects the NeedCompare form (both sides) over
-// the NeedPlus form (u⁺ only). It returns what verdict returns.
-func (c *Checker) decide(u *support.Update, compare bool) (dis, esc, partial bool, err error) {
-	q, rel := c.checkQuery(), u.LowerRel()
-	if q.DeltaTier(rel) == analyze.DeltaNone {
-		return false, true, false, nil
-	}
-	var minus [][]value.Value
-	if compare {
-		minus = u.MinusRows(c.db)
-	}
-	outMinus, outPlus, err := q.RunDelta(c.db, rel, minus, u.PlusRows(c.db))
-	if err != nil {
-		return false, false, false, err
-	}
-	return c.verdict(u, outMinus, outPlus)
-}
-
 // verdict reads the correction terms of one residual check of update u —
-// m and p, the u⁻ and u⁺ terms of RunDelta, or u's upid's of RunTagged; m
-// is empty for a NeedPlus check — per tier: directly for plain bag SPJ,
-// against the multiplicity view for DISTINCT, through the group-delta
-// analysis (with candidate multisets) against the group view for
-// aggregates.
+// m and p, the u⁻ and u⁺ terms of u's upid in a RunTagged job; m is empty
+// for a NeedPlus check — per tier: directly for plain bag SPJ, against the
+// multiplicity view for DISTINCT, through the group-delta analysis (with
+// candidate multisets) against the group view for aggregates.
 //
 // Returns the disagreement bit, esc=true when only a full re-run can
 // answer exactly, and partial=true when a materialized intermediate or
@@ -478,19 +425,33 @@ func (c *Checker) verdict(u *support.Update, m, p [][]value.Value) (dis, esc, pa
 // single-source aggregate query exactly what the row contributed before.
 // The scan meets each row at its own position, so the groups then fold the
 // same inputs in the same order and the output is bit-identical, floats
-// included. It is the cheap exact answer, one delta run per touched row,
-// for what aggDelta's netting leaves undecided, such as a swap of rows
-// whose read columns are equal or a row update of columns Q never reads.
+// included. It is the cheap exact answer for what aggDelta's netting leaves
+// undecided, such as a swap of rows whose read columns are equal or a row
+// update of columns Q never reads: one tagged run whose upid is the
+// touched row, so each row's two terms are compared on their own.
 func (c *Checker) unmoved(u *support.Update) (bool, error) {
-	q, rel := c.unrolledQ, u.LowerRel()
-	if q == nil || len(c.SPJ.RelOfSource) != 1 || q.DeltaTier(rel) == analyze.DeltaNone {
+	if len(c.SPJ.RelOfSource) != 1 {
 		return false, nil
 	}
-	minus, plus := u.MinusRows(c.db), u.PlusRows(c.db)
-	for k := range minus {
-		m, p, err := q.RunDelta(c.db, rel, minus[k:k+1], plus[k:k+1])
-		if err != nil || !equalMultiset(m, p) {
-			return false, err
+	t := c.db.Table(u.Rel)
+	n, w := u.NumRows(), t.Rel.Arity()+1
+	slab := make([]value.Value, 2*n*w)
+	minus, plus := make([][]value.Value, n), make([][]value.Value, n)
+	for k := 0; k < n; k++ {
+		for x, side := range [2][][]value.Value{minus, plus} {
+			row := slab[(2*k+x)*w : (2*k+x+1)*w : (2*k+x+1)*w]
+			u.FillRow(row, t, k, x == 1)
+			row[w-1] = value.NewInt(int64(k))
+			side[k] = row
+		}
+	}
+	m, p, err := c.unrolledQ.RunTagged(c.db, u.LowerRel(), minus, plus)
+	if err != nil {
+		return false, err
+	}
+	for k := int64(0); k < int64(n); k++ {
+		if !equalMultiset(m[k], p[k]) {
+			return false, nil
 		}
 	}
 	return true, nil
@@ -551,19 +512,6 @@ func (c *Checker) base() (uint64, error) {
 		c.baseHash = res.Hash()
 	})
 	return c.baseHash, c.baseErr
-}
-
-// fullRun re-executes Q over the updated instance and compares output
-// hashes (Algorithm 1's inner loop for a single element), counting the
-// run in s.
-func (c *Checker) fullRun(u *support.Update, s *CheckStats) (bool, error) {
-	s.FullRuns++
-	base, err := c.base()
-	if err != nil {
-		return false, err
-	}
-	h, err := c.fullRunOn(storage.NewOverlay(c.db), u)
-	return h != base, err
 }
 
 // fullRunOn evaluates one residual full check through a (per-worker,

@@ -191,7 +191,7 @@ func TestAggMinMaxDuplicates(t *testing.T) {
 	u := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{1},
 		Old1: []value.Value{value.NewString("dup")},
 		New1: []value.Value{value.NewString("ny")}}
-	got, _, err := c.Check(u)
+	got, _, err := check1(c, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAggMinMaxDuplicates(t *testing.T) {
 	u2 := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{3},
 		Old1: []value.Value{value.NewInt(49)},
 		New1: []value.Value{value.NewInt(1)}}
-	got2, _, err := c.Check(u2)
+	got2, _, err := check1(c, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestGlobalAggNullInputsRegression(t *testing.T) {
 	u := &support.Update{Rel: "Cust", Row1: 0, Attrs: []int{2},
 		Old1: []value.Value{cust.Get(0, 2)},
 		New1: []value.Value{value.NewInt(2)}}
-	got, _, err := c.Check(u)
+	got, _, err := check1(c, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestGlobalAggNullInputsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := c2.Check(u)
+	got2, _, err := check1(c2, u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 	want := make([]result, len(masks))
 	fullRuns := 0
 	for m, live := range masks {
-		bits, _, stats, err := CheckBatch(context.Background(), build(), set.Updates, live, 1, nil)
+		bits, _, stats, err := CheckBatch(context.Background(), build(), set.Updates, live, 1, MaxJobElems, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestSharedCheckerConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(m int, live []bool) {
 			defer wg.Done()
-			bits, _, stats, err := CheckBatch(context.Background(), shared, set.Updates, live, 2, nil)
+			bits, _, stats, err := CheckBatch(context.Background(), shared, set.Updates, live, 2, MaxJobElems, nil)
 			got[m], errs[m] = result{bits, stats}, err
 		}(m, live)
 	}

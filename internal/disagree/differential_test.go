@@ -143,14 +143,13 @@ func TestDifferentialFastPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("checker ineligible: %v", err)
 			}
-			for _, u := range set.Updates {
-				want := naiveDisagree(t, q, db, u)
-				got, _, err := c.Check(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("update %d (%+v): fast path says %v, naive says %v", u.ID, u, got, want)
+			got, _, err := each(c, set.Updates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range set.Updates {
+				if want := naiveDisagree(t, q, db, u); got[i] != want {
+					t.Fatalf("update %d (%+v): fast path says %v, naive says %v", u.ID, u, got[i], want)
 				}
 			}
 		})
@@ -159,7 +158,27 @@ func TestDifferentialFastPath(t *testing.T) {
 
 // batch1 runs the shared sweep for a single checker (k = 1).
 func batch1(c *Checker, us []*support.Update, live []bool) ([]bool, CheckStats, error) {
-	res, _, stats, err := CheckBatch(context.Background(), []*Checker{c}, us, live, 1, nil)
+	return sweep1(c, us, live, MaxJobElems)
+}
+
+// each is batch1 at a job cap of 1, Figure 5's "no batching" mode: every
+// residual check runs as its own one-update tagged job, so it is the
+// per-element reference the batched sweep is held to.
+func each(c *Checker, us []*support.Update, live []bool) ([]bool, CheckStats, error) {
+	return sweep1(c, us, live, 1)
+}
+
+// check1 decides one update on its own.
+func check1(c *Checker, u *support.Update) (bool, CheckStats, error) {
+	res, s, err := each(c, []*support.Update{u}, nil)
+	if err != nil {
+		return false, s, err
+	}
+	return res[0], s, nil
+}
+
+func sweep1(c *Checker, us []*support.Update, live []bool, jobCap int) ([]bool, CheckStats, error) {
+	res, _, stats, err := CheckBatch(context.Background(), []*Checker{c}, us, live, 1, jobCap, nil)
 	if err != nil {
 		return nil, CheckStats{}, err
 	}
@@ -171,8 +190,8 @@ func residual(s CheckStats) int { return s.DeltaFullRuns + s.DeltaPartialRuns + 
 
 // TestDifferentialBatch anchors the sweep on the two per-element ground
 // truths: brute-force re-execution of the updated instance, and a fresh
-// checker's unbatched Check — whose static and residual decision counts
-// the batch must reproduce.
+// checker's sweep at a job cap of 1 — whose static and per-tier decision
+// counts the batch must reproduce, with nothing counted as Batched.
 func TestDifferentialBatch(t *testing.T) {
 	db := testDB(23, 35, 100)
 	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(300, 29))
@@ -195,23 +214,25 @@ func TestDifferentialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refStats CheckStats
+			one, refStats, err := each(ref, set.Updates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, u := range set.Updates {
 				want := naiveDisagree(t, q, db, u)
 				if got[i] != want {
 					t.Fatalf("update %d (%+v): batch says %v, naive says %v", u.ID, u, got[i], want)
 				}
-				one, s, err := ref.Check(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refStats.Add(s)
-				if one != want {
-					t.Fatalf("update %d (%+v): Check says %v, naive says %v", u.ID, u, one, want)
+				if one[i] != want {
+					t.Fatalf("update %d (%+v): cap-1 sweep says %v, naive says %v", u.ID, u, one[i], want)
 				}
 			}
-			if stats.Static != refStats.Static || residual(stats) != residual(refStats) {
-				t.Fatalf("batch stats %+v do not partition like per-element Check's %+v", stats, refStats)
+			if refStats.Batched != 0 {
+				t.Fatalf("cap-1 sweep counted shared jobs: %+v", refStats)
+			}
+			refStats.Batched = stats.Batched
+			if stats != refStats {
+				t.Fatalf("batch stats %+v do not partition like the cap-1 sweep's %+v", stats, refStats)
 			}
 		})
 	}
@@ -243,6 +264,10 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one, _, err := each(ref, set.Updates, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, u := range set.Updates {
 		if !live[i] {
 			if got[i] {
@@ -250,12 +275,8 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 			}
 			continue
 		}
-		want, _, err := ref.Check(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want || want != naiveDisagree(t, q, db, u) {
-			t.Fatalf("live element %d: batch %v, Check %v", i, got[i], want)
+		if want := one[i]; got[i] != want || want != naiveDisagree(t, q, db, u) {
+			t.Fatalf("live element %d: batch %v, cap-1 sweep %v", i, got[i], want)
 		}
 	}
 	if n := stats.Static + residual(stats); n != nLive {
@@ -266,7 +287,7 @@ func TestBatchRespectsLiveMask(t *testing.T) {
 // TestBatchSharedSweepMasks runs k = 4 checkers (plain SPJ, join
 // aggregate, DISTINCT, self-join) through one shared sweep, unmasked and
 // under two disjoint covering masks, serial and with Workers = 4: every
-// checker's bitmap must equal its own per-element Check, and the masked
+// checker's bitmap must equal its own cap-1 sweep, and the masked
 // bitmaps and Stats must OR / add exactly to the unmasked sweep's.
 func TestBatchSharedSweepMasks(t *testing.T) {
 	db := testDB(77, 30, 90)
@@ -295,7 +316,7 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 				}
 				cs[k] = c
 			}
-			res, _, stats, err := CheckBatch(context.Background(), cs, set.Updates, live, workers, nil)
+			res, _, stats, err := CheckBatch(context.Background(), cs, set.Updates, live, workers, MaxJobElems, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,13 +330,13 @@ func TestBatchSharedSweepMasks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, u := range set.Updates {
-				want, _, err := ref.Check(u)
-				if err != nil {
-					t.Fatal(err)
-				}
+			one, _, err := each(ref, set.Updates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range one {
 				if full[k][i] != want {
-					t.Fatalf("workers=%d %q update %d: sweep %v, Check %v", workers, sql, i, full[k][i], want)
+					t.Fatalf("workers=%d %q update %d: sweep %v, cap-1 sweep %v", workers, sql, i, full[k][i], want)
 				}
 				if (resLo[k][i] || resHi[k][i]) != want || (resLo[k][i] && !lo[i]) || (resHi[k][i] && !hi[i]) {
 					t.Fatalf("workers=%d %q update %d: masked bits %v|%v do not OR to %v", workers, sql, i, resLo[k][i], resHi[k][i], want)

@@ -162,7 +162,7 @@ func FuzzDeltaTiers(f *testing.F) {
 			checkGroupFold(t, qs[k], db, u, after)
 			return
 		}
-		got, _, err := checkers[k].Check(u)
+		got, _, err := check1(checkers[k], u)
 		if err != nil {
 			t.Fatalf("%q / %+v: %v", queries[k], u, err)
 		}
@@ -173,7 +173,7 @@ func FuzzDeltaTiers(f *testing.F) {
 			t.Fatalf("%q / %+v: tiered says %v, full re-run says %v", queries[k], u, got, want)
 		}
 		batch := append(fixed[:len(fixed):len(fixed)], u)
-		bits, _, _, err := CheckBatch(context.Background(), checkers[k:k+1], batch, nil, 1, nil)
+		bits, _, _, err := CheckBatch(context.Background(), checkers[k:k+1], batch, nil, 1, MaxJobElems, nil)
 		if err != nil {
 			t.Fatalf("%q / %+v: batch: %v", queries[k], u, err)
 		}
@@ -185,7 +185,7 @@ func FuzzDeltaTiers(f *testing.F) {
 				t.Fatalf("%q: fixed update %+v batched with %+v: batched says %v, full re-run says %v", queries[k], fixed[x], u, bits[0][x], w)
 			}
 		}
-		_, hashes, _, err := CheckBatch(context.Background(), checkers[k:k+1], batch, nil, 1, bases[k:k+1])
+		_, hashes, _, err := CheckBatch(context.Background(), checkers[k:k+1], batch, nil, 1, MaxJobElems, bases[k:k+1])
 		if err != nil {
 			t.Fatalf("%q / %+v: hash batch: %v", queries[k], u, err)
 		}

@@ -48,13 +48,13 @@ func (e *Engine) OutputHashesMultiLiveCtx(ctx context.Context, qs []*exec.Query,
 //
 // The dispatch is per query. A query with a disagreement checker goes
 // through one disagree.CheckBatch shared by all such queries (one
-// classification pass, merged job pools, shared residual overlays); with
-// Batching off, the bit form instead walks the live elements through
-// Checker.Check (the "no batching" mode of Figure 5; entropy has no such
-// mode). A query without one — fast path off, or a shape outside it —
-// takes in the bit form the Appendix A instance reduction when eligible,
-// and otherwise the one naive pass the remaining queries share, which
-// applies each live element once and runs all of them.
+// classification pass, merged job pools, shared residual overlays). With
+// Batching off, the bit form caps its tagged jobs at one update each, the
+// "no batching" mode of Figure 5 (entropy has no such mode). A query
+// without one — fast path off, or a shape outside it — takes in the bit
+// form the Appendix A instance reduction when eligible, and otherwise the
+// one naive pass the remaining queries share, which applies each live
+// element once and runs all of them.
 //
 // Every per-element decision runs the same code against the same inputs
 // whatever k and live are, so per query the results and Stats are
@@ -88,13 +88,9 @@ func (e *Engine) sweep(ctx context.Context, qs []*exec.Query, live []bool, hash 
 		// one, with its query's execution caches, in the registry.
 		c := e.checker(q, !hash)
 		switch {
-		case c != nil && (hash || e.Opts.Batching):
+		case c != nil:
 			batched = append(batched, j)
 			cs = append(cs, c)
-		case c != nil:
-			if bits[j], stats[j], err = e.checkEach(ctx, c, live); err != nil {
-				return nil, nil, nil, nil, err
-			}
 		case !hash && e.Opts.InstanceReduction && e.Set.Updates != nil:
 			bits[j] = make([]bool, n)
 			ok, cnt, err := e.reducedDisagree(ctx, q, live, bits[j])
@@ -120,7 +116,11 @@ func (e *Engine) sweep(ctx context.Context, qs []*exec.Query, live []bool, hash 
 				br[x] = res[j]
 			}
 		}
-		b, h, cst, err := disagree.CheckBatch(ctx, cs, e.Set.Updates, live, e.parallelWorkers(), br)
+		jobCap := disagree.MaxJobElems
+		if !hash && !e.Opts.Batching {
+			jobCap = 1
+		}
+		b, h, cst, err := disagree.CheckBatch(ctx, cs, e.Set.Updates, live, e.parallelWorkers(), jobCap, br)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -170,26 +170,4 @@ func (e *Engine) sweep(ctx context.Context, qs []*exec.Query, live []bool, hash 
 		}
 	}
 	return bits, hashes, bases, stats, nil
-}
-
-// checkEach decides every live element with one Checker.Check each: the
-// "no batching" mode of Figure 5.
-func (e *Engine) checkEach(ctx context.Context, c *disagree.Checker, live []bool) ([]bool, Stats, error) {
-	out := make([]bool, e.Set.Size())
-	var cs disagree.CheckStats
-	for i, u := range e.Set.Updates {
-		if live != nil && !live[i] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{}, err
-		}
-		d, s, err := c.Check(u)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		out[i] = d
-		cs.Add(s)
-	}
-	return out, e.checkerStats(cs), nil
 }

@@ -73,9 +73,9 @@ func decided(s Stats) int {
 
 // TestDisagreementsMultiMatchesSolo asserts the shared sweep returns, per
 // query, exactly the brute-force bitmap, and Stats that do not depend on
-// k: those of a k = 1 sweep on a cold engine, which in turn decide
-// statically what a per-element Checker.Check walk (Batching off) decides
-// statically — serial and parallel.
+// k: those of a k = 1 sweep on a cold engine, which in turn count every
+// tier as the no-batching sweep (Batching off: a job cap of 1) does, that
+// one counting nothing as Batched — serial and parallel.
 func TestDisagreementsMultiMatchesSolo(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
@@ -107,10 +107,22 @@ func TestDisagreementsMultiMatchesSolo(t *testing.T) {
 				t.Errorf("workers=%d query %d: stats %+v at k=%d, %+v at k=1", workers, j, stats[j], len(qs), soloStats[0])
 			}
 			each := exec.MustCompile(multiTestQueries[j], walk.DB.Schema)
-			if _, walkStats, err := walk.DisagreementsMultiLiveCtx(ctx, []*exec.Query{each}, nil); err != nil {
+			walkBits, walkStats, err := walk.DisagreementsMultiLiveCtx(ctx, []*exec.Query{each}, nil)
+			if err != nil {
 				t.Fatal(err)
-			} else if stats[j].Static != walkStats[0].Static || decided(stats[j]) != decided(walkStats[0]) || decided(stats[j]) != e.Set.Size() {
-				t.Errorf("workers=%d query %d: stats %+v do not partition like the Check walk's %+v", workers, j, stats[j], walkStats[0])
+			}
+			ws := walkStats[0]
+			if ws.Batched != 0 {
+				t.Errorf("workers=%d query %d: the no-batching sweep counted shared jobs: %+v", workers, j, ws)
+			}
+			ws.Batched = stats[j].Batched
+			if stats[j] != ws || decided(stats[j]) != e.Set.Size() {
+				t.Errorf("workers=%d query %d: stats %+v do not partition like the no-batching sweep's %+v", workers, j, stats[j], walkStats[0])
+			}
+			for i := range walkBits[0] {
+				if walkBits[0][i] != got[j][i] {
+					t.Fatalf("workers=%d query %d element %d: no-batching sweep %v, sweep %v", workers, j, i, walkBits[0][i], got[j][i])
+				}
 			}
 		}
 	}

@@ -75,7 +75,9 @@ type Options struct {
 	// FastPath enables the §4 disagreement checker for eligible queries,
 	// under every pricing function.
 	FastPath bool
-	// Batching enables the §4.2 batched database checks (requires FastPath).
+	// Batching enables the §4.2 batched database checks (requires
+	// FastPath). Off, the coverage sweep runs one update per tagged job:
+	// Figure 5's "no batching" mode.
 	Batching bool
 	// InstanceReduction enables the Appendix A instance-reduction
 	// optimization on the naive path for eligible SPJ queries.

@@ -45,43 +45,15 @@ func BenchmarkRunOverride(b *testing.B) {
 	}
 }
 
-// BenchmarkRunDelta measures the explicit delta path: only the ± rows of
-// the updated relation flow through the join pipeline, probing the cached
-// indexes of the untouched relations.
-func BenchmarkRunDelta(b *testing.B) {
-	db := datagen.World(1)
-	q := exec.MustCompile(
-		"SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
-		db.Schema)
-	set, err := support.GenerateNeighborhood(db, support.DefaultConfig(64, 7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var us []*support.Update
-	for _, u := range set.Updates {
-		if u.Touches("CountryLanguage") {
-			us = append(us, u)
-		}
-	}
-	if len(us) == 0 {
-		b.Fatal("no CountryLanguage updates in support set")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := us[i%len(us)]
-		if _, _, err := q.RunDelta(db, "CountryLanguage", u.MinusRows(db), u.PlusRows(db)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunTagged measures one §4.2 tagged batch run. join: the join
 // query with CountryLanguage replaced by the u⁺ tuples of every
 // CountryLanguage update of the support set, each extended by its upid,
-// and the output grouped per upid. selfjoin: one capped job of the world
-// self-join shape, 256 Country updates' u⁻ and u⁺ tuples through the eight
-// higher-order delta terms, their delta slots joined on the upid.
+// and the output grouped per upid. one: the same join for a single
+// update's u⁻ and u⁺ tuples, the job of a residual check under a job cap
+// of 1 (Figure 5's no-batching mode). selfjoin: one capped job of the
+// world self-join shape, 256 Country updates' u⁻ and u⁺ tuples through
+// the eight higher-order delta terms, their delta slots joined on the
+// upid.
 func BenchmarkRunTagged(b *testing.B) {
 	db := datagen.World(1)
 	cases := []struct {
@@ -91,6 +63,8 @@ func BenchmarkRunTagged(b *testing.B) {
 	}{
 		{"join", "SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
 			"CountryLanguage", 256, 0, false},
+		{"one", "SELECT * FROM Country C, CountryLanguage CL WHERE C.Code = CL.CountryCode AND CL.Percentage < 80",
+			"CountryLanguage", 64, 1, true},
 		{"selfjoin", "SELECT A.Name, B.Name FROM Country A, Country B WHERE A.Region = B.Region AND A.ID < B.ID AND A.Population > 50000000 AND B.Population > 10000000",
 			"Country", 1000, 256, true},
 	}

@@ -20,9 +20,9 @@ import (
 // every hash-join build side from scratch — O(|D|) per run. With it, the
 // filtered rows and join indexes of the relations an override does NOT
 // touch are built once, stamped with the relation's storage version, and
-// shared read-only across all subsequent Run/RunOverride/RunTagged/RunDelta
-// calls — including concurrent calls from the worker pool — so a residual
-// check costs O(|delta| probes).
+// shared read-only across all subsequent Run/RunOverride/RunTagged calls
+// — including concurrent calls from the worker pool — so a residual check
+// costs O(|delta| probes).
 //
 // Validity rules:
 //   - entries are keyed by the top-level source index and stamped with the

@@ -5,6 +5,7 @@ import (
 
 	"qirana/internal/datagen"
 	"qirana/internal/sqlengine/analyze"
+	"qirana/internal/storage"
 	"qirana/internal/value"
 )
 
@@ -143,7 +144,26 @@ func TestDeltaTier(t *testing.T) {
 	}
 }
 
-// TestRunDeltaBasic checks the delta identity on the running example.
+// RunOne runs one update's delta terms as a one-upid RunTagged batch,
+// the form a job cap of 1 gives a residual check: every row tagged with
+// upid 0, the two correction terms returned as the update's own.
+func RunOne(q *Query, db *storage.Database, rel string, minus, plus [][]value.Value) (outMinus, outPlus [][]value.Value, err error) {
+	tag := func(rows [][]value.Value) [][]value.Value {
+		out := make([][]value.Value, len(rows))
+		for i, row := range rows {
+			out[i] = append(row[:len(row):len(row)], value.NewInt(0))
+		}
+		return out
+	}
+	m, p, err := q.RunTagged(db, rel, tag(minus), tag(plus))
+	if err != nil {
+		return nil, nil, err
+	}
+	return m[0], p[0], nil
+}
+
+// TestRunDeltaBasic checks the delta identity of a one-upid tagged run on
+// the running example.
 func TestRunDeltaBasic(t *testing.T) {
 	db := twitterDB(t)
 	q := MustCompile("SELECT name, location FROM User u, Tweet t WHERE u.uid = t.uid AND t.location = 'CA'", db.Schema)
@@ -151,7 +171,7 @@ func TestRunDeltaBasic(t *testing.T) {
 	// Replace tweet 4 (Alice, CA) by a WA tweet: output loses Alice.
 	minus := [][]value.Value{{value.NewInt(4), value.NewInt(2), value.NewString("23:31"), value.NewString("CA")}}
 	plus := [][]value.Value{{value.NewInt(4), value.NewInt(2), value.NewString("23:31"), value.NewString("WA")}}
-	outMinus, outPlus, err := q.RunDelta(db, "Tweet", minus, plus)
+	outMinus, outPlus, err := RunOne(q, db, "Tweet", minus, plus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +181,36 @@ func TestRunDeltaBasic(t *testing.T) {
 	if len(outPlus) != 0 {
 		t.Fatalf("outPlus = %v", outPlus)
 	}
+	// The identity against the full run: Q over Tweet with tweet 4 moved
+	// to WA is Q(D) − outMinus + outPlus.
+	base, err := q.Run(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tweets := append([][]value.Value(nil), db.Table("Tweet").Rows...)
+	for i, row := range tweets {
+		if row[0].I == 4 {
+			tweets[i] = plus[0]
+		}
+	}
+	full, err := q.RunOverride(db, Overrides{"tweet": tweets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Rows) != len(base.Rows)-1 {
+		t.Fatalf("full run has %d rows, base %d: want one fewer", len(full.Rows), len(base.Rows))
+	}
 
-	// Nil sides short-circuit.
-	om, op, err := q.RunDelta(db, "Tweet", nil, nil)
+	// Empty sides give empty terms.
+	om, op, err := RunOne(q, db, "Tweet", nil, nil)
 	if err != nil || om != nil || op != nil {
 		t.Fatalf("nil delta: %v %v %v", om, op, err)
 	}
 
 	// Incapable queries refuse.
 	agg := MustCompile("SELECT count(*) FROM Tweet", db.Schema)
-	if _, _, err := agg.RunDelta(db, "Tweet", minus, plus); err == nil {
-		t.Fatal("aggregate RunDelta should fail")
+	if _, _, err := RunOne(agg, db, "Tweet", minus, plus); err == nil {
+		t.Fatal("aggregate delta run should fail")
 	}
 }
 

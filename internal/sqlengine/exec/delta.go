@@ -33,57 +33,33 @@ import (
 // compare the two correction multisets: the outputs differ iff
 // outMinus ≢ outPlus (signed counts cancel exactly when the bags match).
 //
-// RunTagged runs the same terms for a batch of updates at once, their rows
-// tagged with a trailing upid column that keeps each update's rows apart.
+// RunTagged runs these terms for a batch of updates at once, their rows
+// tagged with a trailing upid column that keeps each update's rows apart;
+// a batch of one is the single update's check.
 //
-// DISTINCT queries are handled one level up: RunDelta never applies the
+// DISTINCT queries are handled one level up: RunTagged never applies the
 // deduplication step, so for a DISTINCT query the correction terms are
 // deltas of the pre-DISTINCT core multiset; the disagreement checker nets
 // them against its multiplicity view (ivm.go) to decide set-level
 // change. The tier matrix (analyze.DeltaTier) encodes which of these
 // modes applies per (query, relation).
 
-// DeltaTier reports the incremental tier RunDelta offers for updates of
+// DeltaTier reports the incremental tier RunTagged offers for updates of
 // rel: DeltaFull (first-order rewrite alone is exact), DeltaPartial
 // (DISTINCT and/or self-joins — correction terms must be resolved against
 // materialized intermediates), or DeltaNone (aggregation at this level,
 // ORDER BY, LIMIT, HAVING, derived tables, subqueries, or rel absent).
-// It replaces the old boolean DeltaCapable predicate.
 func (q *Query) DeltaTier(rel string) analyze.DeltaTier {
 	return q.A.DeltaTierOf(rel)
 }
 
-// RunDelta evaluates the effect of replacing rows `minus` by rows `plus`
-// in relation rel, returning the negative and positive correction terms.
-// Either side may be nil (pure insertion/deletion deltas). The query's
-// DeltaTier for rel must not be DeltaNone. It runs the terms RunTagged
-// runs, for one update whose rows carry no upid.
-func (q *Query) RunDelta(db *storage.Database, rel string, minus, plus [][]value.Value) (outMinus, outPlus [][]value.Value, err error) {
-	terms, err := q.deltaTerms(db, rel, minus, plus, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out [2][][]value.Value // by deltaTerm.side
-	r := &runner{q: q, db: db}
-	for _, t := range terms {
-		rows, err := r.project(t.tuples)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(out[t.side]) == 0 {
-			out[t.side] = rows
-		} else {
-			out[t.side] = append(out[t.side], rows...)
-		}
-	}
-	return out[1], out[0], nil
-}
-
-// RunTagged is the batching device of §4.2, the tagged form of RunDelta:
-// the ± rows of many updates of rel, each row extended by one trailing INT
-// value, the upid of its update, run through the delta expansion at once,
-// and every upid gets back its own two correction terms — exactly the ones
-// RunDelta returns for that update alone. With one occurrence of rel
+// RunTagged is exec's delta entry and the batching device of §4.2: the ±
+// rows (minus, plus; either side may be empty) of many updates of rel,
+// each row extended by one trailing INT value, the upid of its update, run
+// through the delta expansion at once, and every upid gets back its own two
+// correction terms — exactly the ones a batch holding that update alone
+// returns. The query's DeltaTier for rel must not be DeltaNone. With one
+// occurrence of rel
 // these are two runs, Q over the tagged minus rows and over the tagged
 // plus rows, grouped per upid. With k > 1 occurrences every term of the
 // expansion runs once for all updates: its delta slots are hash-joined on

@@ -3,9 +3,9 @@
 //
 //	multiset(Qcore(up(D))) = multiset(Qcore(D)) − outMinus + outPlus
 //
-// must hold exactly as a NET equation, where (outMinus, outPlus) =
-// Q.RunDelta(D, rel, u⁻, u⁺) and Qcore is Q without its DISTINCT epilogue
-// (RunDelta reports pre-DISTINCT core rows). For relations occurring more
+// must hold exactly as a NET equation, where (outMinus, outPlus) are the
+// terms of u's one-upid Q.RunTagged(D, rel, u⁻, u⁺) and Qcore is Q without
+// its DISTINCT epilogue (RunTagged reports pre-DISTINCT core rows). For relations occurring more
 // than once the higher-order expansion may overshoot on individual terms —
 // only the per-row net count is meaningful — so the comparison is signed.
 // This is the contract the disagreement checker's tiered compare path rests
@@ -79,7 +79,7 @@ func TestRunDeltaMatchesFullRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile %q: %v", sql, err)
 				}
-				// RunDelta reports pre-DISTINCT core rows, so the reference
+				// RunTagged reports pre-DISTINCT core rows, so the reference
 				// query for the identity drops the DISTINCT epilogue.
 				core := q
 				if strings.Contains(sql, "DISTINCT") {
@@ -109,9 +109,9 @@ func TestRunDeltaMatchesFullRun(t *testing.T) {
 						u.Apply(db)
 						u.Undo(db)
 					}
-					outMinus, outPlus, err := q.RunDelta(db, u.Rel, u.MinusRows(db), u.PlusRows(db))
+					outMinus, outPlus, err := exec.RunOne(q, db, u.Rel, u.MinusRows(db), u.PlusRows(db))
 					if err != nil {
-						t.Errorf("%q / %s: RunDelta: %v", sql, u.Rel, err)
+						t.Errorf("%q / %s: RunTagged: %v", sql, u.Rel, err)
 						return false
 					}
 					// Expected: base − outMinus + outPlus, as a SIGNED
@@ -164,11 +164,12 @@ func rowCounts(rows [][]value.Value) map[string]int {
 	return m
 }
 
-// TestQuickTaggedDeltaMatchesRunDelta checks RunTagged against RunDelta on
-// world self-joins with k = 2 and k = 3 occurrences of Country: over
-// random batches of Country updates, row updates and swaps, each upid's
-// two correction terms from the one tagged run must net, per value.Key,
-// to what RunDelta returns for that update alone. Every batch also holds
+// TestQuickTaggedDeltaMatchesRunDelta checks a tagged batch against its
+// updates run one by one on world self-joins with k = 2 and k = 3
+// occurrences of Country: over random batches of Country updates, row
+// updates and swaps, each upid's two correction terms from the one batch
+// run must net, per value.Key, to what a one-upid run of that update alone
+// returns. Every batch also holds
 // two hand-made updates that move two same-region countries into one new
 // region, so their rows join each other in every term that substitutes
 // both: only the upid key keeps them apart. Every slot filters on
@@ -262,9 +263,9 @@ func TestQuickTaggedDeltaMatchesRunDelta(t *testing.T) {
 				t.Fatalf("%q: RunTagged: %v", sql, err)
 			}
 			for i, u := range batch {
-				m, p, err := q.RunDelta(db, "Country", u.MinusRows(db), u.PlusRows(db))
+				m, p, err := exec.RunOne(q, db, "Country", u.MinusRows(db), u.PlusRows(db))
 				if err != nil {
-					t.Fatalf("%q: RunDelta: %v", sql, err)
+					t.Fatalf("%q: one-upid run: %v", sql, err)
 				}
 				if u.Swap {
 					swaps++
@@ -273,7 +274,7 @@ func TestQuickTaggedDeltaMatchesRunDelta(t *testing.T) {
 					empty++
 				}
 				if got, want := net(tm[int64(i)], tp[int64(i)]), net(m, p); !reflect.DeepEqual(got, want) {
-					t.Logf("%q upid %d (%+v): tagged net %v, RunDelta net %v", sql, i, u, got, want)
+					t.Logf("%q upid %d (%+v): batch net %v, alone net %v", sql, i, u, got, want)
 					return false
 				}
 			}

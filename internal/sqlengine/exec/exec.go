@@ -1,17 +1,17 @@
 // Package exec is qirana's query executor. It runs analyzed SELECT
-// statements against the in-memory store with four entry points the
+// statements against the in-memory store with three entry points the
 // pricing framework needs:
 //
 //   - Run: ordinary execution of Q(D);
 //   - RunOverride: execution of Q over D with one or more relations
 //     replaced by supplied rows — this implements the Q((D \ R) ∪ {u})
 //     primitive of the disagreement algorithms (paper §4.1);
-//   - RunDelta: only the ± rows of an updated relation flow through the
-//     join pipeline, first-order or, for self-joins, higher-order terms;
-//   - RunTagged: the batching device of §4.2 — RunDelta for a batch of
-//     updates whose rows carry a hidden trailing "upid" column, the output
-//     grouped per upid, so one run of each delta term answers the check
-//     for the entire batch, self-joins included.
+//   - RunTagged: delta evaluation, the batching device of §4.2 — only the
+//     ± rows of a batch of updates of one relation flow through the join
+//     pipeline, first-order or, for self-joins, higher-order terms; the
+//     rows carry a hidden trailing "upid" column and the output is grouped
+//     per upid, so one run of each delta term answers the check for the
+//     entire batch, and a batch of one answers a single update's check.
 //
 // The executor is materialized and order-agnostic: filtered scans feed a
 // greedy hash-join over the equi-join graph extracted from WHERE, residual
@@ -40,7 +40,7 @@ type Overrides map[string][][]value.Value
 // executions and databases sharing the schema. It carries the execution
 // index cache (see cache.go): filtered source rows, hash-join build sides
 // and probe partitions built once per relation version and shared —
-// concurrency-safe — across every Run/RunOverride/RunTagged/RunDelta call.
+// concurrency-safe — across every Run/RunOverride/RunTagged call.
 type Query struct {
 	Stmt *ast.SelectStmt
 	A    *analyze.Analyzed

@@ -103,7 +103,7 @@ func Extract(a *analyze.Analyzed) (*SPJ, error) {
 		}
 		// Self-joins (the same relation appearing several times) are
 		// admitted: residual checks run higher-order deltas over every
-		// occurrence (exec.Query.RunDelta, tier DeltaPartial).
+		// occurrence (exec.Query.RunTagged, tier DeltaPartial).
 		s.RelOfSource = append(s.RelOfSource, src.Rel.Name)
 	}
 	for _, f := range a.Aggs {

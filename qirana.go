@@ -135,10 +135,6 @@ type Options struct {
 	// Func is the default pricing function of Price (default
 	// WeightedCoverage).
 	Func PricingFunc
-	// DisableFastPath turns off the §4 disagreement checker.
-	DisableFastPath bool
-	// DisableBatching turns off the §4.2 batched checks.
-	DisableBatching bool
 	// Workers > 1 parallelizes pricing — the batched disagreement checks
 	// and the naive per-element evaluations — across goroutines sharing
 	// the read-only database through copy-on-write overlays (clamped to
@@ -353,8 +349,6 @@ func newBroker(db *Database, total float64, opt Options) *Broker {
 // from the broker's options, and the set's checksum.
 func (b *Broker) installEngine(set *support.Set) {
 	b.engine = pricing.NewEngine(b.db, set, b.total)
-	b.engine.Opts.FastPath = !b.opts.DisableFastPath
-	b.engine.Opts.Batching = !b.opts.DisableBatching
 	b.engine.Opts.Workers = b.opts.Workers
 	b.engine.Obs = b.obs
 	b.supportSum = set.Checksum()
