@@ -59,11 +59,11 @@ func (q *Query) DeltaTier(rel string) analyze.DeltaTier {
 // through the delta expansion at once, and every upid gets back its own two
 // correction terms — exactly the ones a batch holding that update alone
 // returns. The query's DeltaTier for rel must not be DeltaNone. With one
-// occurrence of rel
-// these are two runs, Q over the tagged minus rows and over the tagged
-// plus rows, grouped per upid. With k > 1 occurrences every term of the
-// expansion runs once for all updates: its delta slots are hash-joined on
-// equal upid, so rows of different updates never meet in one tuple.
+// occurrence of rel these are two runs, Q over the tagged minus rows and
+// over the tagged plus rows, grouped per upid. With k > 1 occurrences
+// every term of the expansion runs once for all updates: its delta slots
+// are hash-joined on equal upid, so rows of different updates never meet
+// in one tuple.
 //
 // DISTINCT queries are admitted, but the deduplication step is NOT
 // applied: the grouped rows are the pre-DISTINCT core rows, which is what
@@ -129,10 +129,10 @@ type deltaTerm struct {
 // (−1)^{#minus slots}. Terms that would substitute an empty delta side are
 // skipped (they are empty). For k = 1 these are the two first-order terms.
 //
-// tagCol ≥ 0 marks tagged rows, whose column tagCol holds the upid: every
-// delta slot after a term's first is then hash-joined to the first on that
-// column, so a term joins the rows of each update only with rows of the
-// same update, as if each ran alone.
+// Column tagCol of every delta row holds its upid: every delta slot after
+// a term's first is hash-joined to the first on that column, so a term
+// joins the rows of each update only with rows of the same update, as if
+// each ran alone.
 func (q *Query) deltaTerms(db *storage.Database, rel string, minus, plus [][]value.Value, tagCol int) ([]deltaTerm, error) {
 	if q.DeltaTier(rel) == analyze.DeltaNone {
 		return nil, fmt.Errorf("delta execution does not apply to %q for updates of %q", q.SQL, rel)
@@ -178,7 +178,7 @@ func (q *Query) deltaTerms(db *storage.Database, rel string, minus, plus [][]val
 			}
 			if first < 0 {
 				first = s
-			} else if tagCol >= 0 {
+			} else {
 				edges = append(edges, conjunctInfo{srcs: []int{first, s}, edge: &joinEdge{srcA: first, srcB: s,
 					exprA: &ast.SourceCol{Source: first, Col: tagCol}, exprB: &ast.SourceCol{Source: s, Col: tagCol}}})
 			}
