@@ -55,7 +55,10 @@ lint-fmt:
 # §7, "One quote path"). Fail if a non-test root-package file other than
 # sweep.go calls an engine sweep entry point, an engine fold or a
 # RemoteSweeper/DegradedSweeper method, or if a file other than key.go
-# spells a cache-key prefix literal.
+# spells a cache-key prefix literal. Only PriceRequest.MaxError sends a
+# quote down the sampled path (DESIGN.md §13): fail too if a non-test Go
+# file outside benchmark/ names the load-shedding knob, its ladder or its
+# windowed quantile.
 QUOTE_FILES = $(filter-out %_test.go,$(wildcard *.go))
 lint-quote-path:
 	@if grep -nE '\.((Disagreements|OutputHashes)(Multi)?LiveCtx|Sweep(Bits|Hashes)(Degraded)?|PriceFromDisagreements|EntropyPriceFromHashes|EstimateFromSampled(Disagreements|Hashes))\(' \
@@ -63,6 +66,9 @@ lint-quote-path:
 		echo 'quote path: only Broker.sweep and Broker.fold (sweep.go) call the sweeps and folds'; exit 1; fi
 	@if grep -nE '"(d|td|e|te|a|ss|sh)\|' $(filter-out key.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'quote path: only Broker.key (key.go) renders cache keys'; exit 1; fi
+	@if git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' \
+		| xargs grep -nwE 'ShedTargetP99|maybeShed|QuantileBetween'; then \
+		echo 'quote path: quotes are exact unless the request sets MaxError; no load shedding'; exit 1; fi
 
 # Bits and hashes come from one per-element decision (DESIGN.md §7,
 # "One per-element decision"). Fail if a non-test file other than

@@ -42,8 +42,9 @@ type PriceRequest struct {
 	// and served as a sound UPPER bound on the exact price (arbitrage-
 	// safe — see approx.go). The response's QuoteInfo.Estimate block
 	// carries the provenance. Valid range [0, 1]; 0 (the default) prices
-	// exactly. Load shedding (Options.ShedTargetP99) may raise the
-	// effective value. Purchases always settle at the exact price.
+	// exactly, whatever the broker's load: this field is the only thing
+	// that sends a quote down the sampled path. Purchases always settle
+	// at the exact price.
 	MaxError float64
 }
 
@@ -161,14 +162,6 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	if req.Func != nil {
 		fn = *req.Func
 	}
-	// Load shedding can only COARSEN the request: the effective error
-	// target is the larger of what the caller asked for and the floor
-	// the shed state machine currently enforces.
-	maxErr := req.MaxError
-	if floor := b.maybeShed(); floor > maxErr {
-		maxErr = floor
-	}
-
 	if fn < WeightedCoverage || fn > QEntropy {
 		return nil, fmt.Errorf("unknown pricing function %v", fn)
 	}
@@ -176,7 +169,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if req.Bundle || len(qs) == 1 {
-		info, err := b.quote(ctx, fn, qs, maxErr, false)
+		info, err := b.quote(ctx, fn, qs, req.MaxError, false)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +181,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	// "a|" entry for refinement and purchase reconciliation, and a sampled
 	// sweep is already a fraction of the full one.
 	degraded := false
-	if maxErr == 0 {
+	if req.MaxError == 0 {
 		resp, err := b.priceBatchLocked(ctx, fn, qs)
 		if err == nil || !b.canDegrade(ctx, err) {
 			return resp, err
@@ -197,7 +190,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	}
 	infos := make([]QuoteInfo, len(qs))
 	for j := range qs {
-		if infos[j], err = b.quote(ctx, fn, qs[j:j+1], maxErr, degraded); err != nil {
+		if infos[j], err = b.quote(ctx, fn, qs[j:j+1], req.MaxError, degraded); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,8 @@
 package qirana
 
 // Approximate fast-path pricing (ROADMAP item 2, DESIGN.md §13). A
-// PriceRequest with MaxError > 0 — or any request while load shedding
-// is active — is served from a deterministic stratified sub-sample of
-// the support set instead of a full sweep:
+// PriceRequest with MaxError > 0 is served from a deterministic
+// stratified sub-sample of the support set instead of a full sweep:
 //
 //	quote (approx)  ──►  cache "a|" entry {upper bound, point, CI}
 //	       │                   │
@@ -24,10 +23,7 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"qirana/internal/obs"
 	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/exec"
 )
@@ -57,8 +53,8 @@ type EstimateInfo struct {
 	// SampleFrac and SampleN report the realized sample.
 	SampleFrac float64 `json:"sample_frac"`
 	SampleN    int     `json:"sample_n"`
-	// MaxError is the error target this quote was served under (after
-	// any load-shedding floor).
+	// MaxError is the request's PriceRequest.MaxError, the error target
+	// this quote was served under (0 on a degraded exact request).
 	MaxError float64 `json:"max_error"`
 	// Refined is true once the entry has been upgraded to the exact
 	// price — the served Price then IS exact and CI is 0.
@@ -324,94 +320,4 @@ func (b *Broker) markRefined(fn PricingFunc, qs []*exec.Query, exact float64) (q
 	b.qc.Put(key, ent)
 	b.obs.Add("approx_refined", 1)
 	return quoted, true
-}
-
-// ---------------------------------------------------------------------
-// Load shedding
-// ---------------------------------------------------------------------
-
-// shedFloors are the MaxError floors per shed level: level 0 is normal
-// serving, each escalation coarsens the mandatory precision.
-var shedFloors = [...]float64{0, 0.05, 0.1, 0.2}
-
-// shedCheckEvery rate-limits the windowed p99 evaluation; between
-// checks maybeShed is one atomic load.
-const shedCheckEvery = 250 * time.Millisecond
-
-// shedMinWindow is the minimum number of observations in a window
-// before the p99 is trusted to move the level.
-const shedMinWindow = 20
-
-// shedState is the load-shedding state machine: a windowed p99 over the
-// broker_price histogram drives a small hysteresis ladder.
-type shedState struct {
-	level     atomic.Int64
-	lastCheck atomic.Int64 // unix nanos of the last window evaluation
-
-	mu      sync.Mutex // guards prev + lastP99 (one evaluator at a time)
-	prev    obs.HistCounts
-	lastP99 time.Duration
-}
-
-// ShedInfo is the externally visible shed state (served in /stats).
-type ShedInfo struct {
-	// Target is Options.ShedTargetP99 (0 = shedding disabled).
-	Target time.Duration `json:"target_p99_ns"`
-	// Level is the current escalation level (0 = exact serving).
-	Level int `json:"level"`
-	// MinMaxError is the MaxError floor currently enforced on quotes.
-	MinMaxError float64 `json:"min_max_error"`
-	// LastP99 is the windowed p99 at the last evaluation.
-	LastP99 time.Duration `json:"last_p99_ns"`
-}
-
-// ShedState reports the current load-shedding state.
-func (b *Broker) ShedState() ShedInfo {
-	lvl := int(b.shed.level.Load())
-	b.shed.mu.Lock()
-	last := b.shed.lastP99
-	b.shed.mu.Unlock()
-	return ShedInfo{
-		Target:      b.opts.ShedTargetP99,
-		Level:       lvl,
-		MinMaxError: shedFloors[lvl],
-		LastP99:     last,
-	}
-}
-
-// maybeShed returns the MaxError floor currently in force, advancing
-// the state machine at most once per shedCheckEvery. The fast path —
-// shedding disabled, or between checks — is one or two atomic loads.
-func (b *Broker) maybeShed() float64 {
-	target := b.opts.ShedTargetP99
-	if target <= 0 {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	last := b.shed.lastCheck.Load()
-	if now-last < int64(shedCheckEvery) || !b.shed.lastCheck.CompareAndSwap(last, now) {
-		return shedFloors[b.shed.level.Load()]
-	}
-	b.shed.mu.Lock()
-	defer b.shed.mu.Unlock()
-	cur := b.obs.Histogram("broker_price").Counts()
-	p99, ok := obs.QuantileBetween(b.shed.prev, cur, 0.99)
-	window := cur.Count - b.shed.prev.Count
-	b.shed.prev = cur
-	if !ok || window < shedMinWindow {
-		return shedFloors[b.shed.level.Load()]
-	}
-	b.shed.lastP99 = p99
-	lvl := b.shed.level.Load()
-	switch {
-	case p99 > target && lvl < int64(len(shedFloors)-1):
-		lvl++
-		b.shed.level.Store(lvl)
-		b.obs.Add("shed_escalations", 1)
-	case p99 < target*3/4 && lvl > 0:
-		lvl--
-		b.shed.level.Store(lvl)
-		b.obs.Add("shed_deescalations", 1)
-	}
-	return shedFloors[lvl]
 }

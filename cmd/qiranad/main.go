@@ -6,7 +6,7 @@
 //	POST /v1/quote/batch  {"sqls": ["...", "..."]}               k prices, one sweep
 //	POST /v1/ask          {"buyer": "alice", "sql": "..."}       buy: answer + charge
 //	POST /v1/prepare      {"sql": "... $1 ..."}                  prepared-statement handle
-//	GET  /v1/stats        broker counters (quote cache, shed state)
+//	GET  /v1/stats        broker counters (quote cache, durability, approx path, cluster)
 //	GET  /v1/metrics      request counters + latency percentiles (p50/p95/p99)
 //	GET  /v1/healthz      liveness + support-set identity
 //	GET  /debug/vars      expvar, including the live metrics registry
@@ -15,8 +15,7 @@
 // Quotes accept "max_error" (body field or ?max_error= query parameter)
 // to engage the sampled approximate pricing path: the served price is a
 // guaranteed upper bound on the exact price, refined to exact in the
-// background; with -shed-p99 the daemon forces a minimum max_error onto
-// quotes whenever the windowed p99 pricing latency exceeds the target.
+// background. A quote without max_error is exact whatever the load.
 //
 // Every pricing request runs under a context derived from the HTTP
 // request: a dropped connection or the -timeout deadline (per-request
@@ -75,7 +74,6 @@ func main() {
 		dataDir = flag.String("data", "", "durable state directory (write-ahead ledger + snapshots); reuse it across restarts to keep buyer balances")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request pricing timeout (0 = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		shedP99 = flag.Duration("shed-p99", 0, "load-shed target: when the windowed p99 pricing latency exceeds this, force a minimum max_error onto quotes (0 = never shed)")
 
 		shardMode = flag.Bool("shard", false, "serve as a read-only shard worker (/shard/sweep, /shard/info)")
 		standby   = flag.Bool("standby", false, "serve as a hot standby tailing -data; requires -leader")
@@ -88,7 +86,7 @@ func main() {
 	cfg := config{
 		addr: *addr, dataset: *dataset, price: *price, size: *size, scale: *scale,
 		seed: *seed, workers: *workers, load: *load, dataDir: *dataDir,
-		timeout: *timeout, drain: *drain, shedP99: *shedP99,
+		timeout: *timeout, drain: *drain,
 		shard: *shardMode, standby: *standby, leaderURL: *leaderURL,
 		probeInterval: *probeIv, probeTimeout: *probeTo, failoverAfter: *failAfter,
 	}
@@ -107,7 +105,6 @@ type config struct {
 	workers        int
 	load, dataDir  string
 	timeout, drain time.Duration
-	shedP99        time.Duration
 	shard, standby bool
 	leaderURL      string
 	probeInterval  time.Duration
@@ -124,7 +121,7 @@ func run(cfg config) error {
 		return runStandby(cfg, db)
 	}
 	var broker *qirana.Broker
-	opts := qirana.Options{SupportSetSize: cfg.size, Seed: cfg.seed, Workers: cfg.workers, ShedTargetP99: cfg.shedP99}
+	opts := qirana.Options{SupportSetSize: cfg.size, Seed: cfg.seed, Workers: cfg.workers}
 	switch {
 	case cfg.dataDir != "" && cfg.load != "":
 		return errors.New("-data and -load are mutually exclusive: a durable broker persists its own support set in the data directory")
@@ -137,7 +134,7 @@ func run(cfg config) error {
 		if ferr != nil {
 			return ferr
 		}
-		broker, err = qirana.NewBrokerFromSupport(db, cfg.price, f, qirana.Options{Workers: cfg.workers, ShedTargetP99: cfg.shedP99})
+		broker, err = qirana.NewBrokerFromSupport(db, cfg.price, f, qirana.Options{Workers: cfg.workers})
 		f.Close()
 	default:
 		broker, err = qirana.NewBroker(db, cfg.price, opts)

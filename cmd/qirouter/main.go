@@ -60,7 +60,6 @@ type config struct {
 	workers          int
 	load, dataDir    string
 	timeout, drain   time.Duration
-	shedP99          time.Duration
 	standbyAddr      string
 	shardRetries     int
 	breakerThreshold int
@@ -85,7 +84,6 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data", "", "durable state directory for the router's purchase ledger")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request pricing timeout (0 = none)")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
-	flag.DurationVar(&cfg.shedP99, "shed-p99", 0, "load-shed target: when the windowed p99 pricing latency exceeds this, force a minimum max_error onto quotes (0 = never shed)")
 	flag.StringVar(&cfg.standbyAddr, "standby-addr", "", "demo mode: also serve an in-process read-only standby mirror of -data on this address")
 	def := shard.DefaultFaultPolicy()
 	flag.IntVar(&cfg.shardRetries, "shard-retries", def.MaxAttempts, "per-shard request attempts per sweep, including the first (retries use jittered exponential backoff)")
@@ -122,7 +120,7 @@ func run(cfg config) error {
 		return err
 	}
 	opts := qirana.Options{SupportSetSize: cfg.size, Seed: cfg.seed, Workers: cfg.workers,
-		ShedTargetP99: cfg.shedP99, DisableDegradedQuotes: cfg.noDegraded}
+		DisableDegradedQuotes: cfg.noDegraded}
 	var broker *qirana.Broker
 	switch {
 	case cfg.dataDir != "" && cfg.load != "":

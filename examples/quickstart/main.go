@@ -40,9 +40,9 @@ func main() {
 		fmt.Printf("$%6.2f  %s\n", resp.Total, sql)
 	}
 
-	// Under load (or for huge support sets) a quote can be approximate:
-	// MaxError trades precision for speed, and the served price is a
-	// guaranteed upper bound on the exact price — never an undercharge.
+	// A caller can ask for an approximate quote (say, over a huge support
+	// set): MaxError trades precision for speed, and the served price is
+	// a guaranteed upper bound on the exact price — never an undercharge.
 	approx, err := broker.Price(ctx, qirana.PriceRequest{
 		SQLs:     []string{"SELECT Name FROM Country WHERE Population > 50000000"},
 		MaxError: 0.1,

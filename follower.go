@@ -39,12 +39,12 @@ type Follower struct {
 // directory must already hold broker state (the leader writes its
 // initial snapshot at construction).
 func OpenFollower(dir string, db *Database, opt Options) (*Follower, error) {
-	// The follower never owns durable state of its own; DataDir here
-	// would claim the leader's files.
-	opt.DataDir = ""
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	// The follower never owns durable state of its own; DataDir here
+	// would claim the leader's files.
+	opt.DataDir = ""
 	f := &Follower{dir: dir, db: db, opt: opt}
 	if err := f.Refresh(); err != nil {
 		return nil, err

@@ -249,8 +249,7 @@ func TestWriteRequestErrorRetryAfterHint(t *testing.T) {
 
 // TestApproxQuoteOverHTTP: max_error engages the sampled path — the
 // response carries the estimate provenance block, the served price upper
-// bounds the exact price, and /stats exposes shed state plus the approx
-// counters.
+// bounds the exact price, and /stats exposes the approx counters.
 func TestApproxQuoteOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
 	var exact qirana.PriceResponse
@@ -273,7 +272,6 @@ func TestApproxQuoteOverHTTP(t *testing.T) {
 	}
 
 	var stats struct {
-		Shed   qirana.ShedInfo   `json:"shed"`
 		Approx map[string]uint64 `json:"approx"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -282,8 +280,5 @@ func TestApproxQuoteOverHTTP(t *testing.T) {
 	}
 	if stats.Approx["approx_quotes"] == 0 {
 		t.Fatalf("approx_quotes did not count: %v", stats.Approx)
-	}
-	if stats.Shed.Level != 0 || stats.Shed.MinMaxError != 0 {
-		t.Fatalf("idle broker reports shedding: %+v", stats.Shed)
 	}
 }

@@ -72,8 +72,8 @@ const maxPreparedStmts = 4096
 //	POST /v1/quote/batch  price k independent queries in one shared sweep
 //	POST /v1/ask          buy a query (or prepared instance) for a buyer
 //	POST /v1/prepare      prepare a $1-style template; returns a stmt handle
-//	GET  /v1/stats        broker counters (quote cache, load-shed state,
-//	                      approximate-path counters)
+//	GET  /v1/stats        broker counters (quote cache, durability,
+//	                      approximate-path and cluster counters)
 //	GET  /v1/metrics      obs snapshot: counters + latency percentiles
 //	GET  /v1/healthz      liveness: 200 with the support-set generation
 //	GET  /debug/vars      expvar (includes the live metrics registry)
@@ -496,8 +496,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	b := s.get()
 	// The approximate path's counters live in the obs registry; surface
-	// them (plus the shed counters) here so operators watching /stats see
-	// the fast path and the shedder without scraping /metrics.
+	// them here so operators watching /stats see the sampled path and its
+	// refiner without scraping /metrics.
 	approx := map[string]uint64{}
 	// The cluster block groups the fault-tolerance counters — fan-out
 	// retries/hedges, breaker transitions, degraded quotes, shard-side
@@ -506,7 +506,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cluster := map[string]uint64{}
 	for k, v := range b.Metrics().Counters {
 		switch {
-		case strings.HasPrefix(k, "approx_") || strings.HasPrefix(k, "shed_"):
+		case strings.HasPrefix(k, "approx_"):
 			approx[k] = v
 		case strings.HasPrefix(k, "router_") || strings.HasPrefix(k, "breaker_") || strings.HasPrefix(k, "shard_"):
 			cluster[k] = v
@@ -518,7 +518,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"quote_cache":      b.QuoteCacheStats(),
 		"quote_cache_len":  b.QuoteCacheLen(),
 		"durability":       b.Durability(),
-		"shed":             b.ShedState(),
 		"approx":           approx,
 		"cluster":          cluster,
 	})

@@ -145,48 +145,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistCounts is a raw bucket snapshot, the input to windowed quantiles:
-// two snapshots taken at different times difference into the
-// distribution of just the observations between them. The broker's
-// load-shedding loop uses this to track a RECENT p99 — the cumulative
-// Snapshot percentiles converge to the lifetime distribution and stop
-// responding to load within minutes of uptime.
-type HistCounts struct {
-	Count   uint64
-	Buckets [numBuckets]uint64
-}
-
-// Counts snapshots the raw bucket counters.
-func (h *Histogram) Counts() HistCounts {
-	var c HistCounts
-	if h == nil {
-		return c
-	}
-	c.Count = h.count.Load()
-	for i := range c.Buckets {
-		c.Buckets[i] = h.buckets[i].Load()
-	}
-	return c
-}
-
-// QuantileBetween estimates the q-th quantile of the observations that
-// landed between two snapshots of the same histogram (prev taken before
-// cur). Returns (0, false) when the window holds no observations.
-func QuantileBetween(prev, cur HistCounts, q float64) (time.Duration, bool) {
-	var delta [numBuckets]uint64
-	var total uint64
-	for i := range delta {
-		if cur.Buckets[i] > prev.Buckets[i] {
-			delta[i] = cur.Buckets[i] - prev.Buckets[i]
-			total += delta[i]
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return quantile(&delta, total, q), true
-}
-
 // quantile estimates the q-th quantile by walking the bucket ladder and
 // interpolating linearly inside the bucket where the cumulative count
 // crosses q·total.

@@ -179,35 +179,3 @@ func TestPublishExpvarRebinds(t *testing.T) {
 		t.Fatalf("expvar serves stale registry: %s", s)
 	}
 }
-
-func TestQuantileBetween(t *testing.T) {
-	var h Histogram
-	// First window: fast traffic around 1ms.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
-	}
-	prev := h.Counts()
-	// Second window: slow traffic around 500ms. The cumulative snapshot
-	// still sees mostly 1ms observations; the windowed quantile must see
-	// only the new, slow ones.
-	for i := 0; i < 50; i++ {
-		h.Observe(500 * time.Millisecond)
-	}
-	cur := h.Counts()
-	p99, ok := QuantileBetween(prev, cur, 0.99)
-	if !ok {
-		t.Fatal("window reported empty")
-	}
-	if p99 < 100*time.Millisecond {
-		t.Fatalf("windowed p99 = %v, want slow-window latency (cumulative p99 leaked in)", p99)
-	}
-	// Empty window.
-	if _, ok := QuantileBetween(cur, cur, 0.99); ok {
-		t.Fatal("empty window reported observations")
-	}
-	// Nil histogram Counts is usable.
-	var nilH *Histogram
-	if c := nilH.Counts(); c.Count != 0 {
-		t.Fatalf("nil Counts = %+v", c)
-	}
-}

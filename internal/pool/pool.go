@@ -10,11 +10,11 @@
 //
 // Error handling is fail-fast and deterministic-leaning: each worker
 // records only its first error, every other worker stops drawing new items
-// as soon as any error is recorded, and Run returns the recorded error
+// as soon as any error is recorded, and the pool returns the recorded error
 // with the smallest item index. Callers therefore see the error closest to
 // the one a serial left-to-right run would have hit.
 //
-// Cancellation uses the same fail-fast machinery: the Ctx variants poll
+// Cancellation uses the same fail-fast machinery: the pool polls
 // ctx between items (serial and parallel alike), so a cancelled context or
 // an expired deadline stops the pool mid-sweep with ctx.Err() instead of
 // running the remaining items. A panic inside fn never tears down the
@@ -147,17 +147,7 @@ func RunWorkersCtx(ctx context.Context, workers, n int, fn func(worker, i int) e
 	return nil
 }
 
-// RunWorkers is RunWorkersCtx without cancellation.
-func RunWorkers(workers, n int, fn func(worker, i int) error) error {
-	return RunWorkersCtx(context.Background(), workers, n, fn)
-}
-
 // RunCtx is RunWorkersCtx for callers that need no per-worker state.
 func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return RunWorkersCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// Run is RunCtx without cancellation.
-func Run(workers, n int, fn func(i int) error) error {
-	return RunCtx(context.Background(), workers, n, fn)
 }

@@ -17,7 +17,7 @@ func TestRunCoversAllItems(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 100} {
 		n := 237
 		hits := make([]atomic.Int32, n)
-		if err := Run(workers, n, func(i int) error {
+		if err := RunCtx(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -37,7 +37,7 @@ func TestRunReturnsSmallestIndexError(t *testing.T) {
 	// Every item from 50 on fails; the reported error must be one of the
 	// failing items and, across many runs, never precede index 50.
 	for trial := 0; trial < 20; trial++ {
-		err := Run(4, 200, func(i int) error {
+		err := RunCtx(context.Background(), 4, 200, func(i int) error {
 			if i >= 50 {
 				return fmt.Errorf("item %d failed", i)
 			}
@@ -54,7 +54,7 @@ func TestRunCancelsAfterFailure(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	boom := errors.New("boom")
 	var executed atomic.Int32
-	err := Run(4, 10000, func(i int) error {
+	err := RunCtx(context.Background(), 4, 10000, func(i int) error {
 		executed.Add(1)
 		if i == 3 {
 			return boom
@@ -73,7 +73,7 @@ func TestRunCancelsAfterFailure(t *testing.T) {
 
 func TestSerialIsInOrderAndFailFast(t *testing.T) {
 	var seen []int
-	err := Run(1, 10, func(i int) error {
+	err := RunCtx(context.Background(), 1, 10, func(i int) error {
 		seen = append(seen, i)
 		if i == 4 {
 			return errors.New("stop")
@@ -136,7 +136,7 @@ func TestRunRecoversPanic(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	for _, workers := range []int{1, 4} {
-		err := Run(workers, 100, func(i int) error {
+		err := RunCtx(context.Background(), workers, 100, func(i int) error {
 			if i == 7 {
 				panic("kaboom")
 			}
@@ -150,7 +150,7 @@ func TestRunRecoversPanic(t *testing.T) {
 
 func TestRunWorkersRecoversPanicValueError(t *testing.T) {
 	boom := errors.New("typed boom")
-	err := RunWorkers(1, 3, func(_, i int) error {
+	err := RunWorkersCtx(context.Background(), 1, 3, func(_, i int) error {
 		if i == 1 {
 			panic(boom)
 		}

@@ -35,11 +35,6 @@ func Bind(s *SelectStmt, args []value.Value) (*SelectStmt, error) {
 	return out, nil
 }
 
-// CloneStmt returns a deep copy of s sharing no nodes with the original.
-func CloneStmt(s *SelectStmt) *SelectStmt {
-	return cloneStmt(s, func(p *Placeholder) Expr { return &Placeholder{Idx: p.Idx} })
-}
-
 // MaxPlaceholder returns the highest $N placeholder index appearing
 // anywhere in the statement, including subqueries; 0 when there are none.
 func MaxPlaceholder(s *SelectStmt) int {

@@ -209,16 +209,30 @@ func TestBind(t *testing.T) {
 	}
 }
 
-// CloneStmt shares no nodes with the original.
+// Bind's clone shares no nodes with the template: mutating every node
+// of a bound statement never reaches the template it came from.
 func TestCloneStmtIndependent(t *testing.T) {
-	orig := sel(cmp(OpGt, col("price"), lit(1)))
-	cl := CloneStmt(orig)
-	if cl.String() != orig.String() {
-		t.Fatalf("clone renders differently: %q vs %q", cl.String(), orig.String())
+	tpl := sel(&BinaryExpr{Op: OpAnd,
+		L: cmp(OpGt, col("price"), lit(1)),
+		R: &ExistsExpr{Sub: sel(cmp(OpLt, col("qty"), &Placeholder{Idx: 1}))}})
+	before := tpl.String()
+	bound, err := Bind(tpl, []value.Value{value.NewInt(7)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl.Where.(*BinaryExpr).R.(*Literal).Val = value.NewInt(99)
-	if orig.Where.(*BinaryExpr).R.(*Literal).Val.I != 1 {
-		t.Fatal("mutating the clone reached the original")
+	and := bound.Where.(*BinaryExpr)
+	and.L.(*BinaryExpr).R.(*Literal).Val = value.NewInt(99)
+	and.L.(*BinaryExpr).L.(*ColumnRef).Name = "cost"
+	inner := and.R.(*ExistsExpr).Sub
+	inner.Where.(*BinaryExpr).R.(*Literal).Val = value.NewInt(-1)
+	inner.From[0].Name = "u"
+	bound.Items[0].Expr.(*ColumnRef).Name = "id"
+	bound.From[0].Name = "v"
+	if got := tpl.String(); got != before {
+		t.Fatalf("mutating the bound statement reached the template:\n%q\nwas\n%q", got, before)
+	}
+	if MaxPlaceholder(tpl) != 1 {
+		t.Fatal("template lost its placeholder")
 	}
 }
 

@@ -163,7 +163,7 @@ func (c *execCache) resetLocked(db *storage.Database) {
 // the caller must materialize the source itself.
 func (r *runner) cachedSourceRows(a *analyze.Analyzed, si int, conjs []conjunctInfo, applied []bool) (*cachedSource, bool, error) {
 	q := r.q
-	if q == nil || a != q.A {
+	if a != q.A {
 		return nil, false, nil
 	}
 	src := a.Sources[si]

@@ -43,11 +43,8 @@ func classify(a *analyze.Analyzed) []conjunctInfo {
 // conjuncts returns the classified WHERE conjuncts of statement a, the
 // query's top level or one of its subqueries. The query classifies each
 // statement once, on first use, and every later run — concurrent ones
-// included — shares the result read-only. A nil query classifies afresh.
+// included — shares the result read-only.
 func (q *Query) conjuncts(a *analyze.Analyzed) []conjunctInfo {
-	if q == nil {
-		return classify(a)
-	}
 	if v, ok := q.plans.Load(a); ok {
 		return v.([]conjunctInfo)
 	}
@@ -653,20 +650,12 @@ func (r *runner) partitionLookup(a *analyze.Analyzed, si, col int, rhs ast.Expr,
 	pkey := partKey(name, col)
 	part, built := r.partitions[pkey]
 	if !built {
-		if r.q != nil {
-			// Shared per-query partition, version-stamped and reused
-			// across runs; cache the pointer per-runner so repeated
-			// correlated probes skip the cache mutex.
-			part = r.q.cache.partition(r.db, name, col)
-			if part == nil {
-				return nil, false, nil
-			}
-		} else {
-			t := r.db.Table(src.Rel.Name)
-			if t == nil {
-				return nil, false, nil
-			}
-			part = buildPartition(t.Rows, col)
+		// Shared per-query partition, version-stamped and reused across
+		// runs; cache the pointer per-runner so repeated correlated
+		// probes skip the cache mutex.
+		part = r.q.cache.partition(r.db, name, col)
+		if part == nil {
+			return nil, false, nil
 		}
 		r.partitions[pkey] = part
 	}

@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"qirana/internal/datagen"
 	"qirana/internal/obs"
@@ -153,17 +152,6 @@ type Options struct {
 	// bit-identical prices and balances. Empty (the default) keeps the
 	// broker purely in memory with zero durability overhead.
 	DataDir string
-	// ShedTargetP99, when positive, turns on load shedding: the broker
-	// watches a sliding window of its own quote latency (the
-	// broker_price obs histogram) and when the windowed p99 crosses the
-	// target it starts degrading precision — enforcing a growing floor
-	// on PriceRequest.MaxError so quotes switch to the sampled
-	// approximate path (see approx.go). The floor escalates while the
-	// p99 stays above target and backs off when latency recovers below
-	// 3/4 of it. Zero (the default) never degrades. Exactness-critical
-	// callers are unaffected: Purchase always settles at the exact
-	// price, and shed state is reported in ShedState()/stats.
-	ShedTargetP99 time.Duration
 	// DisableDegradedQuotes turns off degraded-mode serving. By default
 	// a routed broker whose shard cluster is partially unreachable past
 	// the fan-out's retry budget answers Price with a sound over-quote —
@@ -204,9 +192,6 @@ func (o Options) Validate() error {
 	}
 	if o.DataDir != "" && o.UniformSupport {
 		return fmt.Errorf("options: DataDir requires a neighborhood support set; uniform support sets (materialized instances) are not persistable")
-	}
-	if o.ShedTargetP99 < 0 {
-		return fmt.Errorf("options: ShedTargetP99 %v is negative; use 0 to disable load shedding", o.ShedTargetP99)
 	}
 	return nil
 }
@@ -291,10 +276,8 @@ type Broker struct {
 	dur *durableState
 
 	// ref is the background refiner that upgrades cached approximate
-	// quotes to exact prices; shed tracks the load-shedding state
-	// machine behind Options.ShedTargetP99. Both live in approx.go.
-	ref  refiner
-	shed shedState
+	// quotes to exact prices (approx.go).
+	ref refiner
 }
 
 // buyerState is one buyer's purchase history behind its own lock, so
