@@ -165,15 +165,17 @@ func dblpLandmarks(db *storage.Database) (hub, mid1, mid2 int64) {
 			best, hub = d, n
 		}
 	}
-	// Two distinct nodes with moderate out-degree (≥ 2).
+	// The two smallest node ids with moderate out-degree (2 to 20), so the
+	// same graph always yields the same query.
 	for n, d := range outDeg {
-		if d >= 2 && d <= 20 {
-			if mid1 == 0 {
-				mid1 = n
-			} else if mid2 == 0 && n != mid1 {
-				mid2 = n
-				break
-			}
+		if d < 2 || d > 20 {
+			continue
+		}
+		switch {
+		case mid1 == 0 || n < mid1:
+			mid1, mid2 = n, mid1
+		case mid2 == 0 || n < mid2:
+			mid2 = n
 		}
 	}
 	if mid1 == 0 {
