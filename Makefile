@@ -55,7 +55,10 @@ lint-fmt:
 # §7, "One quote path"). Fail if a non-test root-package file other than
 # sweep.go calls an engine sweep entry point, an engine fold or a
 # RemoteSweeper/DegradedSweeper method, or if a file other than key.go
-# spells a cache-key prefix literal. Only PriceRequest.MaxError sends a
+# spells a cache-key prefix literal, or if a file other than key.go and
+# prepared.go computes a statement identity (ast.NewTemplate,
+# ast.Fingerprint, ast.ReferencedTables): every query keys by the one
+# identity exec.Query.Identity caches. Only PriceRequest.MaxError sends a
 # quote down the sampled path (DESIGN.md §13): fail too if a non-test Go
 # file outside benchmark/ names the load-shedding knob, its ladder or its
 # windowed quantile.
@@ -66,6 +69,8 @@ lint-quote-path:
 		echo 'quote path: only Broker.sweep and Broker.fold (sweep.go) call the sweeps and folds'; exit 1; fi
 	@if grep -nE '"(d|td|e|te|a|ss|sh)\|' $(filter-out key.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'quote path: only Broker.key (key.go) renders cache keys'; exit 1; fi
+	@if grep -nE 'ast\.(NewTemplate|Fingerprint|ReferencedTables)\(' $(filter-out key.go prepared.go,$(QUOTE_FILES)) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'quote path: only key.go and prepared.go compute statement identities'; exit 1; fi
 	@if git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' \
 		| xargs grep -nwE 'ShedTargetP99|maybeShed|QuantileBetween'; then \
 		echo 'quote path: quotes are exact unless the request sets MaxError; no load shedding'; exit 1; fi

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 )
 
@@ -340,12 +339,9 @@ func (b *Broker) compileAll(sqls []string) ([]*exec.Query, error) {
 	defer b.obs.Timer("stage_parse")()
 	qs := make([]*exec.Query, len(sqls))
 	for i, s := range sqls {
-		q, err := exec.Compile(s, b.db.Schema)
+		q, err := b.Compile(s)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		if n := ast.MaxPlaceholder(q.Stmt); n > 0 {
-			return nil, fmt.Errorf("query %d: contains placeholder $%d; prepare it with Broker.Prepare and bind parameters with Stmt.Price", i, n)
 		}
 		qs[i] = q
 	}

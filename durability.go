@@ -13,7 +13,6 @@ import (
 
 	"qirana/internal/durable"
 	"qirana/internal/pricing"
-	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/support"
 )
@@ -278,39 +277,16 @@ func (d *durableState) isClosed() bool {
 }
 
 // logPurchase write-ahead-logs one purchase: it computes the exact
-// amounts the in-memory fold will produce — mirroring each path's
-// summation order so the recorded floats are bit-identical to the
-// receipt — and appends + fsyncs the record. Callers hold b.mu.RLock and
+// amounts the in-memory fold will produce (pricing.Settle, the sum the
+// fold itself runs, so the recorded floats are bit-identical to the
+// receipt) and appends + fsyncs the record. Callers hold b.mu.RLock and
 // the buyer's lock; buyer state is untouched here.
 func (b *Broker) logPurchase(req PurchaseRequest, q *exec.Query, dis []bool, h *pricing.History, quoted, reconcileDelta float64) error {
-	w := b.engine.Weights
-	var gross, refund float64
-	if req.Refund {
-		// Mirrors RefundFromDisagreements: gross over all disagreeing
-		// elements, refund over the already-charged ones, index order.
-		for i, d := range dis {
-			if !d {
-				continue
-			}
-			gross += w[i]
-			if h.Charged[i] {
-				refund += w[i]
-			}
-		}
-	} else {
-		// Mirrors ChargeFromDisagreements: one sum over the disagreeing,
-		// not-yet-charged elements in index order — NOT gross minus
-		// refund, which rounds differently.
-		for i, d := range dis {
-			if d && !h.Charged[i] {
-				gross += w[i]
-			}
-		}
-	}
+	gross, refund := pricing.Settle(b.engine.Weights, h.Charged, dis, req.Refund)
 	rec := durable.Record{
 		Buyer:        req.Buyer,
 		SQL:          q.SQL,
-		Fingerprint:  ast.Fingerprint(q.Stmt),
+		Fingerprint:  fingerprint(q),
 		Refund:       req.Refund,
 		Gross:        gross,
 		RefundAmt:    refund,

@@ -62,21 +62,11 @@ func (e *Engine) PriceWithRefund(h *History, qs ...*exec.Query) (gross, refund f
 // the same weights in the same index order as PriceHistoryAware, so the
 // result is bit-identical to the cold path.
 func (e *Engine) ChargeFromDisagreements(h *History, dis []bool, sqls ...string) (float64, error) {
-	if len(h.Charged) != e.Set.Size() {
-		return 0, fmt.Errorf("history size %d does not match support set size %d", len(h.Charged), e.Set.Size())
+	if err := e.checkSettle(h, dis); err != nil {
+		return 0, err
 	}
-	if len(dis) != e.Set.Size() {
-		return 0, fmt.Errorf("got %d disagreement bits for support set of size %d", len(dis), e.Set.Size())
-	}
-	charge := 0.0
-	for i, d := range dis {
-		if d && !h.Charged[i] {
-			charge += e.Weights[i]
-			h.Charged[i] = true
-		}
-	}
-	h.Paid += charge
-	h.Queries = append(h.Queries, sqls...)
+	charge, _ := Settle(e.Weights, h.Charged, dis, false)
+	h.record(dis, charge, sqls)
 	return charge, nil
 }
 
@@ -84,26 +74,56 @@ func (e *Engine) ChargeFromDisagreements(h *History, dis []bool, sqls ...string)
 // PriceWithRefund given the bundle's full disagreement bitmap, with the
 // same bit-identity guarantee as ChargeFromDisagreements.
 func (e *Engine) RefundFromDisagreements(h *History, dis []bool, sqls ...string) (gross, refund float64, err error) {
+	if err := e.checkSettle(h, dis); err != nil {
+		return 0, 0, err
+	}
+	gross, refund = Settle(e.Weights, h.Charged, dis, true)
+	h.record(dis, gross-refund, sqls)
+	return gross, refund, nil
+}
+
+// Settle returns the amounts a purchase with disagreement bitmap dis
+// settles at against the already-charged elements, mutating nothing.
+// Incremental settlement (refund false) sums the weights of the
+// disagreeing, not-yet-charged elements into gross — one sum, NOT the
+// full price minus the refund, which rounds differently. Charge-then-
+// refund sums every disagreeing element into gross and the charged ones
+// into refund. Every sum runs in index order, so the ledger's precomputed
+// amounts and the in-memory fold agree bit for bit.
+func Settle(weights []float64, charged, dis []bool, refund bool) (gross, refunded float64) {
+	for i, d := range dis {
+		switch {
+		case !d:
+		case !charged[i]:
+			gross += weights[i]
+		case refund:
+			gross += weights[i]
+			refunded += weights[i]
+		}
+	}
+	return gross, refunded
+}
+
+func (e *Engine) checkSettle(h *History, dis []bool) error {
 	if len(h.Charged) != e.Set.Size() {
-		return 0, 0, fmt.Errorf("history size %d does not match support set size %d", len(h.Charged), e.Set.Size())
+		return fmt.Errorf("history size %d does not match support set size %d", len(h.Charged), e.Set.Size())
 	}
 	if len(dis) != e.Set.Size() {
-		return 0, 0, fmt.Errorf("got %d disagreement bits for support set of size %d", len(dis), e.Set.Size())
+		return fmt.Errorf("got %d disagreement bits for support set of size %d", len(dis), e.Set.Size())
 	}
+	return nil
+}
+
+// record marks every disagreeing element charged and books net paid for
+// the purchased queries.
+func (h *History) record(dis []bool, net float64, sqls []string) {
 	for i, d := range dis {
-		if !d {
-			continue
-		}
-		gross += e.Weights[i]
-		if h.Charged[i] {
-			refund += e.Weights[i]
-		} else {
+		if d {
 			h.Charged[i] = true
 		}
 	}
-	h.Paid += gross - refund
+	h.Paid += net
 	h.Queries = append(h.Queries, sqls...)
-	return gross, refund, nil
 }
 
 // PriceHistoryAware charges the buyer for the new information in the

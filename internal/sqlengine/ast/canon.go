@@ -1,8 +1,7 @@
 package ast
 
 import (
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 )
 
@@ -20,10 +19,13 @@ import (
 // inequivalent queries would serve a wrong price, so when in doubt the
 // printer does not normalize.
 //
-// The same printer also runs in "strip" mode for template fingerprints
-// (see template.go): constants (Literal and Placeholder nodes) render as
-// numbered markers that survive the canonical sorts, so a post-pass can
-// recover the constant positions of the sorted output in textual order.
+// One walk serves every identity. It renders fragments — a piece of
+// canonical text plus the constants printed in it — and its mode decides
+// only how a constant prints: keep mode (Fingerprint) prints the value,
+// lift mode (NewTemplate) prints '?' and records the constant as a site
+// of its fragment. Sorted fragments carry their sites with them, so the
+// sites of the finished text are in textual order by construction. The
+// walk also collects the base tables the statement reads.
 
 // LowerName lower-cases ASCII letters of an identifier without touching
 // other bytes — the one identifier normalization the whole system shares
@@ -67,98 +69,118 @@ func AppendLowerName(dst []byte, s string) []byte {
 //   - select-item aliases dropped (output column names never affect the
 //     result multiset the pricing hash compares).
 func Fingerprint(s *SelectStmt) string {
-	var sb strings.Builder
-	(&canoner{}).stmt(&sb, s)
-	return sb.String()
+	return (&canoner{}).stmt(s).text
 }
 
-// canoner carries the printing mode through the recursive canonical
-// renderer. In strip mode every constant renders as
-// markerStart+<visit-index>+markerEnd and the node is recorded in sites;
-// the marker bytes cannot be produced by any non-constant token except a
-// pathological quoted identifier, which the template post-pass detects.
+// frag is one rendered piece of a statement: its canonical text and, in
+// lift mode, the constants printed as '?' in it, in textual order.
+type frag struct {
+	text  string
+	sites []Expr // *Literal / *Placeholder nodes
+}
+
+// canoner carries the mode and what the walk collects.
 type canoner struct {
-	strip bool
-	sites []Expr // *Literal / *Placeholder nodes in visit order
+	lift   bool
+	tables []string     // base tables met in FROM clauses, in walk order
+	neg    *Placeholder // first -$n met
+	// arena backs the one-site slices of lifted constants, so a constant
+	// costs no allocation of its own.
+	arena []Expr
 }
 
-const (
-	markerStart = '\x00'
-	markerEnd   = '\x01'
-)
-
-// markerTable pre-builds the markers for the first sites; templates
-// beyond it fall back to allocating (a query with 64+ constants is
-// already far off the hot path).
-var markerTable = func() (t [64]string) {
-	for i := range t {
-		t[i] = string(markerStart) + strconv.Itoa(i) + string(markerEnd)
-	}
-	return t
-}()
-
-func (c *canoner) marker(e Expr) string {
-	idx := len(c.sites)
-	c.sites = append(c.sites, e)
-	if idx < len(markerTable) {
-		return markerTable[idx]
-	}
-	return string(markerStart) + strconv.Itoa(idx) + string(markerEnd)
+// site lifts one constant.
+func (c *canoner) site(e Expr) frag {
+	c.arena = append(c.arena, e)
+	n := len(c.arena)
+	return frag{text: "?", sites: c.arena[n-1 : n : n]}
 }
 
-// maskedCompare compares two rendered fragments with strip-marker
-// indices masked out: every `\x00<digits>\x01` run compares as if it
-// were `\x00\x01`, so the visit index of a constant never influences
-// the canonical operand order — `a = 5 AND b = 3` and `b = 3 AND a = 5`
-// must sort to one template. Allocation-free; non-marker bytes compare
-// verbatim.
-func maskedCompare(a, b string) int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		ca, cb := a[i], b[j]
-		if ca != cb {
-			if ca < cb {
+// relations returns the collected base tables sorted and deduplicated.
+func (c *canoner) relations() []string {
+	slices.Sort(c.tables)
+	return slices.Compact(c.tables)
+}
+
+// merge concatenates the sites of parts in print order. A lone
+// non-empty list is shared as is: site lists are never written after
+// they are built.
+func merge(parts ...frag) []Expr {
+	var one []Expr
+	n := 0
+	for _, p := range parts {
+		if len(p.sites) > 0 {
+			n += len(p.sites)
+			one = p.sites
+		}
+	}
+	if n == len(one) {
+		return one
+	}
+	out := make([]Expr, 0, n)
+	for _, p := range parts {
+		out = append(out, p.sites...)
+	}
+	return out
+}
+
+// join renders parts separated by sep.
+func join(parts []frag, sep string) frag {
+	if len(parts) == 0 {
+		return frag{}
+	}
+	n := len(sep) * (len(parts) - 1)
+	for _, p := range parts {
+		n += len(p.text)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, p := range parts {
+		if i > 0 {
+			sb.WriteString(sep)
+		}
+		sb.WriteString(p.text)
+	}
+	return frag{text: sb.String(), sites: merge(parts...)}
+}
+
+// sort orders fragments canonically: a stable sort by text. In lift mode
+// a '?' sorts below every other byte: where a constant meets other text
+// it sorts first, and two constants tie, so the value a constant holds
+// never moves it. Equal texts keep render order, which is deterministic
+// and — because sorting only ever happens under commutative operators —
+// any tie order denotes the same query.
+func (c *canoner) sort(parts []frag) {
+	slices.SortStableFunc(parts, func(a, b frag) int { return c.compare(a.text, b.text) })
+}
+
+func (c *canoner) compare(a, b string) int {
+	if !c.lift {
+		return strings.Compare(a, b)
+	}
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if x, y := a[i], b[i]; x != y {
+			switch {
+			case x == '?':
+				return -1
+			case y == '?':
+				return 1
+			case x < y:
 				return -1
 			}
 			return 1
 		}
-		i++
-		j++
-		if ca == markerStart {
-			i = skipDigits(a, i)
-			j = skipDigits(b, j)
-		}
 	}
-	switch {
-	case i < len(a):
-		return 1
-	case j < len(b):
-		return -1
-	}
-	return 0
+	return len(a) - len(b)
 }
 
-func skipDigits(s string, i int) int {
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
+func (c *canoner) stmt(s *SelectStmt) frag {
+	var sb strings.Builder
+	var sites []Expr
+	write := func(f frag) {
+		sb.WriteString(f.text)
+		sites = append(sites, f.sites...)
 	}
-	return i
-}
-
-// sortStrings orders rendered fragments canonically. In strip mode the
-// order masks marker indices (see maskedCompare) with stable ties:
-// identically-rendered operands keep render order, which is
-// deterministic and — because sorting only ever happens under
-// commutative operators — any tie order denotes the same query.
-func (c *canoner) sortStrings(parts []string) {
-	if !c.strip {
-		sort.Strings(parts)
-		return
-	}
-	sort.SliceStable(parts, func(i, j int) bool { return maskedCompare(parts[i], parts[j]) < 0 })
-}
-
-func (c *canoner) stmt(sb *strings.Builder, s *SelectStmt) {
 	sb.WriteString("SELECT ")
 	if s.Distinct {
 		sb.WriteString("DISTINCT ")
@@ -167,7 +189,7 @@ func (c *canoner) stmt(sb *strings.Builder, s *SelectStmt) {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		c.item(sb, it)
+		write(c.item(it))
 	}
 	if len(s.From) > 0 {
 		sb.WriteString(" FROM ")
@@ -175,25 +197,22 @@ func (c *canoner) stmt(sb *strings.Builder, s *SelectStmt) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			c.tableRef(sb, t)
+			write(c.tableRef(t))
 		}
 	}
 	if s.Where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(c.expr(s.Where))
+		write(c.expr(s.Where))
 	}
 	if len(s.GroupBy) > 0 {
-		keys := make([]string, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			keys[i] = c.expr(g)
-		}
-		c.sortStrings(keys)
+		keys := c.exprs(s.GroupBy)
+		c.sort(keys)
 		sb.WriteString(" GROUP BY ")
-		sb.WriteString(strings.Join(keys, ", "))
+		write(join(keys, ", "))
 	}
 	if s.Having != nil {
 		sb.WriteString(" HAVING ")
-		sb.WriteString(c.expr(s.Having))
+		write(c.expr(s.Having))
 	}
 	if len(s.OrderBy) > 0 {
 		sb.WriteString(" ORDER BY ")
@@ -201,7 +220,7 @@ func (c *canoner) stmt(sb *strings.Builder, s *SelectStmt) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(c.expr(o.Expr))
+			write(c.expr(o.Expr))
 			if o.Desc {
 				sb.WriteString(" DESC")
 			}
@@ -209,12 +228,13 @@ func (c *canoner) stmt(sb *strings.Builder, s *SelectStmt) {
 	}
 	if s.Limit >= 0 {
 		sb.WriteString(" LIMIT ")
-		writeInt(sb, s.Limit)
+		writeInt(&sb, s.Limit)
 		if s.Offset > 0 {
 			sb.WriteString(" OFFSET ")
-			writeInt(sb, s.Offset)
+			writeInt(&sb, s.Offset)
 		}
 	}
+	return frag{text: sb.String(), sites: sites}
 }
 
 func writeInt(sb *strings.Builder, n int64) {
@@ -232,135 +252,127 @@ func writeInt(sb *strings.Builder, n int64) {
 	sb.Write(d[i:])
 }
 
-func (c *canoner) item(sb *strings.Builder, it SelectItem) {
-	if it.Star {
-		if it.StarTable != "" {
-			sb.WriteString(canonIdent(it.StarTable))
-			sb.WriteString(".*")
-			return
-		}
-		sb.WriteByte('*')
-		return
+func (c *canoner) item(it SelectItem) frag {
+	switch {
+	case !it.Star:
+		return c.expr(it.Expr)
+	case it.StarTable != "":
+		return frag{text: canonIdent(it.StarTable) + ".*"}
 	}
-	sb.WriteString(c.expr(it.Expr))
+	return frag{text: "*"}
 }
 
-func (c *canoner) tableRef(sb *strings.Builder, t TableRef) {
+func (c *canoner) tableRef(t TableRef) frag {
 	if t.Sub != nil {
-		sb.WriteByte('(')
-		c.stmt(sb, t.Sub)
-		sb.WriteByte(')')
+		sub := c.stmt(t.Sub)
 		if t.Alias != "" {
-			sb.WriteString(" AS ")
-			sb.WriteString(canonIdent(t.Alias))
+			return frag{"(" + sub.text + ") AS " + canonIdent(t.Alias), sub.sites}
 		}
-		return
+		return frag{"(" + sub.text + ")", sub.sites}
 	}
-	sb.WriteString(canonIdent(t.Name))
+	name := LowerName(t.Name)
+	c.tables = append(c.tables, name)
 	if t.Alias != "" && !strings.EqualFold(t.Alias, t.Name) {
-		sb.WriteByte(' ')
-		sb.WriteString(canonIdent(t.Alias))
+		return frag{text: Ident(name) + " " + canonIdent(t.Alias)}
 	}
+	return frag{text: Ident(name)}
 }
 
 func canonIdent(name string) string { return Ident(LowerName(name)) }
 
+func (c *canoner) exprs(es []Expr) []frag {
+	out := make([]frag, len(es))
+	for i, e := range es {
+		out[i] = c.expr(e)
+	}
+	return out
+}
+
 // expr renders one expression canonically.
-func (c *canoner) expr(e Expr) string {
+func (c *canoner) expr(e Expr) frag {
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.Table != "" {
-			return canonIdent(x.Table) + "." + canonIdent(x.Name)
+			return frag{text: canonIdent(x.Table) + "." + canonIdent(x.Name)}
 		}
-		return canonIdent(x.Name)
+		return frag{text: canonIdent(x.Name)}
 	case *Literal:
-		if c.strip {
-			return c.marker(x)
+		if c.lift {
+			return c.site(x)
 		}
-		return x.Val.SQL()
+		return frag{text: x.Val.SQL()}
 	case *Placeholder:
-		if c.strip {
-			return c.marker(x)
+		if c.lift {
+			return c.site(x)
 		}
-		return x.String()
+		return frag{text: x.String()}
 	case *Interval:
-		return x.String()
+		return frag{text: x.String()}
 	case *BinaryExpr:
 		return c.binary(x)
 	case *UnaryExpr:
+		in := c.expr(x.X)
 		if x.Op == "NOT" {
-			return "(NOT " + c.expr(x.X) + ")"
+			return frag{"(NOT " + in.text + ")", in.sites}
 		}
-		return "(" + x.Op + c.expr(x.X) + ")"
+		if p, ok := x.X.(*Placeholder); ok && x.Op == "-" && c.neg == nil {
+			c.neg = p
+		}
+		return frag{"(" + x.Op + in.text + ")", in.sites}
 	case *FuncCall:
 		if x.Star {
-			return x.Name + "(*)"
+			return frag{text: x.Name + "(*)"}
 		}
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = c.expr(a)
-		}
+		args := join(c.exprs(x.Args), ", ")
 		d := ""
 		if x.Distinct {
 			d = "DISTINCT "
 		}
-		return x.Name + "(" + d + strings.Join(args, ", ") + ")"
+		return frag{x.Name + "(" + d + args.text + ")", args.sites}
 	case *LikeExpr:
-		return "(" + c.expr(x.X) + not(x.Not) + " LIKE " + c.expr(x.Pattern) + ")"
+		l, p := c.expr(x.X), c.expr(x.Pattern)
+		return frag{"(" + l.text + not(x.Not) + " LIKE " + p.text + ")", merge(l, p)}
 	case *BetweenExpr:
-		return "(" + c.expr(x.X) + not(x.Not) + " BETWEEN " + c.expr(x.Lo) + " AND " + c.expr(x.Hi) + ")"
+		v, lo, hi := c.expr(x.X), c.expr(x.Lo), c.expr(x.Hi)
+		return frag{"(" + v.text + not(x.Not) + " BETWEEN " + lo.text + " AND " + hi.text + ")", merge(v, lo, hi)}
 	case *InExpr:
+		v := c.expr(x.X)
+		var in frag
 		if x.Sub != nil {
-			var sb strings.Builder
-			sb.WriteByte('(')
-			sb.WriteString(c.expr(x.X))
-			sb.WriteString(not(x.Not))
-			sb.WriteString(" IN (")
-			c.stmt(&sb, x.Sub)
-			sb.WriteString("))")
-			return sb.String()
+			in = c.stmt(x.Sub)
+		} else {
+			items := c.exprs(x.List)
+			c.sort(items)
+			in = join(items, ", ")
 		}
-		items := make([]string, len(x.List))
-		for i, a := range x.List {
-			items[i] = c.expr(a)
-		}
-		c.sortStrings(items)
-		return "(" + c.expr(x.X) + not(x.Not) + " IN (" + strings.Join(items, ", ") + "))"
+		return frag{"(" + v.text + not(x.Not) + " IN (" + in.text + "))", merge(v, in)}
 	case *ExistsExpr:
-		var sb strings.Builder
-		sb.WriteByte('(')
+		sub := c.stmt(x.Sub)
 		if x.Not {
-			sb.WriteString("NOT ")
+			return frag{"(NOT EXISTS (" + sub.text + "))", sub.sites}
 		}
-		sb.WriteString("EXISTS (")
-		c.stmt(&sb, x.Sub)
-		sb.WriteString("))")
-		return sb.String()
+		return frag{"(EXISTS (" + sub.text + "))", sub.sites}
 	case *SubqueryExpr:
-		var sb strings.Builder
-		sb.WriteByte('(')
-		c.stmt(&sb, x.Sub)
-		sb.WriteByte(')')
-		return sb.String()
+		sub := c.stmt(x.Sub)
+		return frag{"(" + sub.text + ")", sub.sites}
 	case *IsNullExpr:
-		return "(" + c.expr(x.X) + " IS" + not(x.Not) + " NULL)"
+		v := c.expr(x.X)
+		return frag{"(" + v.text + " IS" + not(x.Not) + " NULL)", v.sites}
 	case *CaseExpr:
-		var sb strings.Builder
-		sb.WriteString("CASE")
+		var parts []frag
 		if x.Operand != nil {
-			sb.WriteByte(' ')
-			sb.WriteString(c.expr(x.Operand))
+			parts = append(parts, c.expr(x.Operand))
 		}
 		for _, w := range x.Whens {
-			sb.WriteString(" WHEN " + c.expr(w.Cond) + " THEN " + c.expr(w.Result))
+			parts = append(parts, frag{text: "WHEN"}, c.expr(w.Cond), frag{text: "THEN"}, c.expr(w.Result))
 		}
 		if x.Else != nil {
-			sb.WriteString(" ELSE " + c.expr(x.Else))
+			parts = append(parts, frag{text: "ELSE"}, c.expr(x.Else))
 		}
-		sb.WriteString(" END")
-		return sb.String()
+		body := join(parts, " ")
+		return frag{"CASE " + body.text + " END", body.sites}
 	}
-	return e.String()
+	return frag{text: e.String()}
 }
 
 func not(n bool) string {
@@ -370,82 +382,38 @@ func not(n bool) string {
 	return ""
 }
 
-func (c *canoner) binary(x *BinaryExpr) string {
+func (c *canoner) binary(x *BinaryExpr) frag {
 	switch x.Op {
 	case OpAnd, OpOr:
-		var parts []string
+		parts := make([]frag, 0, 4)
 		c.flatten(x, x.Op, &parts)
-		c.sortStrings(parts)
-		return "(" + strings.Join(parts, " "+x.Op.String()+" ") + ")"
+		c.sort(parts)
+		in := join(parts, " "+x.Op.String()+" ")
+		return frag{"(" + in.text + ")", in.sites}
+	case OpGt:
+		r, l := c.expr(x.R), c.expr(x.L)
+		return frag{"(" + r.text + " < " + l.text + ")", merge(r, l)}
+	case OpGe:
+		r, l := c.expr(x.R), c.expr(x.L)
+		return frag{"(" + r.text + " <= " + l.text + ")", merge(r, l)}
+	}
+	l, r := c.expr(x.L), c.expr(x.R)
+	switch x.Op {
 	case OpEq, OpNeq, OpAdd, OpMul:
-		l, r := c.expr(x.L), c.expr(x.R)
-		if c.strip {
-			if maskedCompare(r, l) < 0 {
-				l, r = r, l
-			}
-		} else if r < l {
+		if c.compare(r.text, l.text) < 0 {
 			l, r = r, l
 		}
-		return "(" + l + " " + x.Op.String() + " " + r + ")"
-	case OpGt:
-		return "(" + c.expr(x.R) + " < " + c.expr(x.L) + ")"
-	case OpGe:
-		return "(" + c.expr(x.R) + " <= " + c.expr(x.L) + ")"
 	}
-	return "(" + c.expr(x.L) + " " + x.Op.String() + " " + c.expr(x.R) + ")"
+	return frag{"(" + l.text + " " + x.Op.String() + " " + r.text + ")", merge(l, r)}
 }
 
 // flatten collects the canonical renderings of a same-operator
 // AND/OR chain (associative, so the tree shape is normalized away).
-func (c *canoner) flatten(e Expr, op BinOp, out *[]string) {
+func (c *canoner) flatten(e Expr, op BinOp, out *[]frag) {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == op {
 		c.flatten(b.L, op, out)
 		c.flatten(b.R, op, out)
 		return
 	}
 	*out = append(*out, c.expr(e))
-}
-
-// ReferencedTables returns the lower-cased names of every base table the
-// statement references, in any FROM clause at any nesting depth, sorted
-// and deduplicated. Derived-table aliases are not included. The quote
-// cache keys on the version counters of exactly these relations.
-func ReferencedTables(s *SelectStmt) []string {
-	seen := make(map[string]bool)
-	collectTables(s, seen)
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectTables(s *SelectStmt, seen map[string]bool) {
-	for _, t := range s.From {
-		if t.Sub != nil {
-			collectTables(t.Sub, seen)
-			continue
-		}
-		seen[LowerName(t.Name)] = true
-	}
-	var exprs []Expr
-	for _, it := range s.Items {
-		if !it.Star {
-			exprs = append(exprs, it.Expr)
-		}
-	}
-	exprs = append(exprs, s.Where, s.Having)
-	exprs = append(exprs, s.GroupBy...)
-	for _, o := range s.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		for _, sub := range Subqueries(e) {
-			collectTables(sub, seen)
-		}
-	}
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 
 	"qirana/internal/value"
 )
@@ -21,13 +21,14 @@ import (
 // semantically identical queries. Substituting the site values into Canon in
 // textual order yields one well-defined statement; the canonical sorts
 // (AND/OR flattening, commutative swaps, IN-list and GROUP BY ordering)
-// applied during stripped rendering are semantics-preserving under any tie
+// applied during lifted rendering are semantics-preserving under any tie
 // order, so whatever original statement produced the template, its bound
 // form is equivalent to that substituted statement.
 type Template struct {
 	Canon     string         // canonical form, constants replaced by '?'
 	Sites     []TemplateSite // one per '?', in textual order
 	NumParams int            // number of distinct $N parameters (0 = constant-only)
+	Tables    []string       // base tables read at any depth, lower-cased, sorted
 }
 
 // TemplateSite is one stripped constant position in a template.
@@ -36,13 +37,11 @@ type TemplateSite struct {
 	Val   value.Value // the stripped literal when Param == 0
 }
 
-// ErrNotTemplatable reports that a statement cannot be templated: its
-// rendered canonical form contains bytes that collide with the internal
-// strip markers (only reachable via pathological quoted identifiers), or
-// it negates a parameter. A bound -$1 folds into a negative literal for a
-// number but stays a minus over anything else, so no one template and
-// parameter key could match its written-out twin for every argument.
-// Callers fall back to the full-constant Fingerprint path.
+// ErrNotTemplatable reports that a statement negates a parameter: a
+// bound -$1 folds into a negative literal for a number but stays a minus
+// over anything else, so no one template and parameter key could match
+// its written-out twin for every argument. Prepare rejects such
+// statements.
 var ErrNotTemplatable = errors.New("statement is not templatable")
 
 // NewTemplate extracts the template of a statement. Statements without
@@ -51,77 +50,35 @@ var ErrNotTemplatable = errors.New("statement is not templatable")
 // shares cache entries with prepared statements. Placeholders must be
 // numbered contiguously from $1.
 func NewTemplate(s *SelectStmt) (*Template, error) {
-	c := &canoner{strip: true}
-	var sb strings.Builder
-	c.stmt(&sb, s)
-	raw := sb.String()
-
-	maxParam := 0
-	used := make(map[int]bool)
-	for _, e := range c.sites {
-		if p, ok := e.(*Placeholder); ok {
-			used[p.Idx] = true
-			if p.Idx > maxParam {
-				maxParam = p.Idx
-			}
-		}
-	}
-	for i := 1; i <= maxParam; i++ {
-		if !used[i] {
-			return nil, fmt.Errorf("placeholder $%d is missing: parameters must be numbered contiguously from $1 to $%d", i, maxParam)
-		}
-	}
-	var neg *Placeholder
-	if maxParam > 0 {
-		WalkStmt(s, func(e Expr) {
-			if u, ok := e.(*UnaryExpr); ok && u.Op == "-" && neg == nil {
-				neg, _ = u.X.(*Placeholder)
-			}
-		})
-	}
-	if neg != nil {
-		return nil, fmt.Errorf("%w: -$%d negates a parameter; bind the negated value instead", ErrNotTemplatable, neg.Idx)
-	}
-
-	// Re-scan the sorted rendering for the numbered markers in textual
-	// order, replacing each with '?' and permuting the visit-ordered site
-	// list into textual order. Any mismatch — a marker byte contributed by
-	// a pathological identifier, or a count that disagrees with the visit
-	// list — makes the template unusable, never wrong.
-	var canon strings.Builder
-	canon.Grow(len(raw))
-	sites := make([]TemplateSite, 0, len(c.sites))
-	taken := make([]bool, len(c.sites))
-	rest := raw
-	for {
-		j := strings.IndexByte(rest, markerStart)
-		if j < 0 {
-			break
-		}
-		canon.WriteString(rest[:j])
-		k := strings.IndexByte(rest[j:], markerEnd)
-		if k < 0 {
-			return nil, ErrNotTemplatable
-		}
-		idx, err := strconv.Atoi(rest[j+1 : j+k])
-		if err != nil || idx < 0 || idx >= len(c.sites) || taken[idx] {
-			return nil, ErrNotTemplatable
-		}
-		taken[idx] = true
-		switch e := c.sites[idx].(type) {
+	c := &canoner{lift: true}
+	f := c.stmt(s)
+	t := &Template{Canon: f.text, Sites: make([]TemplateSite, len(f.sites)), Tables: c.relations()}
+	for i, e := range f.sites {
+		switch e := e.(type) {
 		case *Placeholder:
-			sites = append(sites, TemplateSite{Param: e.Idx})
+			t.Sites[i].Param = e.Idx
+			t.NumParams = max(t.NumParams, e.Idx)
 		case *Literal:
-			sites = append(sites, TemplateSite{Val: e.Val})
+			t.Sites[i].Val = e.Val
 		}
-		canon.WriteByte('?')
-		rest = rest[j+k+1:]
 	}
-	canon.WriteString(rest)
-	if len(sites) != len(c.sites) || strings.IndexByte(canon.String(), markerEnd) >= 0 {
-		return nil, ErrNotTemplatable
+	// The distinct parameters, sorted, must read 1, 2, …, NumParams.
+	var params []int
+	for _, st := range t.Sites {
+		if st.Param > 0 {
+			params = append(params, st.Param)
+		}
 	}
-	return &Template{Canon: canon.String(), Sites: sites, NumParams: maxParam}, nil
+	slices.Sort(params)
+	for i, p := range slices.Compact(params) {
+		if p != i+1 {
+			return nil, fmt.Errorf("placeholder $%d is missing: parameters must be numbered contiguously from $1 to $%d", i+1, t.NumParams)
+		}
+	}
+	if c.neg != nil {
+		return nil, fmt.Errorf("%w: -$%d negates a parameter; bind the negated value instead", ErrNotTemplatable, c.neg.Idx)
+	}
+	return t, nil
 }
 
 // ParamKey renders the per-call constant signature: the values that fill the

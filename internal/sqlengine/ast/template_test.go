@@ -136,6 +136,15 @@ func TestTemplateNonContiguousParams(t *testing.T) {
 	}
 }
 
+// A huge placeholder number is rejected by the first missing number, in
+// space proportional to the sites, not to the number.
+func TestTemplateHugeParamIndex(t *testing.T) {
+	_, err := NewTemplate(sel(cmp(OpGt, col("price"), &Placeholder{Idx: 1 << 40})))
+	if err == nil || !strings.Contains(err.Error(), "$1 is missing") {
+		t.Fatalf("want missing-$1 error, got %v", err)
+	}
+}
+
 // ParamKey arity errors.
 func TestTemplateParamKeyArity(t *testing.T) {
 	tm := mustTemplate(t, sel(cmp(OpGt, col("price"), &Placeholder{Idx: 1})))
@@ -147,8 +156,9 @@ func TestTemplateParamKeyArity(t *testing.T) {
 	}
 }
 
-// Int 5 and Float 5.0 are distinct SQL values and must not share a key
-// (value.SQL renders both as "5"; the key encoding is exact).
+// Int 5 and Float 5.0 are distinct SQL values and must not share a key.
+// value.SQL keeps them apart too ("5" and "5.0"), but the key encoding
+// does not lean on it: every kind is tagged.
 func TestTemplateParamKeyKindExact(t *testing.T) {
 	tm := mustTemplate(t, sel(cmp(OpGt, col("price"), &Placeholder{Idx: 1})))
 	ki := mustKey(t, tm, []value.Value{value.NewInt(5)})
@@ -181,12 +191,17 @@ func TestTemplateRepeatedParam(t *testing.T) {
 	}
 }
 
-// A quoted identifier containing marker bytes must fail closed, not
-// produce a corrupt template.
-func TestTemplateMarkerCollisionFailsClosed(t *testing.T) {
-	evil := sel(cmp(OpGt, col("a\x000\x01b"), lit(5)))
-	if _, err := NewTemplate(evil); err == nil {
-		t.Fatal("marker-colliding identifier did not fail template extraction")
+// A quoted identifier may hold any byte, \x00 and \x01 included: it
+// templates like any other, keeps its bytes in Canon, and two statements
+// that differ only in those bytes get different templates.
+func TestTemplateControlBytesInIdentifier(t *testing.T) {
+	a := mustTemplate(t, sel(cmp(OpGt, col("a\x000\x01b"), lit(5))))
+	b := mustTemplate(t, sel(cmp(OpGt, col("a\x001\x01b"), lit(5))))
+	if !strings.Contains(a.Canon, "a\x000\x01b") || len(a.Sites) != 1 {
+		t.Fatalf("identifier bytes lost or site miscounted: %q, %d sites", a.Canon, len(a.Sites))
+	}
+	if a.Canon == b.Canon {
+		t.Fatalf("identifiers differing in control bytes share a template %q", a.Canon)
 	}
 }
 

@@ -50,6 +50,38 @@ type Query struct {
 	// plans holds each statement's classified WHERE conjuncts
 	// (*analyze.Analyzed -> []conjunctInfo), see conjuncts.
 	plans sync.Map
+
+	idOnce sync.Once
+	id     Identity
+}
+
+// Identity is a compiled query's quote-cache identity, from one lifted
+// canonical walk of its statement (ast.NewTemplate).
+type Identity struct {
+	// Key is the template's Canon and the ParamKey of its constants,
+	// joined by \x02: equal keys denote queries with one result multiset
+	// on every instance.
+	Key string
+	// Tables are the base relations the statement reads, sorted.
+	Tables []string
+}
+
+// Identity returns q's identity, computing it on first use. q must be
+// placeholder-free — a statement with placeholders cannot run, so it has
+// no price to key — and Identity panics otherwise.
+func (q *Query) Identity() Identity {
+	q.idOnce.Do(func() {
+		tm, err := ast.NewTemplate(q.Stmt)
+		var sig string
+		if err == nil {
+			sig, err = tm.ParamKey(nil)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("exec: identity of %q: %v", q.SQL, err))
+		}
+		q.id = Identity{Key: tm.Canon + "\x02" + sig, Tables: tm.Tables}
+	})
+	return q.id
 }
 
 // Compile parses and analyzes a SQL string against a schema.

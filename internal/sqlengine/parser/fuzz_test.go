@@ -2,6 +2,7 @@ package parser
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,9 +67,12 @@ func FuzzParse(f *testing.F) {
 // path) and parsing the textually substituted SQL (the ad-hoc path) must
 // agree on the canonical fingerprint, the template fingerprint AND the
 // parameter key — the three identities the broker's template-keyed quote
-// cache relies on for bit-identical prepared prices. A statement
-// NewTemplate refuses (ErrNotTemplatable) is never prepared, but its
-// bound and substituted forms must still share one fingerprint.
+// cache relies on for bit-identical prepared prices. The bound
+// statement's own identity (its template canon, constant vector and
+// tables, what a bound query keys by) must equal the prepared template's
+// Canon and ParamKey(args). A statement NewTemplate refuses
+// (ErrNotTemplatable) is never prepared, but its bound and substituted
+// forms must still share one fingerprint.
 func FuzzPrepare(f *testing.F) {
 	f.Add("select a from t where b > $1 and c = $2", int64(5), "x")
 	f.Add("select a from t where b in ($1, $2, 9) or c like $2", int64(0), "pat%")
@@ -114,7 +118,7 @@ func FuzzPrepare(f *testing.F) {
 			t.Fatalf("fingerprint mismatch:\nbound:       %q\nsubstituted: %q", want, got)
 		}
 		if !templated {
-			return // fails closed: marker-colliding identifiers or a negated parameter
+			return // a negated parameter: Prepare rejects it
 		}
 		reTmpl, err := ast.NewTemplate(substituted)
 		if err != nil {
@@ -133,6 +137,17 @@ func FuzzPrepare(f *testing.F) {
 		}
 		if kp != ka {
 			t.Fatalf("param key mismatch: prepared %q vs ad-hoc %q", kp, ka)
+		}
+		bt, err := ast.NewTemplate(bound)
+		if err != nil {
+			t.Fatalf("bound statement does not template: %v", err)
+		}
+		kb, err := bt.ParamKey(nil)
+		if err != nil {
+			t.Fatalf("bound ParamKey: %v", err)
+		}
+		if bt.Canon+"\x02"+kb != tmpl.Canon+"\x02"+kp || !slices.Equal(bt.Tables, tmpl.Tables) {
+			t.Fatalf("bound identity %q %v != prepared %q %v", bt.Canon+"\x02"+kb, bt.Tables, tmpl.Canon+"\x02"+kp, tmpl.Tables)
 		}
 	})
 }

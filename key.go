@@ -19,9 +19,12 @@ import (
 //	ss|b|lo,hi|d|gen|ver…  one shard slice's bits ("sh" hashes, "m" one
 //	                       query of a batch), then |smp:frac,seed if sampled
 //
-// where … is |suffix for a single query (templateSuffix; "td", "te"
-// when it templated) and \x01fingerprint per query of a bundle.
-// quotecache.KindOf reads the prefix back for the hit/miss split.
+// where … is \x01identity per query of a bundle. A single query renders
+// |identity instead and its exact kinds read "td"/"te", which
+// quotecache.KindOf reads back for the template hit/miss split. The
+// identity is the query's exec.Identity key — its template canon and
+// constant vector from one canonical walk — so an ad-hoc quote and a
+// prepared quote of the same bound statement share one entry.
 //
 // A bitmap omits the pricing function and weights epoch: the conflict
 // set is a property of (queries, database, support set) alone, so one
@@ -35,28 +38,28 @@ type quoteKey struct {
 	fn     PricingFunc
 	approx bool
 	qs     []*exec.Query
-	// suffix and tables, when set, are a prepared statement's
-	// precomputed template identity and relation list for its one bound
-	// query, so a warm prepared quote renders neither again.
-	suffix string
-	tables []string
 	slice  *SweepSliceRequest
 }
 
 // key renders k. Callers hold mu.RLock.
 func (b *Broker) key(k quoteKey) string {
-	suffix, templ := k.suffix, k.suffix != ""
-	if !templ && len(k.qs) == 1 {
-		suffix, templ = templateSuffix(k.qs[0].Stmt)
-	}
+	// The largest mutation counter over the relations the queries read:
+	// a point update to any of them moves the key, so a cached price can
+	// never outlive the data it priced.
 	var ver uint64
-	if k.tables != nil {
-		ver = b.maxVersionTables(k.tables)
-	} else {
-		ver = b.maxVersion(k.qs)
+	n := 40
+	for _, q := range k.qs {
+		id := q.Identity()
+		n += len(id.Key) + 1
+		for _, rel := range id.Tables {
+			if t := b.db.Table(rel); t != nil && t.Version() > ver {
+				ver = t.Version()
+			}
+		}
 	}
+	single := len(k.qs) == 1
 	var sb strings.Builder
-	sb.Grow(len(suffix) + 40)
+	sb.Grow(n)
 	var num [32]byte
 	if s := k.slice; s != nil {
 		sb.WriteString(pick(s.Hashes, "sh|", "ss|"))
@@ -71,23 +74,22 @@ func (b *Broker) key(k quoteKey) string {
 	case k.approx:
 		sb.WriteString("a")
 	case hashed(k.fn):
-		sb.WriteString(pick(templ, "te", "e"))
+		sb.WriteString(pick(single, "te", "e"))
 	default:
-		sb.WriteString(pick(templ, "td", "d"))
+		sb.WriteString(pick(single, "td", "d"))
 		fields = fields[2:]
 	}
 	for _, v := range fields {
 		sb.WriteByte('|')
 		sb.Write(strconv.AppendUint(num[:0], v, 10))
 	}
-	if len(k.qs) == 1 {
-		sb.WriteByte('|')
-		sb.WriteString(suffix)
-	} else {
-		for _, q := range k.qs {
-			sb.WriteByte('\x01')
-			sb.WriteString(ast.Fingerprint(q.Stmt))
-		}
+	sep := byte('\x01')
+	if single {
+		sep = '|'
+	}
+	for _, q := range k.qs {
+		sb.WriteByte(sep)
+		sb.WriteString(q.Identity().Key)
 	}
 	if s := k.slice; s != nil && (SweepSpec{SampleFrac: s.SampleFrac}).Sampled() {
 		sb.WriteString("|smp:")
@@ -105,45 +107,6 @@ func pick(c bool, yes, no string) string {
 	return no
 }
 
-// templateSuffix renders the template-keyed identity of a single
-// constant query: the literal-stripped canonical form plus the exact
-// constant vector in site order. Prepared statements compute the same
-// suffix from their cached template, so an ad-hoc quote of a template
-// instance and a prepared quote of the same instance share one cache
-// entry (and coalesce). The bool reports whether templating succeeded;
-// on the (pathological) fallback the full-constant Fingerprint is
-// returned instead.
-func templateSuffix(stmt *ast.SelectStmt) (string, bool) {
-	if tm, err := ast.NewTemplate(stmt); err == nil {
-		if pk, err2 := tm.ParamKey(nil); err2 == nil {
-			return tm.Canon + "\x02" + pk, true
-		}
-	}
-	return ast.Fingerprint(stmt), false
-}
-
-// maxVersion returns the largest mutation counter over the relations the
-// bundle references: a point update to any of them moves the key, so a
-// cached price can never outlive the data it priced.
-func (b *Broker) maxVersion(qs []*exec.Query) uint64 {
-	var v uint64
-	for _, q := range qs {
-		if w := b.maxVersionTables(ast.ReferencedTables(q.Stmt)); w > v {
-			v = w
-		}
-	}
-	return v
-}
-
-// maxVersionTables is maxVersion over a precomputed relation list — the
-// prepared-statement fast path, whose referenced tables never change
-// across bindings.
-func (b *Broker) maxVersionTables(tables []string) uint64 {
-	var v uint64
-	for _, rel := range tables {
-		if t := b.db.Table(rel); t != nil && t.Version() > v {
-			v = t.Version()
-		}
-	}
-	return v
-}
+// fingerprint is the full-constant canonical form of q's statement, the
+// identity a purchase record carries in the ledger.
+func fingerprint(q *exec.Query) string { return ast.Fingerprint(q.Stmt) }

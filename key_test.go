@@ -10,10 +10,11 @@ import (
 	"qirana/internal/sqlengine/exec"
 )
 
-// TestQuoteKeyGolden pins every rendering of quoteKey to the format the
-// per-kind key functions it replaced produced, byte for byte, and to
-// quotecache.KindOf's classification of it: the template hit/miss split
-// and every cache counter on /metrics read the prefix back.
+// TestQuoteKeyGolden pins every rendering of quoteKey, byte for byte,
+// and quotecache.KindOf's classification of it: the template hit/miss
+// split and every cache counter on /metrics read the prefix back. Every
+// query renders by its identity (template canon and constant vector),
+// alone after "|" or per bundle member after "\x01".
 func TestQuoteKeyGolden(t *testing.T) {
 	b := worldBroker(t, 60)
 	// Move every counter the key embeds off its initial value so a field
@@ -38,27 +39,42 @@ func TestQuoteKeyGolden(t *testing.T) {
 	bundle := []*exec.Query{single[0], compile("SELECT Name FROM City WHERE Population > 100000")}
 
 	gen, epoch := b.supportGen, b.engine.WeightsEpoch()
-	ver := func(qs []*exec.Query) uint64 { return b.maxVersion(qs) }
+	ver := func(qs []*exec.Query) uint64 {
+		v := b.db.Table("Country").Version()
+		if len(qs) > 1 {
+			v = max(v, b.db.Table("City").Version())
+		}
+		return v
+	}
 	if gen == 0 || epoch == 0 || ver(single) == 0 {
 		t.Fatalf("counters not moved: gen=%d epoch=%d ver=%d", gen, epoch, ver(single))
 	}
-	suffix, templated := templateSuffix(single[0].Stmt)
-	if !templated {
-		t.Fatal("single query did not template")
+	// A query's identity: its template canon and constant vector.
+	ident := func(q *exec.Query) string {
+		tm, err := ast.NewTemplate(q.Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, err := tm.ParamKey(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm.Canon + "\x02" + pk
 	}
-	// A quoted alias holding the canonical printer's marker byte cannot
-	// template: a single query then keys by its full-constant fingerprint
-	// under the plain "d"/"e" prefixes.
-	plain := []*exec.Query{compile("SELECT Name FROM Country \"x\x00y\" WHERE Continent = 'Asia'")}
-	if _, ok := templateSuffix(plain[0].Stmt); ok {
-		t.Fatal("marker-byte alias templated")
+	suffix := ident(single[0])
+	// A quoted alias may hold any byte, \x00 and \x01 included: the
+	// query templates like any other under the "td"/"te" prefixes, and an
+	// alias differing only in those bytes keys apart.
+	ctrl := []*exec.Query{compile("SELECT Name FROM Country \"x\x00y\" WHERE Continent = 'Asia'")}
+	ctrlSuffix := ident(ctrl[0])
+	if twin := ident(compile("SELECT Name FROM Country \"x\x01y\" WHERE Continent = 'Asia'")); twin == ctrlSuffix {
+		t.Fatalf("aliases differing in control bytes share identity %q", twin)
 	}
-	fp := ast.Fingerprint(plain[0].Stmt)
 	fps := ""
 	for _, q := range bundle {
-		fps += "\x01" + ast.Fingerprint(q.Stmt)
+		fps += "\x01" + ident(q)
 	}
-	// The formats the replaced per-kind key functions rendered.
+	// The rendered formats.
 	disKey := func(qs []*exec.Query) string {
 		if len(qs) == 1 {
 			return fmt.Sprintf("td|%d|%d|%s", gen, ver(qs), suffix)
@@ -86,10 +102,10 @@ func TestQuoteKeyGolden(t *testing.T) {
 		{"td", quoteKey{fn: WeightedCoverage, qs: single}, disKey(single), quotecache.KindTemplate},
 		{"td/gain", quoteKey{fn: UniformEntropyGain, qs: single}, disKey(single), quotecache.KindTemplate},
 		{"d", quoteKey{fn: UniformEntropyGain, qs: bundle}, disKey(bundle), quotecache.KindBitmap},
-		{"d/single", quoteKey{fn: WeightedCoverage, qs: plain}, fmt.Sprintf("d|%d|%d|%s", gen, ver(plain), fp), quotecache.KindBitmap},
-		{"e/single", quoteKey{fn: ShannonEntropy, qs: plain}, fmt.Sprintf("e|%d|%d|%d|%d|%s", int(ShannonEntropy), epoch, gen, ver(plain), fp), quotecache.KindPrice},
-		{"a/single/plain", quoteKey{fn: QEntropy, approx: true, qs: plain}, fmt.Sprintf("a|%d|%d|%d|%d|%s", int(QEntropy), epoch, gen, ver(plain), fp), quotecache.KindApprox},
-		{"ss|m/plain", quoteKey{qs: plain, slice: slice(false, false, 0)}, fmt.Sprintf("ss|m|17,42|d|%d|%d|%s", gen, ver(plain), fp), quotecache.KindOther},
+		{"td/ctrl", quoteKey{fn: WeightedCoverage, qs: ctrl}, fmt.Sprintf("td|%d|%d|%s", gen, ver(ctrl), ctrlSuffix), quotecache.KindTemplate},
+		{"te/ctrl", quoteKey{fn: ShannonEntropy, qs: ctrl}, fmt.Sprintf("te|%d|%d|%d|%d|%s", int(ShannonEntropy), epoch, gen, ver(ctrl), ctrlSuffix), quotecache.KindTemplate},
+		{"a/single/ctrl", quoteKey{fn: QEntropy, approx: true, qs: ctrl}, fmt.Sprintf("a|%d|%d|%d|%d|%s", int(QEntropy), epoch, gen, ver(ctrl), ctrlSuffix), quotecache.KindApprox},
+		{"ss|m/ctrl", quoteKey{qs: ctrl, slice: slice(false, false, 0)}, fmt.Sprintf("ss|m|17,42|td|%d|%d|%s", gen, ver(ctrl), ctrlSuffix), quotecache.KindOther},
 		{"te/shannon", quoteKey{fn: ShannonEntropy, qs: single}, priced("te", ShannonEntropy, single), quotecache.KindTemplate},
 		{"te/qentropy", quoteKey{fn: QEntropy, qs: single}, priced("te", QEntropy, single), quotecache.KindTemplate},
 		{"e", quoteKey{fn: QEntropy, qs: bundle}, priced("e", QEntropy, bundle), quotecache.KindPrice},
@@ -120,18 +136,23 @@ func TestQuoteKeyGolden(t *testing.T) {
 		}
 	}
 
-	// A prepared statement's key — precomputed template suffix and
-	// relation list — renders the ad-hoc key of the substituted query.
+	// A prepared statement's bound query renders the ad-hoc key of the
+	// substituted query.
 	s, err := b.Prepare(t.Context(), "SELECT Name FROM Country WHERE Continent = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := s.tmpl.ParamKey([]Value{NewString("Asia")})
+	args := []Value{NewString("Asia")}
+	sig, err := s.tmpl.ParamKey(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := s.boundQuery(sig, args)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fn := range []PricingFunc{WeightedCoverage, UniformEntropyGain, ShannonEntropy, QEntropy} {
-		if got, want := b.key(s.key(fn, sig, single[0])), b.key(quoteKey{fn: fn, qs: single}); got != want {
+		if got, want := b.key(quoteKey{fn: fn, qs: []*exec.Query{bound}}), b.key(quoteKey{fn: fn, qs: single}); got != want {
 			t.Errorf("%v: prepared key %q != ad-hoc key %q", fn, got, want)
 		}
 	}

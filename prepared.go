@@ -13,17 +13,18 @@ import (
 // canonicalizes and analyzes a $N-parameterized statement ONCE, and
 // Stmt.Price / Stmt.Purchase run only the parameter-sensitive residual
 // work per call. A warm parameterized quote touches no lexer, parser or
-// canonical printer: it renders the (tiny) parameter signature, assembles
-// the precomputed template cache key, and serves the entry — the same
-// "td|"/"te|" entries the ad-hoc path writes for auto-detected template
-// instances, so prepared and unprepared traffic share one warm cache.
+// canonical printer: it renders the (tiny) parameter signature, finds
+// the bound query cached under it, whose identity was computed once, and
+// serves the entry — the same "td|"/"te|" entries the ad-hoc path writes
+// for auto-detected template instances, so prepared and unprepared
+// traffic share one warm cache.
 //
 // What is — and is not — shared across parameter vectors:
 //
 //   - Shared once per template: the parse tree, the name-resolution
-//     analysis, the literal-stripped canonical form (ast.Template), and
-//     the referenced-relation list behind version stamping.
-//   - Shared per parameter vector (bounded LRU): the bound *exec.Query.
+//     analysis and the literal-stripped canonical form (ast.Template).
+//   - Shared per parameter vector (bounded LRU): the bound *exec.Query
+//     and with it its quote-cache identity (exec.Identity).
 //     Keeping the pointer stable across calls ALSO keeps the engine's
 //     per-query state warm — the §4.1/§4.2 disagreement checker (static
 //     classification, contribution PK sets, tagged-query skeletons) and
@@ -54,7 +55,6 @@ type Stmt struct {
 	sql  string          // template text as given to Prepare
 	stmt *ast.SelectStmt // parsed template; never mutated after Prepare
 	tmpl *ast.Template   // literal-stripped canonical form + sites
-	tbls []string        // referenced relations (binding-independent)
 
 	mu    sync.Mutex
 	bound map[string]*exec.Query // param signature → bound compiled query
@@ -63,11 +63,9 @@ type Stmt struct {
 
 // Prepare compiles a query template with $N placeholders (numbered
 // contiguously from $1; a template may also have zero placeholders). The
-// returned Stmt caches the parse tree, analysis, canonical template and
-// referenced-relation list, so Stmt.Price runs only parameter-sensitive
-// work. Statements the canonical printer cannot template (pathological
-// quoted identifiers that collide with its internal markers) are
-// rejected.
+// returned Stmt caches the parse tree, analysis and canonical template,
+// so Stmt.Price runs only parameter-sensitive work. A template that
+// negates a parameter (-$1) is rejected: see ast.ErrNotTemplatable.
 func (b *Broker) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -87,7 +85,6 @@ func (b *Broker) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 		sql:   sql,
 		stmt:  q.Stmt,
 		tmpl:  tmpl,
-		tbls:  ast.ReferencedTables(q.Stmt),
 		bound: make(map[string]*exec.Query),
 	}, nil
 }
@@ -139,13 +136,6 @@ func (s *Stmt) bindFresh(params []Value) (*exec.Query, error) {
 	return exec.CompileStmt(stmt, s.b.db.Schema)
 }
 
-// key is the cache key of one bound query under fn, from the
-// precomputed template and relation list: the key the ad-hoc path
-// renders for the substituted statement, so both paths share entries.
-func (s *Stmt) key(fn PricingFunc, sig string, q *exec.Query) quoteKey {
-	return quoteKey{fn: fn, qs: []*exec.Query{q}, suffix: s.tmpl.Canon + "\x02" + sig, tables: s.tbls}
-}
-
 // Price prices one instance of the template under the broker's default
 // pricing function. The result is bit-identical to an ad-hoc Price of
 // the constant-substituted SQL.
@@ -175,7 +165,7 @@ func (s *Stmt) PriceWith(ctx context.Context, fn PricingFunc, params ...Value) (
 
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	info, err := b.exact(ctx, s.key(fn, sig, q))
+	info, err := b.exact(ctx, quoteKey{fn: fn, qs: []*exec.Query{q}})
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +198,8 @@ func (s *Stmt) purchase(ctx context.Context, buyer string, refund bool, params [
 	defer b.obs.Timer("broker_purchase")()
 	defer func() { b.countOutcome(err) }()
 
-	sig, err := s.tmpl.ParamKey(params)
-	if err != nil {
+	// ParamKey checks the arity, which Bind alone does not.
+	if _, err := s.tmpl.ParamKey(params); err != nil {
 		return nil, err
 	}
 	q, err := s.bindFresh(params)
@@ -219,5 +209,5 @@ func (s *Stmt) purchase(ctx context.Context, buyer string, refund bool, params [
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	req := PurchaseRequest{Buyer: buyer, SQL: q.SQL, Refund: refund}
-	return b.purchaseLocked(ctx, req, q, s.key(WeightedCoverage, sig, q))
+	return b.purchaseLocked(ctx, req, q, quoteKey{fn: WeightedCoverage, qs: []*exec.Query{q}})
 }
